@@ -312,7 +312,8 @@ def _build_parser() -> argparse.ArgumentParser:
     keygen.add_argument("--seed", type=int, default=None,
                         help="deterministic generation for reproducible fixtures")
     keygen.add_argument("--toy", action="store_true",
-                        help=f"undersized fast parameters (requires {TOY_ENV_VAR}=1)")
+                        help=f"512-bit RSA for fast throwaway keys; DSA keeps the "
+                             f"fixed 1024-bit group (requires {TOY_ENV_VAR}=1)")
     keygen.set_defaults(func=cmd_keygen)
     return parser
 

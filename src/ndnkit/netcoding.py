@@ -58,6 +58,10 @@ class RankDeficient(ValueError):
     """The coefficient matrix is singular; gather another packet and retry."""
 
 
+class MalformedSignaturePoint(CodecError):
+    """A coded packet's signature bytes do not decode to a G1 point."""
+
+
 @dataclass(frozen=True)
 class Generation:
     """Parameters binding all coded packets of one content object."""
@@ -150,7 +154,10 @@ class CodedPacket:
                 raise CodecError("vector element exceeds the field modulus")
             vector.append(el)
             pos += 20
-        signature = G1Point.from_bytes(blob[pos:end])
+        try:
+            signature = G1Point.from_bytes(blob[pos:end])
+        except ValueError as exc:
+            raise MalformedSignaturePoint(str(exc)) from None
         return cls(generation, tuple(vector), signature)
 
 

@@ -16,6 +16,7 @@ times are integer milliseconds supplied by the caller.
 
 from __future__ import annotations
 
+import math
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -57,6 +58,9 @@ class ContentStore:
         self.capacity = capacity
         self.freshness_ms = freshness_ms
         self._entries: OrderedDict[Name, CsEntry] = OrderedDict()
+        # no deadline in the store is below this, so evict() need not look
+        # for expired entries while now is under it
+        self._earliest_deadline = math.inf
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -76,16 +80,23 @@ class ContentStore:
         if self.capacity == 0:
             return
         # a fresher duplicate overwrites the cached copy
+        deadline = now + self.freshness_ms
         self._entries[data.name] = CsEntry(
-            data=data, inserted=now, last_access=now, deadline=now + self.freshness_ms
+            data=data, inserted=now, last_access=now, deadline=deadline
         )
+        self._earliest_deadline = min(self._earliest_deadline, deadline)
         self._entries.move_to_end(data.name)
         self.evict(now)
 
     def evict(self, now: int) -> list[Name]:
-        evicted = [n for n, e in self._entries.items() if now >= e.deadline]
-        for name in evicted:
-            del self._entries[name]
+        evicted = []
+        if now >= self._earliest_deadline:
+            evicted = [n for n, e in self._entries.items() if now >= e.deadline]
+            for name in evicted:
+                del self._entries[name]
+            self._earliest_deadline = min(
+                (e.deadline for e in self._entries.values()), default=math.inf
+            )
         while len(self._entries) > self.capacity:
             name, _ = self._entries.popitem(last=False)  # least recently used
             evicted.append(name)

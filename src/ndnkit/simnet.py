@@ -24,6 +24,8 @@ import hashlib
 import heapq
 import json
 import random
+from bisect import bisect_left, bisect_right
+from collections import deque
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -123,6 +125,11 @@ class RequestResult:
     delivered: Optional[bytes] = None
     delivered_tick: Optional[int] = None
     hops: int = 0
+    """Link transmissions of this name, anywhere in the network, in the
+    request's window: every emit_interest/emit_data record for the name with
+    first_tick <= tick <= delivered_tick (no upper end if undelivered).
+    Other requests for the same name in that window add their packets too,
+    so overlapping requests inflate the count (a known issue)."""
 
 
 @dataclass
@@ -386,6 +393,12 @@ class _Runner:
         self.scenario = scenario
         self.records: list[dict] = []
         self.requests: list[RequestResult] = []
+        # undelivered requests per (consumer, name), in schedule order
+        self.pending: dict[tuple[str, Name], deque[RequestResult]] = {}
+        self.texts: dict[Name, str] = {}
+        # name text -> ticks of its emit records; ticks are logged in
+        # non-decreasing order, so each list is sorted
+        self.emit_ticks: dict[str, list[int]] = {}
         self.heap: list[tuple] = []
         self.seq = 0
         self.nonce_rng = _rng_for(scenario.seed, "nonce")
@@ -418,13 +431,22 @@ class _Runner:
         heapq.heappush(self.heap, (tick, node_id, self.seq, kind, payload))
         self.seq += 1
 
+    def text(self, name: Name) -> str:
+        text = self.texts.get(name)
+        if text is None:
+            text = self.texts[name] = str(name)
+        return text
+
     def log(self, tick: int, node_id: str, event: str, name: Name,
             face: Optional[int], nonce: Optional[int] = None) -> None:
+        text = self.text(name)
         record = {"tick": tick, "node": node_id, "event": event,
-                  "name": str(name), "face": face}
+                  "name": text, "face": face}
         if nonce is not None:
             record["nonce"] = nonce
         self.records.append(record)
+        if event in ("emit_interest", "emit_data"):
+            self.emit_ticks.setdefault(text, []).append(tick)
 
     def route_emissions(self, node_id: str, emissions, tick: int) -> None:
         for face, packet in emissions:
@@ -458,12 +480,13 @@ class _Runner:
 
     def deliver(self, node_id: str, data: Data, tick: int) -> None:
         self.log(tick, node_id, "deliver", data.name, APP_FACE)
-        for result in self.requests:
-            if (result.consumer == node_id and result.name == data.name
-                    and result.delivered is None):
-                result.delivered = data.content
-                result.delivered_tick = tick
-                break
+        # only deliver() fills a result, so after popping the delivered ones
+        # the head is the first undelivered request in schedule order
+        waiting = self.pending.get((node_id, data.name))
+        if waiting:
+            result = waiting.popleft()
+            result.delivered = data.content
+            result.delivered_tick = tick
 
     def answer(self, node_id: str, interest: Interest, tick: int) -> None:
         mine = [b for b in self.topology.bindings if b.node == node_id]
@@ -527,6 +550,7 @@ class _Runner:
                 consumer=spec.consumer, name=spec.name, first_tick=spec.tick
             )
             self.requests.append(result)
+            self.pending.setdefault((spec.consumer, spec.name), deque()).append(result)
             self.push(spec.tick, spec.consumer, "request", (spec, result))
         for attack in self.scenario.attacks:
             self.push(attack.tick, attack.node, "attack", attack)
@@ -562,15 +586,12 @@ class _Runner:
                 self.plant_poison(payload, tick)
 
         for result in self.requests:
+            ticks = self.emit_ticks.get(self.text(result.name), [])
             last = result.delivered_tick
-            result.hops = sum(
-                1
-                for r in self.records
-                if r["event"] in ("emit_interest", "emit_data")
-                and r["name"] == str(result.name)
-                and r["tick"] >= result.first_tick
-                and (last is None or r["tick"] <= last)
-            )
+            end = len(ticks) if last is None else bisect_right(ticks, last)
+            # a delivery can credit a request before its first_tick when the
+            # schedule lists it ahead of the request that was issued
+            result.hops = max(0, end - bisect_left(ticks, result.first_tick))
         counters = {nid: dict(node.counters) for nid, node in self.nodes.items()}
         return Trace(records=self.records, counters=counters, requests=self.requests)
 

@@ -2,8 +2,9 @@
 
 Layout is bit-exact and canonical: every field has a fixed position, lengths
 use the minimal varint form, and decode(encode(p)) == p for all packets.
-Unknown types, duplicated or missing fields, non-minimal lengths, and bytes
-past the end of the outer TLV are all rejected.
+Unknown types, duplicated or missing fields, non-minimal lengths, empty name
+components, and bytes past the end of the outer TLV are all rejected, each as
+a CodecError.
 
 Varint lengths: one byte below 253; 0xFD + 2-byte big-endian up to 65535;
 0xFE + 4-byte big-endian below 2^32.  Larger fields do not encode.
@@ -59,6 +60,10 @@ class NonMinimalLength(CodecError):
 
 class OversizeField(CodecError):
     pass
+
+
+class EmptyNameComponent(CodecError):
+    """A name or key locator carries a zero-length component."""
 
 
 @dataclass(frozen=True)
@@ -231,6 +236,8 @@ def _decode_components(buf: bytes, pos: int, end: int) -> tuple[bytes, ...]:
         typ, length = rd.read_tl()
         if typ != TYPE_NAME_COMPONENT:
             raise UnknownTlvType(f"expected a name component, got type {typ:#04x}")
+        if length == 0:
+            raise EmptyNameComponent("zero-length name component")
         comps.append(rd.read_value(length))
     return tuple(comps)
 

@@ -11,6 +11,7 @@ from ndnkit.netcoding import (
     DimensionError,
     Generation,
     GenerationMismatch,
+    MalformedSignaturePoint,
     RankDeficient,
     combine,
     decode,
@@ -20,6 +21,7 @@ from ndnkit.netcoding import (
     split_and_augment,
 )
 from ndnkit.pairing import CURVE_ORDER, G1Point
+from ndnkit.pairing.curve import CURVE_B, FIELD_PRIME
 from ndnkit.signatures import SCHEME_NC, ParameterError
 from ndnkit.wire import CodecError
 
@@ -272,6 +274,28 @@ def test_packet_rejects_malformed_blobs(packets):
     zero_dims[id_len : id_len + 4] = b"\x00" * 4
     with pytest.raises(CodecError):
         CodedPacket.from_bytes(bytes(zero_dims))
+
+
+def _off_curve_x() -> int:
+    x = 0
+    while pow(x**3 + CURVE_B, (FIELD_PRIME - 1) // 2, FIELD_PRIME) != FIELD_PRIME - 1:
+        x += 1
+    return x
+
+
+@pytest.mark.parametrize(
+    "point",
+    [
+        bytes([0x05]) + (1).to_bytes(20, "big"),  # bad compression flag
+        bytes([0x02]) + _off_curve_x().to_bytes(20, "big"),  # not a curve point
+        bytes([0x02]) + FIELD_PRIME.to_bytes(20, "big"),  # x out of range
+    ],
+)
+def test_malformed_signature_point_is_a_codec_error(packets, point):
+    _, pkts = packets
+    blob = pkts[0].to_bytes()[: -G1Point.SIZE] + point
+    with pytest.raises(MalformedSignaturePoint):
+        CodedPacket.from_bytes(blob)
 
 
 def test_generation_validation():

@@ -1,4 +1,5 @@
 import random
+from collections import OrderedDict
 
 import pytest
 
@@ -336,6 +337,65 @@ def test_duplicate_name_overwrites(bls_key):
     cs.put(second, 1)
     assert len(cs) == 1
     assert cs.get(NAME, 2) == second
+
+
+class _BruteForceStore:
+    """The Content Store policy with a full expiry scan on every evict."""
+
+    def __init__(self, capacity, freshness_ms):
+        self.capacity = capacity
+        self.freshness_ms = freshness_ms
+        self.entries = OrderedDict()  # name -> (data, deadline)
+
+    def get(self, name, now):
+        if name not in self.entries:
+            return None
+        data, deadline = self.entries[name]
+        if now >= deadline:
+            del self.entries[name]
+            return None
+        self.entries.move_to_end(name)
+        return data
+
+    def put(self, data, now):
+        self.entries[data.name] = (data, now + self.freshness_ms)
+        self.entries.move_to_end(data.name)
+        self.evict(now)
+
+    def evict(self, now):
+        evicted = [n for n, (_, d) in self.entries.items() if now >= d]
+        for name in evicted:
+            del self.entries[name]
+        while len(self.entries) > self.capacity:
+            evicted.append(self.entries.popitem(last=False)[0])
+        return evicted
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_eviction_matches_full_scan_with_clock_jitter(seed):
+    rng = random.Random(seed)
+    pool = [
+        Data(name=parse_name(f"/snnu/cs/{i}"), content=bytes([i]),
+             key_locator=KEY_NAME, scheme_id=sigs.SCHEME_BLS, signature=b"")
+        for i in range(8)
+    ]
+    cs, ref = ContentStore(capacity=4, freshness_ms=50), _BruteForceStore(4, 50)
+    now, expired = 0, 0
+    for _ in range(400):
+        now += rng.randint(-30, 40)  # the clock also steps backwards
+        data = rng.choice(pool)
+        op = rng.random()
+        if op < 0.45:
+            cs.put(data, now)
+            ref.put(data, now)
+        elif op < 0.8:
+            assert cs.get(data.name, now) == ref.get(data.name, now)
+        else:
+            evicted = cs.evict(now)
+            assert evicted == ref.evict(now)
+            expired += len(evicted)  # put keeps the size within capacity
+        assert len(cs) == len(ref.entries)
+    assert expired > 0
 
 
 def test_negative_capacity_rejected():

@@ -1,9 +1,10 @@
 import json
+import random
 
 import pytest
 
 from ndnkit import simnet
-from ndnkit.naming import parse_name
+from ndnkit.naming import Name, parse_name
 from ndnkit.simnet import (
     ConfigError,
     TickLimitExceeded,
@@ -269,6 +270,134 @@ def test_both_consumers_routable():
     topo = build_topology(json.dumps(FIG3))
     assert topo.routes["c1"][parse_name("/snnu")] == 1
     assert topo.routes["c2"][parse_name("/snnu")] == 1
+
+
+# --- hop and delivery bookkeeping --------------------------------------------
+
+
+TREE = {
+    "seed": 11,
+    "nodes": [
+        {"id": "c1", "role": "consumer"},
+        {"id": "c2", "role": "consumer"},
+        {"id": "c3", "role": "consumer"},
+        {"id": "r0", "role": "router"},
+        {"id": "r1", "role": "router"},
+        {"id": "r2", "role": "router", "freshness_ms": 90_000},
+        {"id": "p1", "role": "producer"},
+    ],
+    "links": [
+        {"a": "c1", "a_face": 1, "b": "r1", "b_face": 1, "latency": 1},
+        {"a": "c2", "a_face": 1, "b": "r1", "b_face": 2, "latency": 2},
+        {"a": "c3", "a_face": 1, "b": "r2", "b_face": 1, "latency": 1},
+        {"a": "r1", "a_face": 3, "b": "r0", "b_face": 1, "latency": 3},
+        {"a": "r2", "a_face": 3, "b": "r0", "b_face": 2, "latency": 1},
+        {"a": "r0", "a_face": 3, "b": "p1", "b_face": 1, "latency": 2},
+    ],
+    "producers": [{"prefix": "/snnu", "node": "p1", "scheme": "ecdsa"}],
+    "schedule": [
+        # two consumers, same name, same tick
+        {"tick": 0, "consumer": "c1", "name": "/snnu/a"},
+        {"tick": 0, "consumer": "c2", "name": "/snnu/a"},
+        # c1 again while its first request is pending
+        {"tick": 1, "consumer": "c1", "name": "/snnu/a"},
+        {"tick": 2, "consumer": "c3", "name": "/snnu/a"},
+        # r2 holds a forged copy: c3 rejects it three times and gives up,
+        # while c1 fetches the authentic one inside that window
+        {"tick": 5, "consumer": "c3", "name": "/snnu/p", "lifetime_ms": 100},
+        {"tick": 30, "consumer": "c1", "name": "/snnu/p"},
+        {"tick": 20, "consumer": "c2", "name": "/snnu/b", "lifetime_ms": 6},
+        {"tick": 21, "consumer": "c1", "name": "/snnu/b"},
+        {"tick": 40, "consumer": "c3", "name": "/snnu/b"},
+    ],
+    "attacks": [{"tick": 0, "node": "r2", "name": "/snnu/p"}],
+}
+
+
+def _random_tree_schedule(seed: int) -> list[dict]:
+    rng = random.Random(seed)
+    return [
+        {
+            "tick": rng.randrange(60),
+            "consumer": rng.choice(["c1", "c2", "c3"]),
+            "name": rng.choice(["/snnu/a", "/snnu/b", "/snnu/p"]),
+            "lifetime_ms": rng.choice([4, 9, 40]),
+        }
+        for _ in range(30)
+    ]
+
+
+def _brute_force_outcomes(trace: simnet.Trace):
+    """Delivery and hops by their definitions, scanning the whole trace.
+
+    Each deliver record goes to the first request in schedule order with that
+    consumer and name that has no delivery yet; hops counts the emit records
+    of the name with first_tick <= tick <= delivered_tick.
+    """
+    delivered_tick = [None] * len(trace.requests)
+    for rec in trace.records:
+        if rec["event"] != "deliver":
+            continue
+        for i, req in enumerate(trace.requests):
+            if (req.consumer == rec["node"] and str(req.name) == rec["name"]
+                    and delivered_tick[i] is None):
+                delivered_tick[i] = rec["tick"]
+                break
+    hops = [
+        sum(
+            1
+            for rec in trace.records
+            if rec["event"] in ("emit_interest", "emit_data")
+            and rec["name"] == str(req.name)
+            and rec["tick"] >= req.first_tick
+            and (last is None or rec["tick"] <= last)
+        )
+        for req, last in zip(trace.requests, delivered_tick)
+    ]
+    return delivered_tick, hops
+
+
+@pytest.mark.parametrize("schedule_seed", [None, 1, 2])
+def test_hops_and_delivery_match_brute_force(schedule_seed):
+    cfg = dict(TREE)
+    if schedule_seed is not None:
+        cfg["schedule"] = _random_tree_schedule(schedule_seed)
+    trace = run(*load_config(json.dumps(cfg)))
+    delivered_tick, hops = _brute_force_outcomes(trace)
+    assert [r.delivered_tick for r in trace.requests] == delivered_tick
+    assert [r.hops for r in trace.requests] == hops
+    for req, tick in zip(trace.requests, delivered_tick):
+        if tick is None:
+            assert req.delivered is None
+        else:
+            assert req.delivered == producer_payload(11, req.name)
+    assert any(r["event"] == "give_up" for r in trace.records)
+    assert any(tick is not None for tick in delivered_tick)
+
+
+def test_bookkeeping_formats_each_name_a_bounded_number_of_times(monkeypatch):
+    names = [f"/snnu/n{i}" for i in range(20)]
+    rng = random.Random(5)
+    schedule = [
+        {"tick": 3 * i, "consumer": rng.choice(["c1", "c2", "c3"]),
+         "name": rng.choice(names)}
+        for i in range(240)
+    ]
+    topology, scenario = load_config(json.dumps(dict(TREE, schedule=schedule, attacks=[])))
+    calls = 0
+    original = Name.__str__
+
+    def counting_str(self):
+        nonlocal calls
+        calls += 1
+        return original(self)
+
+    monkeypatch.setattr(Name, "__str__", counting_str)
+    trace = run(topology, scenario)
+    assert all(r.delivered is not None for r in trace.requests)
+    # every scheduled name and the producer prefix; a per-request or
+    # per-record rescan would format names thousands of times here
+    assert calls <= 4 * (len(names) + 1)
 
 
 # --- cache poisoning ---------------------------------------------------------

@@ -6,6 +6,7 @@ from ndnkit.naming import MalformedName, Name, parse_name
 from ndnkit.wire import (
     Data,
     DuplicateField,
+    EmptyNameComponent,
     Interest,
     MissingField,
     NonMinimalLength,
@@ -176,6 +177,12 @@ def test_nonce_must_be_four_bytes():
     body = name_tlv + nonce_tlv + life_tlv
     with pytest.raises(TruncatedPacket):
         decode(bytes([0x05, len(body)]) + body)
+
+
+def test_empty_name_component_is_a_codec_error():
+    blob = bytes.fromhex("0513 0705 080161 0800 0a0400000005 0c0400000064")
+    with pytest.raises(EmptyNameComponent):
+        decode(blob)
 
 
 names = st.lists(st.binary(min_size=1, max_size=8), min_size=1, max_size=4).map(
