@@ -3,7 +3,9 @@
 The Miller loop runs over NAF(6x+2) with two Frobenius correction steps.
 Lines are carried in sparse form l = a + b*w + c*w^3 with a in Fp and
 b, c in Fp2, so a line-multiply costs 12 Fp2 products instead of a full
-54-product Fp12 multiply.
+54-product Fp12 multiply.  The slope scaling b = lam * (-x_P) is folded
+into the line multiply, which runs over plain ints and reduces each output
+coefficient once.
 
 All G2-side work (the point chain and the line slopes) depends only on Q,
 so it is computed once per key by prepare_g2() and replayed against any
@@ -19,18 +21,16 @@ from functools import lru_cache
 
 from .curve import G1Point, G2Point, g1_generator, g2_generator
 from .fields import (
-    F2_ZERO,
     F12_ONE,
     GAMMA1,
     GT_ONE,
     P,
     X_PARAM,
+    _naf,
     cyc_exp_x,
-    f2_add,
     f2_conj,
     f2_inv,
     f2_mul,
-    f2_mul_xi,
     f2_neg,
     f2_scal,
     f2_sqr,
@@ -39,32 +39,16 @@ from .fields import (
     f12_frob,
     f12_frob2,
     f12_frob3,
-    f12_from_coeffs,
     f12_inv,
     f12_mul,
     f12_sqr,
-    f12_to_coeffs,
     gs_sqr,
 )
 
 _ATE_LOOP = 6 * X_PARAM + 2
 
-
-def _naf(k):
-    out = []
-    while k:
-        if k & 1:
-            d = 2 - (k & 3)
-            out.append(d)
-            k -= d
-        else:
-            out.append(0)
-        k >>= 1
-    return out
-
-
 # MSB-first with the leading digit dropped (the accumulator starts at Q)
-_LOOP_DIGITS = tuple(reversed(_naf(_ATE_LOOP)[:-1]))
+_LOOP_DIGITS = tuple(_naf(_ATE_LOOP)[1:])
 
 # twist-point Frobenius: (x, y) -> (conj(x) * xi^((p-1)/3), conj(y) * xi^((p-1)/2))
 _FROB_CX = GAMMA1[2]
@@ -139,18 +123,77 @@ def prepare_g2(q) -> PreparedG2:
     return PreparedG2(tuple(coeffs))
 
 
-def _mul_line(f, a, b, c):
-    """f * (a + b*w + c*w^3) with a in Fp, b, c in Fp2; w^6 = xi."""
-    g0, g1, g2, g3, g4, g5 = f12_to_coeffs(f)
-    return f12_from_coeffs(
-        [
-            f2_add(f2_scal(g0, a), f2_mul_xi(f2_add(f2_mul(g5, b), f2_mul(g3, c)))),
-            f2_add(f2_scal(g1, a), f2_add(f2_mul(g0, b), f2_mul_xi(f2_mul(g4, c)))),
-            f2_add(f2_scal(g2, a), f2_add(f2_mul(g1, b), f2_mul_xi(f2_mul(g5, c)))),
-            f2_add(f2_scal(g3, a), f2_add(f2_mul(g2, b), f2_mul(g0, c))),
-            f2_add(f2_scal(g4, a), f2_add(f2_mul(g3, b), f2_mul(g1, c))),
-            f2_add(f2_scal(g5, a), f2_add(f2_mul(g4, b), f2_mul(g2, c))),
-        ]
+def _mul_line(f, a, lam, nxp, c):
+    """f * (a + b*w + c*w^3) with b = lam * nxp; a, nxp in Fp, lam, c in Fp2.
+
+    With f = sum g_k w^k (g_k in Fp2) and w^6 = xi:
+      h0 = a g0 + xi (g5 b + g3 c)   h3 = a g3 + g2 b + g0 c
+      h1 = a g1 + g0 b + xi g4 c     h4 = a g4 + g3 b + g1 c
+      h2 = a g2 + g1 b + xi g5 c     h5 = a g5 + g4 b + g2 c
+    The 12 Fp2 products are Karatsuba and left unreduced; each output
+    coefficient is reduced once.
+    """
+    ((g00, g01), (g20, g21), (g40, g41)), ((g10, g11), (g30, g31), (g50, g51)) = f
+    b0 = lam[0] * nxp % P
+    b1 = lam[1] * nxp % P
+    c0, c1 = c
+    bs = b0 + b1
+    cs = c0 + c1
+
+    # g_k * b
+    m = g00 * b0
+    n = g01 * b1
+    b00, b01 = m - n, (g00 + g01) * bs - m - n
+    m = g10 * b0
+    n = g11 * b1
+    b10, b11 = m - n, (g10 + g11) * bs - m - n
+    m = g20 * b0
+    n = g21 * b1
+    b20, b21 = m - n, (g20 + g21) * bs - m - n
+    m = g30 * b0
+    n = g31 * b1
+    b30, b31 = m - n, (g30 + g31) * bs - m - n
+    m = g40 * b0
+    n = g41 * b1
+    b40, b41 = m - n, (g40 + g41) * bs - m - n
+    m = g50 * b0
+    n = g51 * b1
+    b50, b51 = m - n, (g50 + g51) * bs - m - n
+
+    # g_k * c
+    m = g00 * c0
+    n = g01 * c1
+    c00, c01 = m - n, (g00 + g01) * cs - m - n
+    m = g10 * c0
+    n = g11 * c1
+    c10, c11 = m - n, (g10 + g11) * cs - m - n
+    m = g20 * c0
+    n = g21 * c1
+    c20, c21 = m - n, (g20 + g21) * cs - m - n
+    m = g30 * c0
+    n = g31 * c1
+    c30, c31 = m - n, (g30 + g31) * cs - m - n
+    m = g40 * c0
+    n = g41 * c1
+    c40, c41 = m - n, (g40 + g41) * cs - m - n
+    m = g50 * c0
+    n = g51 * c1
+    c50, c51 = m - n, (g50 + g51) * cs - m - n
+
+    # xi (s0, s1) = (s0 - s1, s0 + s1)
+    s0 = b50 + c30
+    s1 = b51 + c31
+    return (
+        (
+            ((a * g00 + s0 - s1) % P, (a * g01 + s0 + s1) % P),
+            ((a * g20 + b10 + c50 - c51) % P, (a * g21 + b11 + c50 + c51) % P),
+            ((a * g40 + b30 + c10) % P, (a * g41 + b31 + c11) % P),
+        ),
+        (
+            ((a * g10 + b00 + c40 - c41) % P, (a * g11 + b01 + c40 + c41) % P),
+            ((a * g30 + b20 + c00) % P, (a * g31 + b21 + c01) % P),
+            ((a * g50 + b40 + c20) % P, (a * g51 + b41 + c21) % P),
+        ),
     )
 
 
@@ -179,17 +222,17 @@ def _miller_many(pairs):
         f = f12_sqr(f)
         for yp, nxp, coeffs in live:
             lam, c = coeffs[idx]
-            f = _mul_line(f, yp, f2_scal(lam, nxp), c)
+            f = _mul_line(f, yp, lam, nxp, c)
         idx += 1
         if d:
             for yp, nxp, coeffs in live:
                 lam, c = coeffs[idx]
-                f = _mul_line(f, yp, f2_scal(lam, nxp), c)
+                f = _mul_line(f, yp, lam, nxp, c)
             idx += 1
     for _ in range(2):
         for yp, nxp, coeffs in live:
             lam, c = coeffs[idx]
-            f = _mul_line(f, yp, f2_scal(lam, nxp), c)
+            f = _mul_line(f, yp, lam, nxp, c)
         idx += 1
     return f
 

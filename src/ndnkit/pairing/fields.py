@@ -6,8 +6,11 @@
 
 The curve parameter x is positive with NAF weight 5, which the cyclotomic
 exponentiation exploits (inversion is conjugation there, so negative NAF
-digits are free).  The hot multiply/square paths are written out over plain
-ints; the readable Fp2-level helpers below them serve setup code and tests.
+digits are free).  The hot-path kernels are written out over plain ints:
+f6_mul, f12_mul and f12_sqr (the Miller loop's squarings and the final
+exponentiation's products, with the Fp6 sums, the multiply by v and the
+recombination inlined around f6_mul) and gs_sqr (the cyclotomic squarings).
+The readable Fp2-level helpers serve setup code and tests.
 """
 
 # BN parameter and derived primes.  p = 36x^4+36x^3+24x^2+6x+1, n = p - 6x^2.
@@ -164,14 +167,6 @@ def f6_mul(a, b):
     return ((r00, r01), (r10, r11), (r20, r21))
 
 
-def f6_add(a, b):
-    return (
-        ((a[0][0] + b[0][0]) % P, (a[0][1] + b[0][1]) % P),
-        ((a[1][0] + b[1][0]) % P, (a[1][1] + b[1][1]) % P),
-        ((a[2][0] + b[2][0]) % P, (a[2][1] + b[2][1]) % P),
-    )
-
-
 def f6_sub(a, b):
     return (
         ((a[0][0] - b[0][0]) % P, (a[0][1] - b[0][1]) % P),
@@ -207,21 +202,61 @@ def f6_inv(a):
 
 
 def f12_mul(x, y):
+    """Karatsuba over Fp6: three f6_mul, with the sums, the v-multiply and
+    the recombination written out.  (a0 + a1 w)(b0 + b1 w) with w^2 = v is
+    (t0 + v t1) + ((a0 + a1)(b0 + b1) - t0 - t1) w, t_k = a_k b_k."""
     a0, a1 = x
     b0, b1 = y
-    t0 = f6_mul(a0, b0)
-    t1 = f6_mul(a1, b1)
-    cross = f6_mul(f6_add(a0, a1), f6_add(b0, b1))
-    return (f6_add(t0, f6_mul_v(t1)), f6_sub(f6_sub(cross, t0), t1))
+    (p00, p01), (p10, p11), (p20, p21) = a0
+    (q00, q01), (q10, q11), (q20, q21) = a1
+    (r00, r01), (r10, r11), (r20, r21) = b0
+    (s00, s01), (s10, s11), (s20, s21) = b1
+    (t00, t01), (t10, t11), (t20, t21) = f6_mul(a0, b0)
+    (u00, u01), (u10, u11), (u20, u21) = f6_mul(a1, b1)
+    (c00, c01), (c10, c11), (c20, c21) = f6_mul(
+        ((p00 + q00, p01 + q01), (p10 + q10, p11 + q11), (p20 + q20, p21 + q21)),
+        ((r00 + s00, r01 + s01), (r10 + s10, r11 + s11), (r20 + s20, r21 + s21)),
+    )
+    # v * (u0, u1, u2) = (xi u2, u0, u1); xi (c0, c1) = (c0 - c1, c0 + c1)
+    return (
+        (
+            ((t00 + u20 - u21) % P, (t01 + u20 + u21) % P),
+            ((t10 + u00) % P, (t11 + u01) % P),
+            ((t20 + u10) % P, (t21 + u11) % P),
+        ),
+        (
+            ((c00 - t00 - u00) % P, (c01 - t01 - u01) % P),
+            ((c10 - t10 - u10) % P, (c11 - t11 - u11) % P),
+            ((c20 - t20 - u20) % P, (c21 - t21 - u21) % P),
+        ),
+    )
 
 
 def f12_sqr(x):
+    """Complex squaring: two f6_mul with the sums, the v-multiplies and the
+    recombination written out.  (a0 + a1 w)^2 with w^2 = v is
+    ((a0 + a1)(a0 + v a1) - t - v t) + 2t w, t = a0 a1."""
     a0, a1 = x
-    t = f6_mul(a0, a1)
-    r0 = f6_sub(
-        f6_sub(f6_mul(f6_add(a0, a1), f6_add(a0, f6_mul_v(a1))), t), f6_mul_v(t)
+    (p00, p01), (p10, p11), (p20, p21) = a0
+    (q00, q01), (q10, q11), (q20, q21) = a1
+    (t00, t01), (t10, t11), (t20, t21) = f6_mul(a0, a1)
+    (m00, m01), (m10, m11), (m20, m21) = f6_mul(
+        ((p00 + q00, p01 + q01), (p10 + q10, p11 + q11), (p20 + q20, p21 + q21)),
+        # a0 + v a1 = (a0_0 + xi a1_2, a0_1 + a1_0, a0_2 + a1_1)
+        ((p00 + q20 - q21, p01 + q20 + q21), (p10 + q00, p11 + q01), (p20 + q10, p21 + q11)),
     )
-    return (r0, f6_add(t, t))
+    return (
+        (
+            ((m00 - t00 - t20 + t21) % P, (m01 - t01 - t20 - t21) % P),
+            ((m10 - t10 - t00) % P, (m11 - t11 - t01) % P),
+            ((m20 - t20 - t10) % P, (m21 - t21 - t11) % P),
+        ),
+        (
+            (2 * t00 % P, 2 * t01 % P),
+            (2 * t10 % P, 2 * t11 % P),
+            (2 * t20 % P, 2 * t21 % P),
+        ),
+    )
 
 
 def f12_conj(x):
@@ -291,58 +326,50 @@ def gs_sqr(x):
     """Granger-Scott squaring, valid only for unitary elements.
 
     Blocks (g0,g3),(g1,g4),(g2,g5) are squared in Fp4 = Fp2[s]/(s^2 - xi):
-      (a + b s)^2 = (a^2 + xi b^2) + 2ab s
-    and recombined as
+      (a + b s)^2 = (a^2 + xi b^2) + 2ab s,   2ab = (a + b)^2 - a^2 - b^2
+    (three Fp2 squarings per block) and recombined as
       g0' = 3 A0 - 2 g0   g1' = 3 xi C1 + 2 g1   g2' = 3 B0 - 2 g2
       g3' = 3 A1 + 2 g3   g4' = 3 C0 - 2 g4      g5' = 3 B1 + 2 g5
     """
-    (g0, g2, g4), (g1, g3, g5) = x
-    g00, g01 = g0
-    g10, g11 = g1
-    g20, g21 = g2
-    g30, g31 = g3
-    g40, g41 = g4
-    g50, g51 = g5
+    ((g00, g01), (g20, g21), (g40, g41)), ((g10, g11), (g30, g31), (g50, g51)) = x
 
     # A = (g0 + g3 s)^2
-    t00 = (g00 + g01) * (g00 - g01)
-    t01 = 2 * g00 * g01
-    t10 = (g30 + g31) * (g30 - g31)
-    t11 = 2 * g30 * g31
-    ab0 = g00 * g30 - g01 * g31
-    ab1 = g00 * g31 + g01 * g30
-    A0 = (t00 + t10 - t11, t01 + t10 + t11)
-    A1 = (2 * ab0, 2 * ab1)
+    a0 = (g00 + g01) * (g00 - g01)
+    a1 = 2 * g00 * g01
+    b0 = (g30 + g31) * (g30 - g31)
+    b1 = 2 * g30 * g31
+    s0 = g00 + g30
+    s1 = g01 + g31
+    h0 = ((3 * (a0 + b0 - b1) - 2 * g00) % P, (3 * (a1 + b0 + b1) - 2 * g01) % P)
+    h3 = (
+        (3 * ((s0 + s1) * (s0 - s1) - a0 - b0) + 2 * g30) % P,
+        (3 * (2 * s0 * s1 - a1 - b1) + 2 * g31) % P,
+    )
 
     # B = (g1 + g4 s)^2
-    t00 = (g10 + g11) * (g10 - g11)
-    t01 = 2 * g10 * g11
-    t10 = (g40 + g41) * (g40 - g41)
-    t11 = 2 * g40 * g41
-    ab0 = g10 * g40 - g11 * g41
-    ab1 = g10 * g41 + g11 * g40
-    B0 = (t00 + t10 - t11, t01 + t10 + t11)
-    B1 = (2 * ab0, 2 * ab1)
+    a0 = (g10 + g11) * (g10 - g11)
+    a1 = 2 * g10 * g11
+    b0 = (g40 + g41) * (g40 - g41)
+    b1 = 2 * g40 * g41
+    s0 = g10 + g40
+    s1 = g11 + g41
+    h2 = ((3 * (a0 + b0 - b1) - 2 * g20) % P, (3 * (a1 + b0 + b1) - 2 * g21) % P)
+    h5 = (
+        (3 * ((s0 + s1) * (s0 - s1) - a0 - b0) + 2 * g50) % P,
+        (3 * (2 * s0 * s1 - a1 - b1) + 2 * g51) % P,
+    )
 
-    # C = (g2 + g5 s)^2
-    t00 = (g20 + g21) * (g20 - g21)
-    t01 = 2 * g20 * g21
-    t10 = (g50 + g51) * (g50 - g51)
-    t11 = 2 * g50 * g51
-    ab0 = g20 * g50 - g21 * g51
-    ab1 = g20 * g51 + g21 * g50
-    C0 = (t00 + t10 - t11, t01 + t10 + t11)
-    C1 = (2 * ab0, 2 * ab1)
-
-    h0 = ((3 * A0[0] - 2 * g00) % P, (3 * A0[1] - 2 * g01) % P)
-    h3 = ((3 * A1[0] + 2 * g30) % P, (3 * A1[1] + 2 * g31) % P)
-    h2 = ((3 * B0[0] - 2 * g20) % P, (3 * B0[1] - 2 * g21) % P)
-    h5 = ((3 * B1[0] + 2 * g50) % P, (3 * B1[1] + 2 * g51) % P)
-    # xi * C1
-    xc0 = C1[0] - C1[1]
-    xc1 = C1[0] + C1[1]
-    h1 = ((3 * xc0 + 2 * g10) % P, (3 * xc1 + 2 * g11) % P)
-    h4 = ((3 * C0[0] - 2 * g40) % P, (3 * C0[1] - 2 * g41) % P)
+    # C = (g2 + g5 s)^2; g1' takes xi C1 = (C1_0 - C1_1, C1_0 + C1_1)
+    a0 = (g20 + g21) * (g20 - g21)
+    a1 = 2 * g20 * g21
+    b0 = (g50 + g51) * (g50 - g51)
+    b1 = 2 * g50 * g51
+    s0 = g20 + g50
+    s1 = g21 + g51
+    c0 = (s0 + s1) * (s0 - s1) - a0 - b0
+    c1 = 2 * s0 * s1 - a1 - b1
+    h1 = ((3 * (c0 - c1) + 2 * g10) % P, (3 * (c0 + c1) + 2 * g11) % P)
+    h4 = ((3 * (a0 + b0 - b1) - 2 * g40) % P, (3 * (a1 + b0 + b1) - 2 * g41) % P)
     return ((h0, h2, h4), (h1, h3, h5))
 
 

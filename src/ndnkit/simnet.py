@@ -393,7 +393,7 @@ class _Runner:
         self.scenario = scenario
         self.records: list[dict] = []
         self.requests: list[RequestResult] = []
-        # undelivered requests per (consumer, name), in schedule order
+        # undelivered requests per (consumer, name), in issue order
         self.pending: dict[tuple[str, Name], deque[RequestResult]] = {}
         self.texts: dict[Name, str] = {}
         # name text -> ticks of its emit records; ticks are logged in
@@ -481,9 +481,10 @@ class _Runner:
     def deliver(self, node_id: str, data: Data, tick: int) -> None:
         self.log(tick, node_id, "deliver", data.name, APP_FACE)
         # only deliver() fills a result, so after popping the delivered ones
-        # the head is the first undelivered request in schedule order
+        # the head is the earliest-issued undelivered request; one not yet
+        # issued is never credited
         waiting = self.pending.get((node_id, data.name))
-        if waiting:
+        if waiting and waiting[0].first_tick <= tick:
             result = waiting.popleft()
             result.delivered = data.content
             result.delivered_tick = tick
@@ -550,8 +551,10 @@ class _Runner:
                 consumer=spec.consumer, name=spec.name, first_tick=spec.tick
             )
             self.requests.append(result)
-            self.pending.setdefault((spec.consumer, spec.name), deque()).append(result)
             self.push(spec.tick, spec.consumer, "request", (spec, result))
+        # issue order: by first tick, ties in schedule order (the sort is stable)
+        for result in sorted(self.requests, key=lambda r: r.first_tick):
+            self.pending.setdefault((result.consumer, result.name), deque()).append(result)
         for attack in self.scenario.attacks:
             self.push(attack.tick, attack.node, "attack", attack)
 
@@ -589,9 +592,7 @@ class _Runner:
             ticks = self.emit_ticks.get(self.text(result.name), [])
             last = result.delivered_tick
             end = len(ticks) if last is None else bisect_right(ticks, last)
-            # a delivery can credit a request before its first_tick when the
-            # schedule lists it ahead of the request that was issued
-            result.hops = max(0, end - bisect_left(ticks, result.first_tick))
+            result.hops = end - bisect_left(ticks, result.first_tick)
         counters = {nid: dict(node.counters) for nid, node in self.nodes.items()}
         return Trace(records=self.records, counters=counters, requests=self.requests)
 

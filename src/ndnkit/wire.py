@@ -279,6 +279,9 @@ def _read_fields(rd: _Reader, expected: tuple[int, ...]) -> dict[int, bytes]:
 
 
 def decode(buf: bytes) -> Packet:
+    """Parse one packet; any bytes-like buffer is accepted and copied once."""
+    if not isinstance(buf, bytes):
+        buf = bytes(memoryview(buf))
     if len(buf) < 2:
         raise TruncatedPacket("buffer shorter than any packet")
     rd = _Reader(buf, 0, len(buf))

@@ -6,6 +6,7 @@ the optimized paths shows up as a mismatch here rather than as a subtly
 wrong signature scheme.
 """
 
+import hashlib
 import random
 
 import pytest
@@ -157,6 +158,101 @@ def test_hash_to_g1_lands_on_curve_and_is_deterministic():
 
 
 # --- tower internals ---------------------------------------------------------
+
+
+def ref_f12_mul(x, y):
+    """Schoolbook product over the coefficient view, f2_* helpers only."""
+    g, h = fields.f12_to_coeffs(x), fields.f12_to_coeffs(y)
+    out = [fields.F2_ZERO] * 6
+    for i in range(6):
+        for j in range(6):
+            t = fields.f2_mul(g[i], h[j])
+            if i + j >= 6:  # w^6 = xi
+                t = fields.f2_mul_xi(t)
+            out[(i + j) % 6] = fields.f2_add(out[(i + j) % 6], t)
+    return fields.f12_from_coeffs(out)
+
+
+def ref_f12_sqr(x):
+    return ref_f12_mul(x, x)
+
+
+def ref_mul_line(f, a, lam, nxp, c):
+    """f * (a + b*w + c*w^3), b = lam * nxp, as a dense Fp12 product."""
+    b = fields.f2_scal(lam, nxp)
+    line = fields.f12_from_coeffs([(a, 0), b, fields.F2_ZERO, c, fields.F2_ZERO, fields.F2_ZERO])
+    return ref_f12_mul(f, line)
+
+
+EDGE = (0, 1, P - 1)
+
+
+def rand_f12(pick):
+    return fields.f12_from_coeffs([(pick(), pick()) for _ in range(6)])
+
+
+def coefficient_pickers():
+    """Seeded random coefficients, then coefficients from 0, 1 and P - 1 only."""
+    rng = random.Random(0x11E)
+    return [lambda: rng.randrange(P)] * 12 + [lambda: rng.choice(EDGE)] * 12
+
+
+def test_f12_kernels_match_reference():
+    for pick in coefficient_pickers():
+        x, y = rand_f12(pick), rand_f12(pick)
+        assert fields.f12_mul(x, y) == ref_f12_mul(x, y)
+        assert fields.f12_sqr(x) == ref_f12_sqr(x)
+    for v in EDGE:
+        x = fields.f12_from_coeffs([(v, v)] * 6)
+        assert fields.f12_mul(x, x) == ref_f12_mul(x, x)
+        assert fields.f12_sqr(x) == ref_f12_sqr(x)
+
+
+def test_sparse_line_multiply_matches_reference():
+    for pick in coefficient_pickers():
+        f = rand_f12(pick)
+        a, nxp = pick(), pick()
+        lam, c = (pick(), pick()), (pick(), pick())
+        assert ate._mul_line(f, a, lam, nxp, c) == ref_mul_line(f, a, lam, nxp, c)
+    for v in EDGE:
+        f = fields.f12_from_coeffs([(v, v)] * 6)
+        assert ate._mul_line(f, v, (v, v), v, (v, v)) == ref_mul_line(f, v, (v, v), v, (v, v))
+
+
+def test_cyclotomic_squaring_matches_reference():
+    for _ in range(4):
+        u = rand_unitary()
+        assert fields.gs_sqr(u) == ref_f12_sqr(u)
+    for u in (GT_ONE, fields.f12_conj(gt_generator()), gt_generator()):
+        assert fields.gs_sqr(u) == ref_f12_sqr(u)
+
+
+def test_loop_digits_are_the_ate_naf():
+    assert ate._LOOP_DIGITS == (
+        0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0, 1, 0, 0, 0, 0, 0, 0,
+        0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, -1, 0, 1, 0, 0, -1, 0, 0,
+    )
+
+
+def _sha256(f):
+    return hashlib.sha256(gt_serialize(f)).hexdigest()
+
+
+def test_pinned_pairing_values():
+    assert _sha256(gt_generator()) == (
+        "038f97a4a612bc0b05f644006e72308ead6abaeae3ec14b2cc285f2b2b12d8b1"
+    )
+    sk = 0x1234567890ABCDEF1234567890ABCDEF
+    h = G1Point(hash_to_g1(b"/snnu/pinned"))
+    # a signature under sk + 1, so the product is a fixed element, not 1
+    pairs = [(h.mul(sk + 1), g2_generator()), (h.neg(), g2_generator().mul(sk))]
+    norm = [ate._normalize_pair(p, q) for p, q in pairs]
+    assert _sha256(ate._miller_many(norm)) == (
+        "bf75545a05754a7fcab4b5e3b0a9f48438f98171eebd0c09855dcac3232edea4"
+    )
+    assert _sha256(pairing_product(pairs)) == (
+        "7cd4b24510de2f52fcf4a0213324bc92a3fc30e199c3cfdf390201b0e8e2ec9a"
+    )
 
 
 def test_cyclotomic_squaring_matches_generic():

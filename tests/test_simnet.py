@@ -330,19 +330,23 @@ def _random_tree_schedule(seed: int) -> list[dict]:
 def _brute_force_outcomes(trace: simnet.Trace):
     """Delivery and hops by their definitions, scanning the whole trace.
 
-    Each deliver record goes to the first request in schedule order with that
-    consumer and name that has no delivery yet; hops counts the emit records
-    of the name with first_tick <= tick <= delivered_tick.
+    Each deliver record goes to the earliest-issued request (smallest
+    first_tick, then schedule index) with that consumer and name that was
+    issued by then and has no delivery yet; hops counts the emit records of
+    the name with first_tick <= tick <= delivered_tick.
     """
     delivered_tick = [None] * len(trace.requests)
     for rec in trace.records:
         if rec["event"] != "deliver":
             continue
-        for i, req in enumerate(trace.requests):
-            if (req.consumer == rec["node"] and str(req.name) == rec["name"]
-                    and delivered_tick[i] is None):
-                delivered_tick[i] = rec["tick"]
-                break
+        waiting = [
+            (req.first_tick, i)
+            for i, req in enumerate(trace.requests)
+            if req.consumer == rec["node"] and str(req.name) == rec["name"]
+            and req.first_tick <= rec["tick"] and delivered_tick[i] is None
+        ]
+        if waiting:
+            delivered_tick[min(waiting)[1]] = rec["tick"]
     hops = [
         sum(
             1
@@ -370,6 +374,7 @@ def test_hops_and_delivery_match_brute_force(schedule_seed):
         if tick is None:
             assert req.delivered is None
         else:
+            assert tick >= req.first_tick
             assert req.delivered == producer_payload(11, req.name)
     assert any(r["event"] == "give_up" for r in trace.records)
     assert any(tick is not None for tick in delivered_tick)

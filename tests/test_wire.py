@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from ndnkit import wire
 from ndnkit.naming import MalformedName, Name, parse_name
 from ndnkit.wire import (
+    CodecError,
     Data,
     DuplicateField,
     EmptyNameComponent,
@@ -112,6 +113,27 @@ def test_truncation_rejected():
     enc = encode(Interest(parse_name("/a"), nonce=1))
     for cut in range(1, len(enc)):
         with pytest.raises((TruncatedPacket, MissingField)):
+            decode(enc[:cut])
+
+
+@pytest.mark.parametrize("wrap", [bytearray, memoryview])
+def test_decode_accepts_bytes_like_buffers(wrap):
+    interest = Interest(parse_name("/snnu/a"), nonce=9, lifetime_ms=100)
+    data = Data(
+        name=parse_name("/snnu/a"),
+        content=b"payload",
+        key_locator=parse_name("/snnu/keys/k1"),
+        scheme_id=4,
+        signature=b"\x02" * 21,
+    )
+    for pkt in (interest, data):
+        assert decode(wrap(encode(pkt))) == pkt
+
+
+def test_truncated_bytearray_is_a_codec_error():
+    enc = bytearray(encode(Interest(parse_name("/snnu/a"), nonce=1)))
+    for cut in range(len(enc)):
+        with pytest.raises(CodecError):
             decode(enc[:cut])
 
 
