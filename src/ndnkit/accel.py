@@ -3,11 +3,15 @@ and server-aided verification.
 
 Batching and aggregation exploit the pairing's linearity; the small random
 exponents (ell bits, default 80) bound a cheater's escape probability by
-2^-ell.  Online/offline signing moves the expensive base-scheme signature
-into a preparation phase by signing a chameleon hash, whose trapdoor later
-bends to the real message with two modular multiplications.  Server-aided
-verification ships both pairings of a BLS check to an untrusted helper and
-validates the answers against a blinded local relation.
+2^-ell.  A BLS batch checks e(sum t_i sigma_i, g2) against the product over
+signers of e(sum t_i H(m_i), pk): one multi-exponentiation over all the
+signatures, one per signer over its message hashes, and 1 + #signers
+pairings under a single final exponentiation.  Online/offline signing moves
+the expensive base-scheme signature into a preparation phase by signing a
+chameleon hash, whose trapdoor later bends to the real message with two
+modular multiplications.  Server-aided verification ships both pairings of
+a BLS check to an untrusted helper and validates the answers against a
+blinded local relation.
 """
 
 from __future__ import annotations
@@ -92,8 +96,9 @@ class BatchInstance:
 def _batch_verify_bls(batch: BatchInstance) -> bool:
     rng = random.SystemRandom()
     sigmas = []
-    per_key: dict[BlsPublicKey, object] = {}
     exps = []
+    # per signer: the message hashes and their exponents
+    per_key: dict[BlsPublicKey, tuple[list, list]] = {}
     for pk, msg, sig in batch.entries:
         if getattr(pk, "scheme_id", None) != SCHEME_BLS:
             raise MixedScheme("non-BLS key in a BLS batch")
@@ -105,13 +110,15 @@ def _batch_verify_bls(batch: BatchInstance) -> bool:
         t = rng.randrange(1, 1 << batch.ell)
         sigmas.append(sigma.point)
         exps.append(t)
-        acc = per_key.get(pk)
-        h = hash_to_g1(msg)
-        contrib = G1Point(h).mul(t)
-        per_key[pk] = contrib if acc is None else acc.add(contrib)
+        hashes, signer_exps = per_key.setdefault(pk, ([], []))
+        hashes.append(hash_to_g1(msg))
+        signer_exps.append(t)
     combined = G1Point(g1_multi_exp(sigmas, exps))
     pairs = [(combined, prepare_g2(g2_generator()))]
-    pairs += [(acc.neg(), prepare_g2(pk.point)) for pk, acc in per_key.items()]
+    pairs += [
+        (G1Point(g1_multi_exp(hashes, signer_exps)).neg(), prepare_g2(pk.point))
+        for pk, (hashes, signer_exps) in per_key.items()
+    ]
     return pairing_product(pairs) == GT_ONE
 
 

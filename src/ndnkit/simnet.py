@@ -393,7 +393,8 @@ class _Runner:
         self.scenario = scenario
         self.records: list[dict] = []
         self.requests: list[RequestResult] = []
-        # undelivered requests per (consumer, name), in issue order
+        # undelivered requests per (consumer, name) that have not given up,
+        # in issue order
         self.pending: dict[tuple[str, Name], deque[RequestResult]] = {}
         self.texts: dict[Name, str] = {}
         # name text -> ticks of its emit records; ticks are logged in
@@ -582,6 +583,9 @@ class _Runner:
                     continue
                 if result.attempts >= MAX_ATTEMPTS:
                     self.log(tick, spec.consumer, "give_up", spec.name, APP_FACE)
+                    # later deliveries go to the requests still waiting
+                    waiting = self.pending[(result.consumer, result.name)]
+                    del waiting[next(i for i, r in enumerate(waiting) if r is result)]
                     continue
                 self.log(tick, spec.consumer, "timeout", spec.name, APP_FACE)
                 self.issue(spec, result, tick)

@@ -74,6 +74,18 @@ def test_batch_bls_detects_single_corruption(bls_keys):
     assert not batch_verify(BatchInstance(SCHEME_BLS, entries))
 
 
+@pytest.mark.parametrize("signer", range(4))
+def test_batch_bls_rejects_a_bad_signature_at_each_signer(bls_keys, signer):
+    entries = _bls_entries(bls_keys, 12)
+    assert batch_verify(BatchInstance(SCHEME_BLS, entries))
+    for victim in range(signer, 12, 4):
+        bad = list(entries)
+        pk, msg, _ = bad[victim]
+        # a valid curve point, but the signer's signature on another message
+        bad[victim] = (pk, msg, sign(bls_keys[signer], msg + b"?"))
+        assert not batch_verify(BatchInstance(SCHEME_BLS, bad))
+
+
 def test_batch_bls_detects_forged_signature(bls_keys):
     entries = _bls_entries(bls_keys, 6)
     wrong = sign(bls_keys[1], b"entry 0")  # valid signature, wrong key's entry

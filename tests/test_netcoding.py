@@ -192,6 +192,21 @@ def test_single_coordinate_forgeries_rejected(key, packets):
         assert not nc_verify(key.public(), forged)
 
 
+def test_full_size_recombinations_verify_and_edits_are_rejected(key):
+    # the default dimensions: a 40-base commitment per verify
+    generation = Generation(b"test-full-size")
+    rng = random.Random(306)
+    content = rng.randbytes(generation.capacity())
+    originals = [nc_sign(key, generation, v) for v in split_and_augment(content)]
+    for _ in range(8):
+        mixed = combine(originals, [rng.randrange(CURVE_ORDER) for _ in originals])
+        assert nc_verify(key.public(), mixed)
+        slot = rng.randrange(generation.dimension)
+        edited = list(mixed.vector)
+        edited[slot] = (edited[slot] + rng.randrange(1, CURVE_ORDER)) % CURVE_ORDER
+        assert not nc_verify(key.public(), CodedPacket(generation, tuple(edited), mixed.signature))
+
+
 def test_tampered_signature_rejected(key, packets):
     _, pkts = packets
     p = pkts[0]

@@ -142,6 +142,91 @@ def test_g1_multi_exp_matches_naive_sum():
 def test_multi_exp_rejects_length_mismatch():
     with pytest.raises(ValueError):
         curve.G1MultiExp([g1_generator().point]).combine([1, 2])
+    with pytest.raises(ValueError):
+        curve.g1_multi_exp([g1_generator().point], [])
+
+
+def _double_and_add(base, k):
+    """k * base by plain left-to-right double-and-add in affine form."""
+    acc = None
+    for bit in bin(k)[2:] if k > 0 else "":
+        acc = curve.g1_add(acc, acc)
+        if bit == "1":
+            acc = curve.g1_add(acc, base)
+    return acc
+
+
+def _naive_multi_exp(bases, scalars):
+    total = None
+    for b, k in zip(bases, scalars):
+        total = curve.g1_add(total, _double_and_add(b, k))
+    return total
+
+
+def _both_entry_points(bases, scalars):
+    """The one-shot and the cached multi-exp must agree with the naive sum."""
+    expected = _naive_multi_exp(bases, scalars)
+    assert curve.g1_multi_exp(bases, scalars) == expected
+    assert curve.G1MultiExp(bases).combine(scalars) == expected
+    return expected
+
+
+def _random_bases(count):
+    g = g1_generator().point
+    return [curve.g1_mul(g, rand_scalar()) for _ in range(count)]
+
+
+def test_multi_exp_edge_scalars():
+    edges = [0, 1, N - 1, N, N + 1, (1 << 80) - 1]
+    bases = _random_bases(len(edges))
+    _both_entry_points(bases, edges)
+    for k in edges:
+        _both_entry_points(bases[:1], [k])
+    assert curve.g1_multi_exp(bases, [0] * len(bases)) is None
+    assert curve.G1MultiExp(bases).combine([N] * len(bases)) is None
+
+
+def test_multi_exp_all_ones_scalars_carry_out_of_the_top_window():
+    # a run of ones recodes to a digit one position above the scalar's top bit
+    widths = [3, 4, 5, 8, 9, 80, 159]
+    bases = _random_bases(len(widths))
+    _both_entry_points(bases, [(1 << w) - 1 for w in widths])
+    for w in widths:
+        _both_entry_points(bases[:2], [(1 << w) - 1, (1 << w) - 1])
+
+
+def test_multi_exp_identity_duplicate_and_negated_bases():
+    b, c = _random_bases(2)
+    neg_b = curve.g1_neg(b)
+    k = rand_scalar()
+    # equal digits land on the same bit: doubling and cancellation branches
+    assert _both_entry_points([b, b], [k, k]) == curve.g1_mul(b, 2 * k)
+    assert _both_entry_points([b, neg_b], [k, k]) is None
+    assert _both_entry_points([b, neg_b, c], [k, k, 5]) == curve.g1_mul(c, 5)
+    assert _both_entry_points([None, b, None], [k, 3, 7]) == curve.g1_mul(b, 3)
+    assert _both_entry_points([None], [k]) is None
+    assert _both_entry_points([], []) is None
+    mixed = [b, None, neg_b, b, c, c, curve.g1_neg(c)]
+    _both_entry_points(mixed, [rand_scalar() for _ in mixed])
+    _both_entry_points(mixed, [1, 2, 1, 1, N - 1, 1, 1])
+
+
+@pytest.mark.parametrize("count", [1, 8, 32, 40])
+def test_multi_exp_matches_naive_sum_by_size(count):
+    bases = _random_bases(count)
+    _both_entry_points(bases, [rand_scalar() for _ in bases])
+    _both_entry_points(bases, [RNG.randrange(1, 1 << 80) for _ in bases])
+
+
+def test_cached_multi_exp_is_reusable():
+    bases = _random_bases(40)
+    cached = curve.G1MultiExp(bases)
+    vectors = [[rand_scalar() for _ in bases] for _ in range(3)]
+    vectors.append([RNG.randrange(1 << 152) for _ in bases])
+    vectors.append([0] * 39 + [1])
+    expected = [_naive_multi_exp(bases, v) for v in vectors]
+    assert [cached.combine(v) for v in vectors] == expected
+    assert [cached.combine(v) for v in reversed(vectors)] == expected[::-1]
 
 
 # --- hashing to G1 -----------------------------------------------------------

@@ -1,3 +1,4 @@
+import dataclasses
 import hashlib
 import random
 
@@ -154,6 +155,26 @@ def test_rsa_signature_is_fdh_root(rsa_key):
     expected = int.from_bytes(bytes(em), "big")
     assert expected < rsa_key.n
     assert _pow_reference(os2ip(sig), rsa_key.e, rsa_key.n) == expected
+
+
+def test_rsa_crt_signature_is_the_full_exponentiation(rsa_key):
+    rng = random.Random(104)
+    small = SchemeParams(scheme_id=SCHEME_RSA, rsa_bits=512, allow_insecure=True)
+    keys = [rsa_key, keygen(SCHEME_RSA, small, rng)]
+    for key in keys:
+        for _ in range(8):
+            msg = rng.randbytes(rng.randrange(1, 200))
+            m = rsa.domain_digest(msg, key.n)
+            assert os2ip(rsa.sign(key, msg)) == pow(m, key.d, key.n)
+
+
+def test_rsa_crt_fault_check_refuses_an_inconsistent_key(rsa_key):
+    for bad in (
+        dataclasses.replace(rsa_key, d=rsa_key.d + 2),
+        dataclasses.replace(rsa_key, p=rsa_key.q, q=rsa_key.p + 2),
+    ):
+        with pytest.raises(ParameterError):
+            rsa.sign(bad, MSG)
 
 
 def test_rsa_round_trip_and_determinism(rsa_key):

@@ -327,25 +327,36 @@ def _random_tree_schedule(seed: int) -> list[dict]:
     ]
 
 
-def _brute_force_outcomes(trace: simnet.Trace):
+def _brute_force_outcomes(trace: simnet.Trace, schedule):
     """Delivery and hops by their definitions, scanning the whole trace.
 
     Each deliver record goes to the earliest-issued request (smallest
     first_tick, then schedule index) with that consumer and name that was
-    issued by then and has no delivery yet; hops counts the emit records of
-    the name with first_tick <= tick <= delivered_tick.
+    issued by then, has no delivery yet and has not given up. A give_up
+    record belongs to the earliest-issued such request whose last attempt
+    timed out at that tick, MAX_ATTEMPTS lifetimes (plus a tick each) after
+    its first tick. hops counts the emit records of the name with
+    first_tick <= tick <= delivered_tick.
     """
     delivered_tick = [None] * len(trace.requests)
+    gave_up = [False] * len(trace.requests)
     for rec in trace.records:
-        if rec["event"] != "deliver":
+        if rec["event"] not in ("deliver", "give_up"):
             continue
         waiting = [
             (req.first_tick, i)
             for i, req in enumerate(trace.requests)
             if req.consumer == rec["node"] and str(req.name) == rec["name"]
             and req.first_tick <= rec["tick"] and delivered_tick[i] is None
+            and not gave_up[i]
         ]
-        if waiting:
+        if rec["event"] == "give_up":
+            expiring = [
+                (first, i) for first, i in waiting
+                if first + simnet.MAX_ATTEMPTS * (schedule[i].lifetime_ms + 1) == rec["tick"]
+            ]
+            gave_up[min(expiring)[1]] = True
+        elif waiting:
             delivered_tick[min(waiting)[1]] = rec["tick"]
     hops = [
         sum(
@@ -366,8 +377,9 @@ def test_hops_and_delivery_match_brute_force(schedule_seed):
     cfg = dict(TREE)
     if schedule_seed is not None:
         cfg["schedule"] = _random_tree_schedule(schedule_seed)
-    trace = run(*load_config(json.dumps(cfg)))
-    delivered_tick, hops = _brute_force_outcomes(trace)
+    topology, scenario = load_config(json.dumps(cfg))
+    trace = run(topology, scenario)
+    delivered_tick, hops = _brute_force_outcomes(trace, scenario.schedule)
     assert [r.delivered_tick for r in trace.requests] == delivered_tick
     assert [r.hops for r in trace.requests] == hops
     for req, tick in zip(trace.requests, delivered_tick):
@@ -378,6 +390,25 @@ def test_hops_and_delivery_match_brute_force(schedule_seed):
             assert req.delivered == producer_payload(11, req.name)
     assert any(r["event"] == "give_up" for r in trace.records)
     assert any(tick is not None for tick in delivered_tick)
+
+
+def test_request_that_gave_up_is_not_credited_later():
+    trace = run(*load_config(json.dumps(dict(TREE, schedule=_random_tree_schedule(1)))))
+    c2_a = {
+        r.first_tick: r for r in trace.requests
+        if r.consumer == "c2" and str(r.name) == "/snnu/a"
+    }
+    assert sorted(c2_a) == [6, 14, 41]
+    give_ups = [
+        r["tick"] for r in trace.records
+        if r["event"] == "give_up" and r["node"] == "c2" and r["name"] == "/snnu/a"
+    ]
+    # lifetime 4: the tick-6 request gives up at 21, the tick-41 one at 56
+    assert give_ups == [21, 56]
+    assert c2_a[6].delivered is None and c2_a[41].delivered is None
+    # the tick-59 Data goes to the only c2 request still waiting (lifetime 40)
+    assert c2_a[14].delivered_tick == 59
+    assert c2_a[14].delivered == producer_payload(11, parse_name("/snnu/a"))
 
 
 def test_bookkeeping_formats_each_name_a_bounded_number_of_times(monkeypatch):
