@@ -67,17 +67,23 @@ def mgf1(seed: bytes, length: int, hash_name: str = "sha256") -> bytes:
     return bytes(out[:length])
 
 
-def naf(k: int) -> list[int]:
-    """Non-adjacent form digits of k, least significant first (-1/0/1)."""
-    out = []
-    while k:
-        if k & 1:
-            d = 2 - (k & 3)
-            out.append(d)
-            k -= d
-        else:
-            out.append(0)
-        k >>= 1
+def jacobian_to_affine(points, p: int) -> list[tuple[int, int]]:
+    """Jacobian points over F_p, none the identity, to affine with a single
+    inversion (Montgomery's trick: invert the product, then peel off one Z
+    at a time)."""
+    prefix = []
+    acc = 1
+    for _, _, Z in points:
+        prefix.append(acc)
+        acc = acc * Z % p
+    inv = pow(acc, -1, p)
+    out = [None] * len(points)
+    for i in range(len(points) - 1, -1, -1):
+        X, Y, Z = points[i]
+        zi = prefix[i] * inv % p
+        inv = inv * Z % p
+        zi2 = zi * zi % p
+        out[i] = (X * zi2 % p, Y * zi2 * zi % p)
     return out
 
 
@@ -97,7 +103,7 @@ class CombTable:
 
     Stores g^(d * 16^j) mod m for every window position j and digit d, so an
     e-bit exponent costs about e/4 multiplications and no squarings.  Only
-    worth building for long-lived system generators.
+    worth building for long-lived bases: generators and verification keys.
     """
 
     def __init__(self, base: int, modulus: int, max_bits: int):
@@ -127,3 +133,41 @@ class CombTable:
             exponent >>= 4
             j += 1
         return acc
+
+
+class PointComb:
+    """CombTable's radix-16 comb over an elliptic-curve group.
+
+    The curve comes as callbacks: add(X, Y, Z, x, y) adds an affine point to
+    a Jacobian one, normalize maps a list of Jacobian points to affine,
+    to_affine maps one (None for the identity), and identity is the Jacobian
+    identity (one, one, zero) of the coordinate field.  Row j holds
+    d * 16^j * base for d = 1..15; each row, with 16 * 16^j * base appended
+    to start the next, is built in Jacobian coordinates and normalized with
+    one inversion.
+    """
+
+    def __init__(self, base, windows: int, add, normalize, to_affine, identity):
+        self.add, self.to_affine, self.identity = add, to_affine, identity
+        self.rows = []
+        x, y = base
+        for _ in range(windows):
+            jac = [(x, y, identity[0])]
+            for _ in range(15):
+                jac.append(add(*jac[-1], x, y))
+            *row, (x, y) = normalize(jac)
+            self.rows.append(row)
+
+    def mul(self, k: int):
+        """k * base for 0 <= k < 16^windows."""
+        add, rows = self.add, self.rows
+        X, Y, Z = self.identity
+        j = 0
+        while k:
+            d = k & 15
+            if d:
+                px, py = rows[j][d - 1]
+                X, Y, Z = add(X, Y, Z, px, py)
+            k >>= 4
+            j += 1
+        return self.to_affine(X, Y, Z)

@@ -23,8 +23,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional
 
+from ..intmath import PointComb, jacobian_to_affine
 from .fields import (
     F2_ONE,
     F2_ZERO,
@@ -146,61 +148,18 @@ def g1_mul(pt, k: int):
     return _jac_to_affine(X, Y, Z)
 
 
-def _normalize(jac):
-    """Jacobian points, none the identity, to affine with a single inversion
-    (Montgomery's trick: invert the product, then peel off one Z at a time)."""
-    prefix = []
-    acc = 1
-    for _, _, Z in jac:
-        prefix.append(acc)
-        acc = acc * Z % P
-    inv = pow(acc, -1, P)
-    out = [None] * len(jac)
-    for i in range(len(jac) - 1, -1, -1):
-        X, Y, Z = jac[i]
-        zi = prefix[i] * inv % P
-        inv = inv * Z % P
-        zi2 = zi * zi % P
-        out[i] = (X * zi2 % P, Y * zi2 * zi % P)
-    return out
-
-
-class _G1Comb:
-    """Radix-16 fixed-base table: row j holds d * 16^j * base for d in 1..15."""
-
-    def __init__(self, base, bits=164):
-        jac = []
-        cur = base
-        for _ in range((bits + 3) // 4):
-            X, Y, Z = cur[0], cur[1], 1
-            for _ in range(15):
-                jac.append((X, Y, Z))
-                X, Y, Z = _jac_add_mixed(X, Y, Z, cur[0], cur[1])
-            cur = _jac_to_affine(X, Y, Z)
-        flat = _normalize(jac)
-        self.rows = [flat[i : i + 15] for i in range(0, len(flat), 15)]
-
-    def mul(self, k: int):
-        X, Y, Z = 1, 1, 0
-        j = 0
-        while k:
-            d = k & 15
-            if d:
-                px, py = self.rows[j][d - 1]
-                X, Y, Z = _jac_add_mixed(X, Y, Z, px, py)
-            k >>= 4
-            j += 1
-        return _jac_to_affine(X, Y, Z)
-
-
-_g1_comb: Optional[_G1Comb] = None
+_COMB_WINDOWS = (N.bit_length() + 3) // 4
+_g1_comb: Optional[PointComb] = None
 
 
 def g1_mul_gen(k: int):
     """k * g1 through the fixed-base table."""
     global _g1_comb
     if _g1_comb is None:
-        _g1_comb = _G1Comb((G1_X, G1_Y))
+        _g1_comb = PointComb(
+            (G1_X, G1_Y), _COMB_WINDOWS, _jac_add_mixed,
+            partial(jacobian_to_affine, p=P), _jac_to_affine, (1, 1, 0),
+        )
     return _g1_comb.mul(k % N)
 
 
@@ -228,7 +187,7 @@ def _odd_multiples(bases, w):
     base gets no row."""
     live = [b for b in bases if b is not None]
     count = 1 << (w - 2)
-    twos = _normalize([_jac_dbl(x, y, 1) for x, y in live])
+    twos = jacobian_to_affine([_jac_dbl(x, y, 1) for x, y in live], P)
     jac = []
     for (x, y), (tx, ty) in zip(live, twos):
         X, Y, Z = x, y, 1
@@ -236,7 +195,7 @@ def _odd_multiples(bases, w):
         for _ in range(count - 1):
             X, Y, Z = _jac_add_mixed(X, Y, Z, tx, ty)
             jac.append((X, Y, Z))
-    flat = _normalize(jac)
+    flat = jacobian_to_affine(jac, P)
     signed = iter(
         flat[i : i + count] + [(x, P - y) for x, y in reversed(flat[i : i + count])]
         for i in range(0, len(flat), count)
@@ -395,39 +354,34 @@ def g2_in_subgroup(pt) -> bool:
     return g2_mul(pt, N, reduce_mod_n=False) is None
 
 
-class _G2Comb:
-    def __init__(self, base, bits=164):
-        self.rows = []
-        cur = base
-        for _ in range((bits + 3) // 4):
-            row = [cur]
-            acc = cur
-            for _ in range(14):
-                acc = g2_add(acc, cur)
-                row.append(acc)
-            self.rows.append(row)
-            cur = g2_add(acc, cur)
-
-    def mul(self, k: int):
-        X, Y, Z = F2_ONE, F2_ONE, F2_ZERO
-        j = 0
-        while k:
-            d = k & 15
-            if d:
-                px, py = self.rows[j][d - 1]
-                X, Y, Z = _jac2_add_mixed(X, Y, Z, px, py)
-            k >>= 4
-            j += 1
-        return _jac2_to_affine(X, Y, Z)
+def _normalize2(jac):
+    """jacobian_to_affine over Fp2: one f2_inv for the whole list."""
+    prefix = []
+    acc = F2_ONE
+    for _, _, Z in jac:
+        prefix.append(acc)
+        acc = f2_mul(acc, Z)
+    inv = f2_inv(acc)
+    out = [None] * len(jac)
+    for i in range(len(jac) - 1, -1, -1):
+        X, Y, Z = jac[i]
+        zi = f2_mul(prefix[i], inv)
+        inv = f2_mul(inv, Z)
+        zi2 = f2_sqr(zi)
+        out[i] = (f2_mul(X, zi2), f2_mul(Y, f2_mul(zi2, zi)))
+    return out
 
 
-_g2_comb: Optional[_G2Comb] = None
+_g2_comb: Optional[PointComb] = None
 
 
 def g2_mul_gen(k: int):
     global _g2_comb
     if _g2_comb is None:
-        _g2_comb = _G2Comb((G2_X, G2_Y))
+        _g2_comb = PointComb(
+            (G2_X, G2_Y), _COMB_WINDOWS, _jac2_add_mixed,
+            _normalize2, _jac2_to_affine, (F2_ONE, F2_ONE, F2_ZERO),
+        )
     return _g2_comb.mul(k % N)
 
 

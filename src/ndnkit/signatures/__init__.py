@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 from ..pairing import G2Point
-from ..wire import pack_varbytes, unpack_varbytes
+from ..wire import CodecError, pack_varbytes, unpack_varbytes
 from . import bls, dsa, ecdsa, group, ring, rsa
 from .bls import BlsPrivateKey, BlsPublicKey
 from .chameleon import (
@@ -38,6 +38,7 @@ from .group import (
 )
 from .params import (
     CURVES,
+    CurveSpec,
     IndexOutOfRing,
     MixedScheme,
     OpenFailure,
@@ -215,8 +216,27 @@ class _RecordReader:
         self._pos = 1
 
     def take_bytes(self) -> bytes:
-        value, self._pos = unpack_varbytes(self._blob, self._pos)
+        try:
+            value, self._pos = unpack_varbytes(self._blob, self._pos)
+        except CodecError as exc:
+            raise ParameterError(f"malformed key record: {exc}") from exc
         return value
+
+    def take_curve(self) -> CurveSpec:
+        try:
+            name = self.take_bytes().decode()
+        except UnicodeDecodeError as exc:
+            raise ParameterError("curve name is not UTF-8") from exc
+        if name not in CURVES:
+            raise ParameterError(f"unknown curve {name!r}")
+        return CURVES[name]
+
+    def take_g2(self) -> G2Point:
+        blob = self.take_bytes()
+        try:
+            return G2Point.from_bytes(blob)
+        except ValueError as exc:
+            raise ParameterError(f"bad G2 point: {exc}") from exc
 
     def take_int(self) -> int:
         return int.from_bytes(self.take_bytes(), "big")
@@ -264,16 +284,16 @@ def load_public(blob: bytes):
             raise ParameterError("public element outside the order-q subgroup")
         return DsaPublicKey(y) if sid == SCHEME_DSA else RingPublicKey(y)
     if sid == SCHEME_ECDSA:
-        curve = rd.take_bytes().decode()
+        spec = rd.take_curve()
         qx, qy = rd.take_int(), rd.take_int()
         rd.done()
-        if curve not in CURVES:
-            raise ParameterError(f"unknown curve {curve!r}")
-        if not ecdsa.on_curve(CURVES[curve], qx, qy):
+        if not (qx < spec.p and qy < spec.p):
+            raise ParameterError("point coordinates are not reduced mod p")
+        if not ecdsa.on_curve(spec, qx, qy):
             raise ParameterError("point is not on the named curve")
-        return EcdsaPublicKey(curve=curve, qx=qx, qy=qy)
+        return EcdsaPublicKey(curve=spec.name, qx=qx, qy=qy)
     if sid == SCHEME_BLS:
-        point = G2Point.from_bytes(rd.take_bytes())
+        point = rd.take_g2()
         rd.done()
         return BlsPublicKey(point)
     if sid == SCHEME_GROUP:
@@ -341,15 +361,17 @@ def load_private(blob: bytes):
             raise ParameterError("public element does not match the secret")
         return DsaPrivateKey(x, y) if sid == SCHEME_DSA else RingPrivateKey(x, y)
     if sid == SCHEME_ECDSA:
-        curve = rd.take_bytes().decode()
+        spec = rd.take_curve()
         d, qx, qy = rd.take_int(), rd.take_int(), rd.take_int()
         rd.done()
-        if curve not in CURVES:
-            raise ParameterError(f"unknown curve {curve!r}")
-        return EcdsaPrivateKey(curve=curve, d=d, qx=qx, qy=qy)
+        if not 0 < d < spec.n:
+            raise ParameterError("secret scalar outside [1, n)")
+        if ecdsa.base_mul(spec, d) != (qx, qy):
+            raise ParameterError("public point does not match the secret")
+        return EcdsaPrivateKey(curve=spec.name, d=d, qx=qx, qy=qy)
     if sid == SCHEME_BLS:
         x = rd.take_int()
-        point = G2Point.from_bytes(rd.take_bytes())
+        point = rd.take_g2()
         rd.done()
         return BlsPrivateKey(x=x, point=point)
     if sid == SCHEME_GROUP:

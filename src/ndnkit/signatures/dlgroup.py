@@ -1,28 +1,38 @@
 """Operations in the shared 1024/160 discrete-log group.
 
-The generator carries a lazily built comb table, so g^k costs about forty
-1024-bit multiplications; arbitrary-base exponentiations (public keys,
-which differ per signer) fall back to pow().
+Exponentiations with a long-lived base run through radix-16 comb tables
+(intmath.CombTable), one per base value in a bounded LRU: the generator's
+serves every signature, a verification key's (a DSA public key, the group
+manager key, a roster pseudonym) every verify under that key.  With the
+table built, y^e costs about forty 1024-bit multiplications and no
+squarings.  Ring members and chameleon trapdoors stay on pow(): rings are
+assembled ad hoc from unauthenticated key lists, and each chameleon key
+serves one token.
 """
 
 from __future__ import annotations
 
 import hashlib
 import random
-from typing import Optional
+from functools import lru_cache
 
 from ..intmath import CombTable
 from .params import DL_G, DL_P, DL_Q
 
-_gen_comb: Optional[CombTable] = None
+
+@lru_cache(maxsize=128)
+def _table(base: int) -> CombTable:
+    return CombTable(base, DL_P, DL_Q.bit_length() + 4)
 
 
 def gen_pow(e: int) -> int:
     """g^e mod p through the fixed-base table."""
-    global _gen_comb
-    if _gen_comb is None:
-        _gen_comb = CombTable(DL_G, DL_P, DL_Q.bit_length() + 4)
-    return _gen_comb.pow(e % DL_Q)
+    return _table(DL_G).pow(e % DL_Q)
+
+
+def key_pow(y: int, e: int) -> int:
+    """y^e mod p for 0 <= e <= q, through y's table (built on first use)."""
+    return _table(y).pow(e)
 
 
 def rand_scalar(rng: random.Random) -> int:

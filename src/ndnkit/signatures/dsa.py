@@ -7,7 +7,7 @@ import random
 from dataclasses import dataclass
 
 from ..intmath import i2osp, os2ip
-from .dlgroup import gen_pow, rand_scalar
+from .dlgroup import gen_pow, key_pow, rand_scalar
 from .params import DL_G, DL_P, DL_Q, ParameterError, SCHEME_DSA, SchemeParams
 
 
@@ -65,5 +65,5 @@ def verify(key: DsaPublicKey, msg: bytes, sig: bytes) -> bool:
     w = pow(s, -1, DL_Q)
     u1 = _digest(msg) * w % DL_Q
     u2 = r * w % DL_Q
-    v = gen_pow(u1) * pow(key.y, u2, DL_P) % DL_P % DL_Q
+    v = gen_pow(u1) * key_pow(key.y, u2) % DL_P % DL_Q
     return v == r

@@ -1,10 +1,15 @@
 """ECDSA over the registered prime-field curves (a = -3, cofactor 1).
 
-Point arithmetic is Jacobian with NAF scalar recoding; the per-curve base
-point gets a radix-16 comb table the first time the curve is used, so
-signing is dominated by one table-driven multiplication.  Signature
-integers are emitted at the curve's fixed width, with the nonce resampled
-in the (astronomically rare) case an integer does not fit.
+Scalar multiplication walks a radix-16 comb table with additions only.
+Each point it multiplies gets its table (intmath.PointComb) on first use,
+held in a bounded LRU keyed by (curve, point) value.  The base point's
+table serves signing, and a public key's serves every verify under that
+key, so a verify is two table walks of about |n|/4 mixed additions each;
+the first verify under a new key also pays for its table (~5 ms on
+secp160r1).  Verify checks that the key lies on the curve before a table
+is built for it.  Signature integers are emitted at the curve's fixed
+width, with the nonce resampled in the (astronomically rare) case an
+integer does not fit.
 """
 
 from __future__ import annotations
@@ -12,8 +17,9 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
+from functools import lru_cache, partial
 
-from ..intmath import i2osp, os2ip, naf
+from ..intmath import PointComb, i2osp, jacobian_to_affine, os2ip
 from .params import CURVES, CurveSpec, ParameterError, SCHEME_ECDSA, SchemeParams
 
 
@@ -93,18 +99,11 @@ def _to_affine(spec, X, Y, Z):
 
 
 def point_mul(spec: CurveSpec, pt, k: int):
+    """k * pt through pt's comb table, built on first use (see _comb)."""
     k %= spec.n
     if pt is None or k == 0:
         return None
-    nx, ny = pt[0], (-pt[1]) % spec.p
-    X, Y, Z = 1, 1, 0
-    for d in reversed(naf(k)):
-        X, Y, Z = _dbl(spec, X, Y, Z)
-        if d == 1:
-            X, Y, Z = _add_mixed(spec, X, Y, Z, pt[0], pt[1])
-        elif d == -1:
-            X, Y, Z = _add_mixed(spec, X, Y, Z, nx, ny)
-    return _to_affine(spec, X, Y, Z)
+    return _comb(spec, pt[0], pt[1]).mul(k)
 
 
 def point_add(spec: CurveSpec, a, b):
@@ -116,43 +115,18 @@ def point_add(spec: CurveSpec, a, b):
     return _to_affine(spec, X, Y, Z)
 
 
-class _BaseComb:
-    def __init__(self, spec: CurveSpec):
-        self.spec = spec
-        bits = spec.n.bit_length() + 4
-        self.rows = []
-        cur = (spec.gx, spec.gy)
-        for _ in range((bits + 3) // 4):
-            row = [cur]
-            acc = cur
-            for _ in range(14):
-                acc = point_add(spec, acc, cur)
-                row.append(acc)
-            self.rows.append(row)
-            cur = point_add(spec, acc, cur)
-
-    def mul(self, k: int):
-        spec = self.spec
-        X, Y, Z = 1, 1, 0
-        j = 0
-        while k:
-            d = k & 15
-            if d:
-                px, py = self.rows[j][d - 1]
-                X, Y, Z = _add_mixed(spec, X, Y, Z, px, py)
-            k >>= 4
-            j += 1
-        return _to_affine(spec, X, Y, Z)
-
-
-_combs: dict[str, _BaseComb] = {}
+@lru_cache(maxsize=128)
+def _comb(spec: CurveSpec, x: int, y: int) -> PointComb:
+    """The table for one curve point, kept per (curve, point) value: the base
+    point's serves signing, a public key's serves every verify under it."""
+    return PointComb(
+        (x, y), (spec.n.bit_length() + 3) // 4, partial(_add_mixed, spec),
+        partial(jacobian_to_affine, p=spec.p), partial(_to_affine, spec), (1, 1, 0),
+    )
 
 
 def base_mul(spec: CurveSpec, k: int):
-    comb = _combs.get(spec.name)
-    if comb is None:
-        comb = _combs[spec.name] = _BaseComb(spec)
-    return comb.mul(k % spec.n)
+    return _comb(spec, spec.gx, spec.gy).mul(k % spec.n)
 
 
 def _digest(spec: CurveSpec, msg: bytes) -> int:

@@ -25,6 +25,7 @@ from .dlgroup import (
     element_valid,
     gen_pow,
     hash_to_scalar,
+    key_pow,
     rand_scalar,
 )
 from .params import OpenFailure, ParameterError, SCHEME_GROUP, SchemeParams
@@ -46,7 +47,7 @@ def _schnorr_sign(x: int, y: int, tag: bytes, msg: bytes, rng) -> tuple[int, int
 def _schnorr_verify(y: int, tag: bytes, msg: bytes, c: int, s: int) -> bool:
     if not (0 <= c < DL_Q and 0 <= s < DL_Q):
         return False
-    r = gen_pow(s) * pow(y, c, DL_P) % DL_P
+    r = gen_pow(s) * key_pow(y, c) % DL_P
     return hash_to_scalar(tag, element_bytes(y), element_bytes(r), msg) == c
 
 

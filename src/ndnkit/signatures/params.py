@@ -131,8 +131,6 @@ class SchemeParams:
     scheme_id: int
     rsa_bits: int = 1024
     rsa_e: int = 65537
-    dl_p_bits: int = 1024
-    dl_q_bits: int = 160
     curve: str = "p256"
     group_size: int = 5
     ring_size: int = 5
@@ -149,14 +147,11 @@ class SchemeParams:
             raise ParameterError("ring must have at least two members")
         if self.rsa_e < 3 or self.rsa_e % 2 == 0:
             raise ParameterError("RSA exponent must be odd and >= 3")
-        if not self.allow_insecure:
-            if self.rsa_bits < 1024:
-                raise ParameterError(
-                    f"{self.rsa_bits}-bit RSA is a toy size; "
-                    "pass allow_insecure=True in tests"
-                )
-            if self.dl_p_bits < 1024 or self.dl_q_bits < 160:
-                raise ParameterError("discrete-log sizes below 1024/160 are toys")
+        if not self.allow_insecure and self.rsa_bits < 1024:
+            raise ParameterError(
+                f"{self.rsa_bits}-bit RSA is a toy size; "
+                "pass allow_insecure=True in tests"
+            )
 
 
 def default_params(scheme_id: int) -> SchemeParams:

@@ -40,10 +40,11 @@ from ndnkit.signatures import (
     verifier_for,
     verify,
 )
-from ndnkit.signatures import bls, dsa, ecdsa, rsa
-from ndnkit.signatures.dlgroup import element_bytes, element_valid, gen_pow
+from ndnkit.signatures import bls, dlgroup, dsa, ecdsa, rsa
+from ndnkit.signatures.dlgroup import element_bytes, element_valid, gen_pow, key_pow
 from ndnkit.signatures.params import CURVES, DL_G, DL_P, DL_Q
 from ndnkit.signatures.ring import signature_bytes
+from ndnkit.wire import pack_varbytes
 
 MSG = b"GET /snnu/images/a.jpg"
 
@@ -104,6 +105,23 @@ def test_gen_pow_matches_plain_pow():
     for _ in range(10):
         e = rng.randrange(DL_Q)
         assert gen_pow(e) == pow(DL_G, e, DL_P)
+
+
+def test_key_pow_matches_plain_pow(dsa_key):
+    # DL_P - 1 lies outside the order-q subgroup: the table must still agree
+    for y in (dsa_key.y, gen_pow(777), DL_P - 1):
+        for e in (0, 1, DL_Q - 1, DL_Q):
+            assert key_pow(y, e) == pow(y, e, DL_P)
+
+
+def test_dl_tables_are_shared_by_value_and_bounded(dsa_key):
+    y = int(str(dsa_key.y))  # equal value, distinct object
+    assert y is not dsa_key.y
+    assert dlgroup._table(y) is dlgroup._table(dsa_key.y)
+    bound = dlgroup._table.cache_info().maxsize
+    for i in range(bound + 2):
+        key_pow(gen_pow(1000 + i), 1)
+    assert dlgroup._table.cache_info().currsize == bound
 
 
 def test_element_valid_boundaries():
@@ -284,12 +302,17 @@ def _naive_affine_mul(spec, pt, k):
 @pytest.mark.parametrize("curve", ["p256", "secp160r1"])
 def test_ecdsa_scalar_mul_against_naive(curve):
     spec = CURVES[curve]
+    n = spec.n
     base = (spec.gx, spec.gy)
+    key = keygen(SCHEME_ECDSA, SchemeParams(SCHEME_ECDSA, curve=curve), random.Random(9))
+    point = (key.qx, key.qy)  # served by the key's own table, not the base point's
     rng = random.Random(6)
-    for k in [1, 2, 3, spec.n - 1, rng.randrange(2, spec.n)]:
-        expected = _naive_affine_mul(spec, base, k)
+    nibbles15 = (1 << 4 * ((n.bit_length() - 1) // 4)) - 1  # every radix-16 digit 15
+    for k in [0, 1, 2, 3, n - 1, n, n + 1, nibbles15, rng.randrange(2, n)]:
+        expected = _naive_affine_mul(spec, base, k % n)
         assert ecdsa.point_mul(spec, base, k) == expected
         assert ecdsa.base_mul(spec, k) == expected
+        assert ecdsa.point_mul(spec, point, k) == _naive_affine_mul(spec, point, k % n)
     assert ecdsa.point_mul(spec, base, spec.n) is None  # group order annihilates
 
 
@@ -352,6 +375,33 @@ def test_ecdsa_rejects_malformed(ecdsa_key):
         assert not ecdsa.verify(pub, MSG, bytes(bad))
     off_curve = ecdsa.EcdsaPublicKey(pub.curve, pub.qx, (pub.qy + 1) % CURVES[pub.curve].p)
     assert not ecdsa.verify(off_curve, MSG, sig)
+
+
+def test_ecdsa_tables_are_shared_by_value_and_bounded(ecdsa_key):
+    spec = CURVES[ecdsa_key.curve]
+    twin = ecdsa.EcdsaPublicKey(
+        ecdsa_key.curve, int(str(ecdsa_key.qx)), int(str(ecdsa_key.qy))
+    )
+    sig = ecdsa.sign(ecdsa_key, MSG)
+    assert ecdsa.verify(ecdsa_key.public(), MSG, sig)
+    misses = ecdsa._comb.cache_info().misses
+    assert ecdsa.verify(twin, MSG, sig)
+    assert ecdsa._comb.cache_info().misses == misses
+    assert ecdsa._comb(spec, twin.qx, twin.qy) is ecdsa._comb(spec, ecdsa_key.qx, ecdsa_key.qy)
+    small = CURVES["secp160r1"]
+    bound = ecdsa._comb.cache_info().maxsize
+    for i in range(bound + 2):
+        ecdsa.point_mul(small, ecdsa.base_mul(small, 1000 + i), 1)
+    assert ecdsa._comb.cache_info().currsize == bound
+
+
+def test_ecdsa_off_curve_key_builds_no_table(ecdsa_key):
+    pub = ecdsa_key.public()
+    sig = ecdsa.sign(ecdsa_key, MSG)
+    off = ecdsa.EcdsaPublicKey(pub.curve, pub.qx, (pub.qy + 1) % CURVES[pub.curve].p)
+    misses = ecdsa._comb.cache_info().misses
+    assert ecdsa.verify(off, MSG, sig) is False
+    assert ecdsa._comb.cache_info().misses == misses
 
 
 # --- BLS ---------------------------------------------------------------------
@@ -647,6 +697,62 @@ def test_load_validates_group_membership(dsa_key):
 def test_load_validates_dl_secret(dsa_key):
     blob = bytearray(serialize_private(dsa_key))
     blob[-1] ^= 1  # y no longer equals g^x
+    with pytest.raises(ParameterError):
+        load_private(bytes(blob))
+
+
+def _ecdsa_record(curve: bytes, *ints: int) -> bytes:
+    fields = [pack_varbytes(v.to_bytes(max(1, (v.bit_length() + 7) // 8), "big")) for v in ints]
+    return bytes([SCHEME_ECDSA]) + pack_varbytes(curve) + b"".join(fields)
+
+
+def test_load_public_rejects_unreduced_ecdsa_coordinates(ecdsa_key):
+    p = CURVES[ecdsa_key.curve].p
+    curve = ecdsa_key.curve.encode()
+    assert load_public(_ecdsa_record(curve, ecdsa_key.qx, ecdsa_key.qy)) == ecdsa_key.public()
+    with pytest.raises(ParameterError):
+        load_public(_ecdsa_record(curve, ecdsa_key.qx + p, ecdsa_key.qy))
+    with pytest.raises(ParameterError):
+        load_public(_ecdsa_record(curve, ecdsa_key.qx, ecdsa_key.qy + p))
+
+
+def test_load_private_rejects_ecdsa_secret_out_of_range(ecdsa_key):
+    n = CURVES[ecdsa_key.curve].n
+    curve = ecdsa_key.curve.encode()
+    for d in (0, ecdsa_key.d + n):
+        with pytest.raises(ParameterError):
+            load_private(_ecdsa_record(curve, d, ecdsa_key.qx, ecdsa_key.qy))
+
+
+def test_load_private_rejects_mismatched_ecdsa_pair(ecdsa_key):
+    other = keygen(SCHEME_ECDSA, rng=random.Random(31))
+    with pytest.raises(ParameterError):
+        load_private(_ecdsa_record(ecdsa_key.curve.encode(), ecdsa_key.d, other.qx, other.qy))
+
+
+def test_load_maps_bad_curve_text_to_parameter_error(ecdsa_key):
+    for load, ints in ((load_public, (ecdsa_key.qx, ecdsa_key.qy)),
+                       (load_private, (ecdsa_key.d, ecdsa_key.qx, ecdsa_key.qy))):
+        with pytest.raises(ParameterError):
+            load(_ecdsa_record(b"p\xff256", *ints))
+
+
+def test_load_maps_truncated_records_to_parameter_error(dsa_key, ecdsa_key, group):
+    for blob in (serialize_public(dsa_key.public()), serialize_public(ecdsa_key.public()),
+                 serialize_public(group.group_key)):
+        with pytest.raises(ParameterError):
+            load_public(blob[:-3])
+    with pytest.raises(ParameterError):
+        load_private(serialize_private(ecdsa_key)[:-1])
+
+
+def test_load_maps_bad_bls_points_to_parameter_error(bls_key):
+    blob = bytearray(serialize_public(bls_key.public()))
+    blob[2] = 0x07  # compression flag
+    with pytest.raises(ParameterError):
+        load_public(bytes(blob))
+    blob = bytearray(serialize_private(bls_key))
+    blob[-41] = 0x07
     with pytest.raises(ParameterError):
         load_private(bytes(blob))
 
