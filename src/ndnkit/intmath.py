@@ -67,6 +67,75 @@ def mgf1(seed: bytes, length: int, hash_name: str = "sha256") -> bytes:
     return bytes(out[:length])
 
 
+def jacobian_ops(p: int, a: int):
+    """(dbl, add_mixed, to_affine) for y^2 = x^3 + ax + b over F_p in
+    Jacobian coordinates, for a = 0 and a = -3.  The formulas are from
+    Bernstein-Lange's Explicit-Formulas Database: doubling by dbl-2009-l
+    (a = 0) or dbl-2001-b (a = -3), and mixed addition by madd-2004-hmv,
+    falling back to doubling on equal inputs.
+
+    Points are (X, Y, Z) with the identity at Z = 0; add_mixed adds an
+    affine (x, y), and to_affine returns None for the identity.
+    """
+    if a % p == 0:
+
+        def dbl(X, Y, Z):
+            if not Y or not Z:
+                return (1, 1, 0)
+            A = X * X % p
+            B = Y * Y % p
+            C = B * B % p
+            D = 2 * ((X + B) * (X + B) - A - C) % p
+            E = 3 * A % p
+            X3 = (E * E - 2 * D) % p
+            Y3 = (E * (D - X3) - 8 * C) % p
+            return (X3, Y3, 2 * Y * Z % p)
+
+    elif a % p == p - 3:
+
+        def dbl(X, Y, Z):
+            if not Y or not Z:
+                return (1, 1, 0)
+            ZZ = Z * Z % p
+            M = 3 * (X - ZZ) * (X + ZZ) % p  # 3X^2 + aZ^4 with a = -3
+            YY = Y * Y % p
+            S = 4 * X * YY % p
+            X3 = (M * M - 2 * S) % p
+            Y3 = (M * (S - X3) - 8 * YY * YY) % p
+            return (X3, Y3, 2 * Y * Z % p)
+
+    else:
+        raise ValueError("Jacobian formulas cover a = 0 and a = -3 only")
+
+    def add_mixed(X1, Y1, Z1, x2, y2):
+        if not Z1:
+            return (x2, y2, 1)
+        Z1Z1 = Z1 * Z1 % p
+        U2 = x2 * Z1Z1 % p
+        S2 = y2 * Z1Z1 * Z1 % p
+        H = (U2 - X1) % p
+        R = (S2 - Y1) % p
+        if H == 0:
+            if R == 0:
+                return dbl(X1, Y1, Z1)
+            return (1, 1, 0)
+        HH = H * H % p
+        HHH = HH * H % p
+        V = X1 * HH % p
+        X3 = (R * R - HHH - 2 * V) % p
+        Y3 = (R * (V - X3) - Y1 * HHH) % p
+        return (X3, Y3, Z1 * H % p)
+
+    def to_affine(X, Y, Z):
+        if not Z:
+            return None
+        zi = pow(Z, -1, p)
+        zi2 = zi * zi % p
+        return (X * zi2 % p, Y * zi2 * zi % p)
+
+    return dbl, add_mixed, to_affine
+
+
 def jacobian_to_affine(points, p: int) -> list[tuple[int, int]]:
     """Jacobian points over F_p, none the identity, to affine with a single
     inversion (Montgomery's trick: invert the product, then peel off one Z
@@ -85,17 +154,6 @@ def jacobian_to_affine(points, p: int) -> list[tuple[int, int]]:
         zi2 = zi * zi % p
         out[i] = (X * zi2 % p, Y * zi2 * zi % p)
     return out
-
-
-def sqrt_mod(a: int, p: int) -> int | None:
-    """Square root mod a prime p = 3 (mod 4); None if a is a non-residue."""
-    if p % 4 != 3:
-        raise ValueError("sqrt_mod expects p = 3 mod 4")
-    a %= p
-    r = pow(a, (p + 1) // 4, p)
-    if r * r % p == a:
-        return r
-    return None
 
 
 class CombTable:

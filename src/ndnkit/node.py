@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 from collections import OrderedDict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 from .naming import Name, longest_prefix_match
@@ -172,9 +172,6 @@ class Node:
             self.fib[prefix] = FibEntry(prefix=prefix, faces=(face,))
         elif face not in entry.faces:
             self.fib[prefix] = FibEntry(prefix=prefix, faces=entry.faces + (face,))
-
-    def cs_evict(self, now: int) -> list[Name]:
-        return self.cs.evict(now)
 
     def sweep(self, now: int) -> None:
         """Garbage-collect expired PIT entries, dedup records, and CS entries."""

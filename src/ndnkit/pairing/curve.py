@@ -26,7 +26,7 @@ from dataclasses import dataclass
 from functools import partial
 from typing import Optional
 
-from ..intmath import PointComb, jacobian_to_affine
+from ..intmath import PointComb, jacobian_ops, jacobian_to_affine
 from .fields import (
     F2_ONE,
     F2_ZERO,
@@ -37,7 +37,6 @@ from .fields import (
     f2_add,
     f2_inv,
     f2_mul,
-    f2_mul_xi,
     f2_neg,
     f2_scal,
     f2_sqr,
@@ -50,7 +49,6 @@ CURVE_ORDER = N
 CURVE_B = 2
 # twist coefficient 2/xi = 2*(1-i)/2 = 1 - i
 TWIST_B = f2_mul((CURVE_B, 0), f2_inv(XI))
-TWIST_COFACTOR = 2 * P - N
 
 G1_X = 2
 G1_Y = 49392867263768642569315391949339572744600141550
@@ -76,48 +74,7 @@ def g1_on_curve(pt) -> bool:
     return (y * y - x * x * x - CURVE_B) % P == 0
 
 
-def _jac_dbl(X, Y, Z):
-    if not Y or not Z:
-        return (1, 1, 0)
-    A = X * X % P
-    B = Y * Y % P
-    C = B * B % P
-    D = 2 * ((X + B) * (X + B) - A - C) % P
-    E = 3 * A % P
-    X3 = (E * E - 2 * D) % P
-    Y3 = (E * (D - X3) - 8 * C) % P
-    Z3 = 2 * Y * Z % P
-    return (X3, Y3, Z3)
-
-
-def _jac_add_mixed(X1, Y1, Z1, x2, y2):
-    """(X1,Y1,Z1) + affine (x2,y2)."""
-    if not Z1:
-        return (x2, y2, 1)
-    Z1Z1 = Z1 * Z1 % P
-    U2 = x2 * Z1Z1 % P
-    S2 = y2 * Z1Z1 * Z1 % P
-    H = (U2 - X1) % P
-    R = (S2 - Y1) % P
-    if H == 0:
-        if R == 0:
-            return _jac_dbl(X1, Y1, Z1)
-        return (1, 1, 0)
-    HH = H * H % P
-    HHH = HH * H % P
-    V = X1 * HH % P
-    X3 = (R * R - HHH - 2 * V) % P
-    Y3 = (R * (V - X3) - Y1 * HHH) % P
-    Z3 = Z1 * H % P
-    return (X3, Y3, Z3)
-
-
-def _jac_to_affine(X, Y, Z):
-    if not Z:
-        return None
-    zi = pow(Z, -1, P)
-    zi2 = zi * zi % P
-    return (X * zi2 % P, Y * zi2 * zi % P)
+_jac_dbl, _jac_add_mixed, _jac_to_affine = jacobian_ops(P, 0)
 
 
 def g1_neg(pt):

@@ -17,7 +17,6 @@ The readable Fp2-level helpers serve setup code and tests.
 X_PARAM = 0x5FFDFFFFEF
 P = 36 * X_PARAM**4 + 36 * X_PARAM**3 + 24 * X_PARAM**2 + 6 * X_PARAM + 1
 N = 36 * X_PARAM**4 + 36 * X_PARAM**3 + 18 * X_PARAM**2 + 6 * X_PARAM + 1
-TRACE = 6 * X_PARAM**2 + 1
 
 assert P % 4 == 3 and P % 6 == 1
 

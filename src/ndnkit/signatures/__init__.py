@@ -1,19 +1,33 @@
 """Uniform KeyGen/Sign/Verify façade over the six signature schemes.
 
 Scheme-specific key records live in their own modules; this package level
-adds the shared Signature envelope, byte serializations for keys (scheme
-byte plus length-prefixed big-endian integer fields, reusing the packet
-varint), and dispatch helpers the node layer uses to turn a stored public
-key into a verifier callable.
+adds the shared Signature envelope, the dispatch table, byte serializations
+for keys, and verifier_for, which the node layer uses to turn a stored
+public key into a verifier callable.
+
+_SCHEMES maps each scheme id to one record: the public and private key
+classes; keygen, sign and verify; and one validator for loaded public keys
+and one for loaded private keys.  keygen, sign and verify are None where a
+key alone is not enough: group credentials come from group_setup and sign
+through group_sign, and rings sign and verify through ring_sign and
+ring_verify (or verifier_for over the ring's key list).  Network coding
+(SCHEME_NC) has its own key material in ndnkit.netcoding and no record.
+
+A key record is the scheme byte followed by the key dataclass's fields in
+declaration order, each length-prefixed with the packet varint: an int as
+its minimal big-endian bytes, the curve as its name, a G2Point as its
+compressed bytes, and the group roster as a count followed by its members.
 """
 
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence
 
-from ..pairing import G2Point
+from ..pairing import CURVE_ORDER, G2Point
+from ..pairing.curve import g2_mul_gen
 from ..wire import CodecError, pack_varbytes, unpack_varbytes
 from . import bls, dsa, ecdsa, group, ring, rsa
 from .bls import BlsPrivateKey, BlsPublicKey
@@ -38,7 +52,7 @@ from .group import (
 )
 from .params import (
     CURVES,
-    CurveSpec,
+    DL_Q,
     IndexOutOfRing,
     MixedScheme,
     OpenFailure,
@@ -105,15 +119,6 @@ __all__ = [
     "message_scalar",
 ]
 
-_KEYGEN = {
-    SCHEME_RSA: rsa.keygen,
-    SCHEME_DSA: dsa.keygen,
-    SCHEME_ECDSA: ecdsa.keygen,
-    SCHEME_BLS: bls.keygen,
-    SCHEME_RING: ring.keygen,
-}
-
-
 @dataclass(frozen=True)
 class Signature:
     """A scheme-tagged signature blob, as carried in a Data packet."""
@@ -131,34 +136,113 @@ class Signature:
         return cls(scheme_id=blob[0], data=blob[1:])
 
 
+# --- the dispatch table ------------------------------------------------------
+
+
+def _rsa_private_ok(key: RsaPrivateKey) -> bool:
+    """n = pq, and d inverts e modulo lcm(p - 1, q - 1)."""
+    p1, q1 = key.p - 1, key.q - 1
+    return key.p * key.q == key.n and min(p1, q1) > 0 and key.e * key.d % math.lcm(p1, q1) == 1
+
+
+def _dl_secret_ok(key) -> bool:
+    """DSA and ring private keys and group credentials: 0 < x < q, y = g^x."""
+    return 0 < key.x < DL_Q and gen_pow(key.x) == key.y
+
+
+def _ecdsa_public_ok(key: EcdsaPublicKey) -> bool:
+    spec = CURVES[key.curve]
+    return key.qx < spec.p and key.qy < spec.p and ecdsa.on_curve(spec, key.qx, key.qy)
+
+
+def _ecdsa_private_ok(key: EcdsaPrivateKey) -> bool:
+    spec = CURVES[key.curve]
+    return 0 < key.d < spec.n and ecdsa.base_mul(spec, key.d) == (key.qx, key.qy)
+
+
+def _bls_private_ok(key: BlsPrivateKey) -> bool:
+    return 0 < key.x < CURVE_ORDER and g2_mul_gen(key.x) == key.point.point
+
+
+def _group_public_ok(key: GroupPublicKey) -> bool:
+    """A non-empty roster without repeats; every element in the order-q subgroup."""
+    members = key.members
+    return 0 < len(members) == len(set(members)) and all(
+        map(element_valid, (key.manager_y, *members))
+    )
+
+
+@dataclass(frozen=True)
+class _Scheme:
+    public: type
+    private: type
+    keygen: Callable | None  # (params, rng) -> private key
+    sign: Callable | None  # (private key, msg, rng) -> signature bytes
+    verify: Callable | None  # (public key, msg, signature bytes) -> bool
+    public_ok: Callable  # loaded public key -> passes validation
+    private_ok: Callable  # loaded private key -> passes validation
+
+
+_SCHEMES = {
+    SCHEME_RSA: _Scheme(
+        RsaPublicKey, RsaPrivateKey, rsa.keygen,
+        lambda key, msg, rng: rsa.sign(key, msg), rsa.verify,
+        lambda key: key.n >= 3 and key.e >= 3 and key.e % 2 == 1, _rsa_private_ok,
+    ),
+    SCHEME_DSA: _Scheme(
+        DsaPublicKey, DsaPrivateKey, dsa.keygen,
+        dsa.sign, dsa.verify,
+        lambda key: element_valid(key.y), _dl_secret_ok,
+    ),
+    SCHEME_ECDSA: _Scheme(
+        EcdsaPublicKey, EcdsaPrivateKey, ecdsa.keygen,
+        ecdsa.sign, ecdsa.verify,
+        _ecdsa_public_ok, _ecdsa_private_ok,
+    ),
+    SCHEME_BLS: _Scheme(
+        BlsPublicKey, BlsPrivateKey, bls.keygen,
+        lambda key, msg, rng: bls.sign(key, msg), bls.verify,
+        # the identity key would accept the identity signature on every message
+        lambda key: not key.point.is_identity(), _bls_private_ok,
+    ),
+    SCHEME_GROUP: _Scheme(
+        GroupPublicKey, MemberCredential, None,
+        None, group_verify,
+        _group_public_ok, _dl_secret_ok,
+    ),
+    SCHEME_RING: _Scheme(
+        RingPublicKey, RingPrivateKey, ring.keygen,
+        None, None,
+        lambda key: element_valid(key.y), _dl_secret_ok,
+    ),
+}
+
+
+def _record(sid: int, op: str, error: type = SchemeMismatch) -> _Scheme:
+    """Scheme sid's table record, which must fill the field op."""
+    rec = _SCHEMES.get(sid)
+    if getattr(rec, op, None) is None:
+        raise error(f"scheme {SCHEME_NAMES.get(sid, sid)} has no {op} in the table")
+    return rec
+
+
 def keygen(
     scheme_id: int,
     params: SchemeParams | None = None,
     rng: random.Random | None = None,
 ):
     """Generate a key pair; group membership runs through group_setup instead."""
-    if scheme_id not in _KEYGEN:
-        raise ParameterError(f"no direct keygen for scheme {scheme_id}")
+    rec = _record(scheme_id, "keygen", ParameterError)
     if params is None:
         params = default_params(scheme_id)
     elif params.scheme_id != scheme_id:
         raise SchemeMismatch("params carry a different scheme id")
-    return _KEYGEN[scheme_id](params, rng)
+    return rec.keygen(params, rng)
 
 
 def sign(key, msg: bytes, rng: random.Random | None = None) -> Signature:
     sid = key.scheme_id
-    if sid == SCHEME_RSA:
-        data = rsa.sign(key, msg)
-    elif sid == SCHEME_DSA:
-        data = dsa.sign(key, msg, rng)
-    elif sid == SCHEME_ECDSA:
-        data = ecdsa.sign(key, msg, rng)
-    elif sid == SCHEME_BLS:
-        data = bls.sign(key, msg)
-    else:
-        raise SchemeMismatch(f"sign() does not cover scheme {sid}")
-    return Signature(scheme_id=sid, data=data)
+    return Signature(scheme_id=sid, data=_record(sid, "sign").sign(key, msg, rng))
 
 
 def _raw(sig: Signature | bytes, expect: int) -> bytes:
@@ -174,18 +258,7 @@ def _raw(sig: Signature | bytes, expect: int) -> bytes:
 
 def verify(key, msg: bytes, sig: Signature | bytes) -> bool:
     sid = key.scheme_id
-    data = _raw(sig, sid)
-    if sid == SCHEME_RSA:
-        return rsa.verify(key, msg, data)
-    if sid == SCHEME_DSA:
-        return dsa.verify(key, msg, data)
-    if sid == SCHEME_ECDSA:
-        return ecdsa.verify(key, msg, data)
-    if sid == SCHEME_BLS:
-        return bls.verify(key, msg, data)
-    if sid == SCHEME_GROUP:
-        return group_verify(key, msg, data)
-    raise SchemeMismatch(f"verify() does not cover scheme {sid}")
+    return _record(sid, "verify").verify(key, msg, _raw(sig, sid))
 
 
 def verifier_for(context) -> Callable[[bytes, bytes], bool]:
@@ -196,15 +269,11 @@ def verifier_for(context) -> Callable[[bytes, bytes], bool]:
     return lambda msg, sig: verify(context, msg, sig)
 
 
-# --- key serialization -------------------------------------------------------
+# --- key records -------------------------------------------------------------
 
 
 def _pack_int(v: int) -> bytes:
     return pack_varbytes(v.to_bytes(max(1, (v.bit_length() + 7) // 8), "big"))
-
-
-def _pack_record(scheme_id: int, *fields: bytes) -> bytes:
-    return bytes([scheme_id]) + b"".join(fields)
 
 
 class _RecordReader:
@@ -222,14 +291,21 @@ class _RecordReader:
             raise ParameterError(f"malformed key record: {exc}") from exc
         return value
 
-    def take_curve(self) -> CurveSpec:
+    def take_int(self) -> int:
+        return int.from_bytes(self.take_bytes(), "big")
+
+    def take_ints(self) -> tuple[int, ...]:
+        count = self.take_int()
+        return tuple(self.take_int() for _ in range(count))
+
+    def take_curve(self) -> str:
         try:
             name = self.take_bytes().decode()
         except UnicodeDecodeError as exc:
             raise ParameterError("curve name is not UTF-8") from exc
         if name not in CURVES:
             raise ParameterError(f"unknown curve {name!r}")
-        return CURVES[name]
+        return name
 
     def take_g2(self) -> G2Point:
         blob = self.take_bytes()
@@ -238,146 +314,53 @@ class _RecordReader:
         except ValueError as exc:
             raise ParameterError(f"bad G2 point: {exc}") from exc
 
-    def take_int(self) -> int:
-        return int.from_bytes(self.take_bytes(), "big")
-
     def done(self) -> None:
         if self._pos != len(self._blob):
             raise ParameterError("trailing bytes after key record")
 
 
+# (writer, reader) per key-dataclass field annotation.  A record lists the
+# fields in declaration order, so reordering a key dataclass's fields changes
+# the wire format.  The only str field is ECDSA's curve name.
+_FIELD_CODECS = {
+    "int": (_pack_int, _RecordReader.take_int),
+    "str": (lambda name: pack_varbytes(name.encode()), _RecordReader.take_curve),
+    "G2Point": (lambda pt: pack_varbytes(pt.to_bytes()), _RecordReader.take_g2),
+    "tuple[int, ...]": (
+        lambda ys: _pack_int(len(ys)) + b"".join(map(_pack_int, ys)),
+        _RecordReader.take_ints,
+    ),
+}
+
+
+def _write(cls: type, key) -> bytes:
+    return bytes([key.scheme_id]) + b"".join(
+        _FIELD_CODECS[f.type][0](getattr(key, f.name)) for f in fields(cls)
+    )
+
+
+def _read(blob: bytes, public: bool):
+    rd = _RecordReader(blob)
+    rec = _record(rd.scheme_id, "public")
+    cls, ok = (rec.public, rec.public_ok) if public else (rec.private, rec.private_ok)
+    key = cls(**{f.name: _FIELD_CODECS[f.type][1](rd) for f in fields(cls)})
+    rd.done()
+    if not ok(key):
+        raise ParameterError(f"{cls.__name__} holds out-of-range or inconsistent values")
+    return key
+
+
 def serialize_public(key) -> bytes:
-    sid = key.scheme_id
-    if sid == SCHEME_RSA:
-        return _pack_record(sid, _pack_int(key.n), _pack_int(key.e))
-    if sid == SCHEME_DSA or sid == SCHEME_RING:
-        return _pack_record(sid, _pack_int(key.y))
-    if sid == SCHEME_ECDSA:
-        return _pack_record(
-            sid,
-            pack_varbytes(key.curve.encode()),
-            _pack_int(key.qx),
-            _pack_int(key.qy),
-        )
-    if sid == SCHEME_BLS:
-        return _pack_record(sid, pack_varbytes(key.point.to_bytes()))
-    if sid == SCHEME_GROUP:
-        body = [_pack_int(key.manager_y), _pack_int(len(key.members))]
-        body += [_pack_int(y) for y in key.members]
-        return _pack_record(sid, *body)
-    raise SchemeMismatch(f"cannot serialize scheme {sid} public key")
+    return _write(_record(key.scheme_id, "public").public, key)
 
 
 def load_public(blob: bytes):
-    rd = _RecordReader(blob)
-    sid = rd.scheme_id
-    if sid == SCHEME_RSA:
-        key = RsaPublicKey(n=rd.take_int(), e=rd.take_int())
-        rd.done()
-        if key.n < 3 or key.e < 3 or key.e % 2 == 0:
-            raise ParameterError("implausible RSA public key")
-        return key
-    if sid == SCHEME_DSA or sid == SCHEME_RING:
-        y = rd.take_int()
-        rd.done()
-        if not element_valid(y):
-            raise ParameterError("public element outside the order-q subgroup")
-        return DsaPublicKey(y) if sid == SCHEME_DSA else RingPublicKey(y)
-    if sid == SCHEME_ECDSA:
-        spec = rd.take_curve()
-        qx, qy = rd.take_int(), rd.take_int()
-        rd.done()
-        if not (qx < spec.p and qy < spec.p):
-            raise ParameterError("point coordinates are not reduced mod p")
-        if not ecdsa.on_curve(spec, qx, qy):
-            raise ParameterError("point is not on the named curve")
-        return EcdsaPublicKey(curve=spec.name, qx=qx, qy=qy)
-    if sid == SCHEME_BLS:
-        point = rd.take_g2()
-        rd.done()
-        return BlsPublicKey(point)
-    if sid == SCHEME_GROUP:
-        manager_y = rd.take_int()
-        count = rd.take_int()
-        members = tuple(rd.take_int() for _ in range(count))
-        rd.done()
-        return GroupPublicKey(manager_y=manager_y, members=members)
-    raise SchemeMismatch(f"cannot load scheme {sid} public key")
+    return _read(blob, public=True)
 
 
 def serialize_private(key) -> bytes:
-    sid = key.scheme_id
-    if sid == SCHEME_RSA:
-        return _pack_record(
-            sid,
-            _pack_int(key.n),
-            _pack_int(key.e),
-            _pack_int(key.d),
-            _pack_int(key.p),
-            _pack_int(key.q),
-        )
-    if sid == SCHEME_DSA or sid == SCHEME_RING:
-        return _pack_record(sid, _pack_int(key.x), _pack_int(key.y))
-    if sid == SCHEME_ECDSA:
-        return _pack_record(
-            sid,
-            pack_varbytes(key.curve.encode()),
-            _pack_int(key.d),
-            _pack_int(key.qx),
-            _pack_int(key.qy),
-        )
-    if sid == SCHEME_BLS:
-        return _pack_record(sid, _pack_int(key.x), pack_varbytes(key.point.to_bytes()))
-    if sid == SCHEME_GROUP:
-        return _pack_record(
-            sid,
-            _pack_int(key.x),
-            _pack_int(key.y),
-            _pack_int(key.cert_c),
-            _pack_int(key.cert_s),
-        )
-    raise SchemeMismatch(f"cannot serialize scheme {sid} private key")
+    return _write(_record(key.scheme_id, "private").private, key)
 
 
 def load_private(blob: bytes):
-    rd = _RecordReader(blob)
-    sid = rd.scheme_id
-    if sid == SCHEME_RSA:
-        key = RsaPrivateKey(
-            n=rd.take_int(),
-            e=rd.take_int(),
-            d=rd.take_int(),
-            p=rd.take_int(),
-            q=rd.take_int(),
-        )
-        rd.done()
-        if key.p * key.q != key.n:
-            raise ParameterError("RSA factors do not match the modulus")
-        return key
-    if sid == SCHEME_DSA or sid == SCHEME_RING:
-        x, y = rd.take_int(), rd.take_int()
-        rd.done()
-        if gen_pow(x) != y:
-            raise ParameterError("public element does not match the secret")
-        return DsaPrivateKey(x, y) if sid == SCHEME_DSA else RingPrivateKey(x, y)
-    if sid == SCHEME_ECDSA:
-        spec = rd.take_curve()
-        d, qx, qy = rd.take_int(), rd.take_int(), rd.take_int()
-        rd.done()
-        if not 0 < d < spec.n:
-            raise ParameterError("secret scalar outside [1, n)")
-        if ecdsa.base_mul(spec, d) != (qx, qy):
-            raise ParameterError("public point does not match the secret")
-        return EcdsaPrivateKey(curve=spec.name, d=d, qx=qx, qy=qy)
-    if sid == SCHEME_BLS:
-        x = rd.take_int()
-        point = rd.take_g2()
-        rd.done()
-        return BlsPrivateKey(x=x, point=point)
-    if sid == SCHEME_GROUP:
-        key = MemberCredential(
-            x=rd.take_int(), y=rd.take_int(), cert_c=rd.take_int(), cert_s=rd.take_int()
-        )
-        rd.done()
-        return key
-    raise SchemeMismatch(f"cannot load scheme {sid} private key")
+    return _read(blob, public=False)

@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache, partial
 
-from ..intmath import PointComb, i2osp, jacobian_to_affine, os2ip
+from ..intmath import PointComb, i2osp, jacobian_ops, jacobian_to_affine, os2ip
 from .params import CURVES, CurveSpec, ParameterError, SCHEME_ECDSA, SchemeParams
 
 
@@ -52,50 +52,10 @@ def on_curve(spec: CurveSpec, x: int, y: int) -> bool:
     return (y * y - (x * x * x + spec.a * x + spec.b)) % spec.p == 0
 
 
-def _dbl(spec, X, Y, Z):
-    # a = -3 doubling: M = 3(X - Z^2)(X + Z^2)
-    p = spec.p
-    if not Y or not Z:
-        return (1, 1, 0)
-    ZZ = Z * Z % p
-    M = 3 * (X - ZZ) * (X + ZZ) % p
-    YY = Y * Y % p
-    S = 4 * X * YY % p
-    X3 = (M * M - 2 * S) % p
-    Y3 = (M * (S - X3) - 8 * YY * YY) % p
-    Z3 = 2 * Y * Z % p
-    return (X3, Y3, Z3)
-
-
-def _add_mixed(spec, X1, Y1, Z1, x2, y2):
-    p = spec.p
-    if not Z1:
-        return (x2, y2, 1)
-    Z1Z1 = Z1 * Z1 % p
-    U2 = x2 * Z1Z1 % p
-    S2 = y2 * Z1Z1 * Z1 % p
-    H = (U2 - X1) % p
-    R = (S2 - Y1) % p
-    if H == 0:
-        if R == 0:
-            return _dbl(spec, X1, Y1, Z1)
-        return (1, 1, 0)
-    HH = H * H % p
-    HHH = HH * H % p
-    V = X1 * HH % p
-    X3 = (R * R - HHH - 2 * V) % p
-    Y3 = (R * (V - X3) - Y1 * HHH) % p
-    Z3 = Z1 * H % p
-    return (X3, Y3, Z3)
-
-
-def _to_affine(spec, X, Y, Z):
-    if not Z:
-        return None
-    p = spec.p
-    zi = pow(Z, -1, p)
-    zi2 = zi * zi % p
-    return (X * zi2 % p, Y * zi2 * zi % p)
+@lru_cache(maxsize=len(CURVES))
+def _ops(spec: CurveSpec):
+    """The curve's (dbl, add_mixed, to_affine), bound once per curve."""
+    return jacobian_ops(spec.p, spec.a)
 
 
 def point_mul(spec: CurveSpec, pt, k: int):
@@ -111,17 +71,18 @@ def point_add(spec: CurveSpec, a, b):
         return b
     if b is None:
         return a
-    X, Y, Z = _add_mixed(spec, a[0], a[1], 1, b[0], b[1])
-    return _to_affine(spec, X, Y, Z)
+    _, add_mixed, to_affine = _ops(spec)
+    return to_affine(*add_mixed(a[0], a[1], 1, b[0], b[1]))
 
 
 @lru_cache(maxsize=128)
 def _comb(spec: CurveSpec, x: int, y: int) -> PointComb:
     """The table for one curve point, kept per (curve, point) value: the base
     point's serves signing, a public key's serves every verify under it."""
+    _, add_mixed, to_affine = _ops(spec)
     return PointComb(
-        (x, y), (spec.n.bit_length() + 3) // 4, partial(_add_mixed, spec),
-        partial(jacobian_to_affine, p=spec.p), partial(_to_affine, spec), (1, 1, 0),
+        (x, y), (spec.n.bit_length() + 3) // 4, add_mixed,
+        partial(jacobian_to_affine, p=spec.p), to_affine, (1, 1, 0),
     )
 
 

@@ -7,7 +7,9 @@ components, and bytes past the end of the outer TLV are all rejected, each as
 a CodecError.
 
 Varint lengths: one byte below 253; 0xFD + 2-byte big-endian up to 65535;
-0xFE + 4-byte big-endian below 2^32.  Larger fields do not encode.
+0xFE + 4-byte big-endian below 2^32.  Larger fields do not encode, and a
+0xFF (8-byte) prefix decodes as OversizeField.  _Reader.read_len is the one
+decoder of this form, for packet TLVs and key records alike.
 """
 
 from __future__ import annotations
@@ -119,31 +121,9 @@ def pack_varbytes(value: bytes) -> bytes:
 
 def unpack_varbytes(buf: bytes, pos: int = 0) -> tuple[bytes, int]:
     """Inverse of pack_varbytes; returns (value, next offset)."""
-    if pos >= len(buf):
-        raise TruncatedPacket("missing length prefix")
-    first = buf[pos]
-    pos += 1
-    if first < 0xFD:
-        length = first
-    elif first == 0xFD:
-        if pos + 2 > len(buf):
-            raise TruncatedPacket("cut off inside a 2-byte length")
-        length = int.from_bytes(buf[pos : pos + 2], "big")
-        pos += 2
-        if length < 0xFD:
-            raise NonMinimalLength("2-byte length used for a small value")
-    elif first == 0xFE:
-        if pos + 4 > len(buf):
-            raise TruncatedPacket("cut off inside a 4-byte length")
-        length = int.from_bytes(buf[pos : pos + 4], "big")
-        pos += 4
-        if length <= 0xFFFF:
-            raise NonMinimalLength("4-byte length used for a small value")
-    else:
-        raise OversizeField("length prefix beyond the 4-byte varint range")
-    if pos + length > len(buf):
-        raise TruncatedPacket("value shorter than its length prefix")
-    return buf[pos : pos + length], pos + length
+    rd = _Reader(buf, pos, len(buf))
+    value = rd.read_value(rd.read_len())
+    return value, rd.pos
 
 
 def _encode_components(name: Name) -> bytes:
@@ -193,35 +173,42 @@ class _Reader:
     def at_end(self) -> bool:
         return self.pos >= self.end
 
-    def read_tl(self) -> tuple[int, int]:
+    def read_len(self) -> int:
+        """One varint length; the value it announces must fit before end."""
         buf, pos, end = self.buf, self.pos, self.end
-        if pos + 2 > end:
-            raise TruncatedPacket("header runs past the buffer")
-        typ = buf[pos]
-        first = buf[pos + 1]
-        pos += 2
+        if pos >= end:
+            raise TruncatedPacket("missing length prefix")
+        first = buf[pos]
+        pos += 1
         if first < 0xFD:
             length = first
         elif first == 0xFD:
             if pos + 2 > end:
-                raise TruncatedPacket("2-byte length runs past the buffer")
+                raise TruncatedPacket("cut off inside a 2-byte length")
             length = int.from_bytes(buf[pos : pos + 2], "big")
             pos += 2
             if length < 0xFD:
                 raise NonMinimalLength("2-byte form used for a short length")
         elif first == 0xFE:
             if pos + 4 > end:
-                raise TruncatedPacket("4-byte length runs past the buffer")
+                raise TruncatedPacket("cut off inside a 4-byte length")
             length = int.from_bytes(buf[pos : pos + 4], "big")
             pos += 4
             if length <= 0xFFFF:
                 raise NonMinimalLength("4-byte form used for a short length")
         else:
-            raise NonMinimalLength("0xFF length prefix is not assigned")
+            raise OversizeField("length prefix beyond the 4-byte varint range")
         if pos + length > end:
             raise TruncatedPacket("value runs past the buffer")
         self.pos = pos
-        return typ, length
+        return length
+
+    def read_tl(self) -> tuple[int, int]:
+        pos = self.pos
+        if pos >= self.end:
+            raise TruncatedPacket("header runs past the buffer")
+        self.pos = pos + 1
+        return self.buf[pos], self.read_len()
 
     def read_value(self, length: int) -> bytes:
         v = self.buf[self.pos : self.pos + length]
@@ -229,8 +216,8 @@ class _Reader:
         return v
 
 
-def _decode_components(buf: bytes, pos: int, end: int) -> tuple[bytes, ...]:
-    rd = _Reader(buf, pos, end)
+def _decode_components(value: bytes) -> tuple[bytes, ...]:
+    rd = _Reader(value, 0, len(value))
     comps = []
     while not rd.at_end():
         typ, length = rd.read_tl()
@@ -294,8 +281,7 @@ def decode(buf: bytes) -> Packet:
 
     if typ == TYPE_INTEREST:
         fields = _read_fields(_Reader(buf, rd.pos, body_end), _INTEREST_FIELDS)
-        name_v = fields[TYPE_NAME]
-        comps = _decode_components_bytes(name_v)
+        comps = _decode_components(fields[TYPE_NAME])
         if not comps:
             raise MissingField("interest name has no components")
         if len(fields[TYPE_NONCE]) != 4:
@@ -309,7 +295,7 @@ def decode(buf: bytes) -> Packet:
         )
 
     fields = _read_fields(_Reader(buf, rd.pos, body_end), _DATA_FIELDS)
-    comps = _decode_components_bytes(fields[TYPE_NAME])
+    comps = _decode_components(fields[TYPE_NAME])
     if not comps:
         raise MissingField("data name has no components")
     if len(fields[TYPE_SCHEME_ID]) != 1:
@@ -317,11 +303,7 @@ def decode(buf: bytes) -> Packet:
     return Data(
         name=Name(comps),
         content=fields[TYPE_CONTENT],
-        key_locator=Name(_decode_components_bytes(fields[TYPE_KEY_LOCATOR])),
+        key_locator=Name(_decode_components(fields[TYPE_KEY_LOCATOR])),
         scheme_id=fields[TYPE_SCHEME_ID][0],
         signature=fields[TYPE_SIGNATURE],
     )
-
-
-def _decode_components_bytes(value: bytes) -> tuple[bytes, ...]:
-    return _decode_components(value, 0, len(value))

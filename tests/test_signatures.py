@@ -5,14 +5,18 @@ import random
 import pytest
 import sympy
 
-from ndnkit.intmath import i2osp, os2ip
+from ndnkit.intmath import i2osp, jacobian_ops, os2ip
+from ndnkit.pairing import CURVE_ORDER, G2Point
 from ndnkit.signatures import (
     SCHEME_BLS,
     SCHEME_DSA,
     SCHEME_ECDSA,
     SCHEME_GROUP,
+    SCHEME_NAMES,
+    SCHEME_NC,
     SCHEME_RING,
     SCHEME_RSA,
+    GroupPublicKey,
     IndexOutOfRing,
     OpenFailure,
     ParameterError,
@@ -755,6 +759,118 @@ def test_load_maps_bad_bls_points_to_parameter_error(bls_key):
     blob[-41] = 0x07
     with pytest.raises(ParameterError):
         load_private(bytes(blob))
+
+
+# sha256 of (serialize_public, serialize_private) for the module's seeded keys.
+# Key records are stored and exchanged, so their bytes are pinned.
+_KEY_RECORD_DIGESTS = {
+    "rsa": ("bfe12b6ec9acc0185cb5c882e08dc8c02e056d14067e13963c8c5689cb94747a",
+            "5cfae99ca8a06e5dcda8bc64de7343b2ea491b1ee9b03077eb8c7e2cc1f1631e"),
+    "dsa": ("d6d1b78bb65cd63987f4962fa90b83735710415c21011f6f639833305de76b59",
+            "b53a840dbed43037f27f4384b7d4e23d8b819546d0a3d4a856ac9e623523c25a"),
+    "ecdsa": ("6486e21a275b85d6089da5ac494a45f41612d224c192464d3885e931ac3f2245",
+              "2dc12bb93b82a96a1cc062f57cbb79fc3f8bafd11cf359314df2951d951d272f"),
+    "bls": ("81d371ea1122c467aaa8a2442f0946a642bd48ce1aaeb5bc14c50d00ce25c6ba",
+            "c8cbe819b1cd1bc09e30a2e685f84c326cd91607f7d56a2b4512e72eb27a13d8"),
+    "group": ("0238fab3fc1eaff0277d0de116040e27127de943b8f79f74b274b4c4a2d5f0d2",
+              "9bb3cc20d542f3778e4169fce9624f1ee6f385846bfd86805ba82ca258c581ce"),
+    "ring": ("b8d54f99dd7104343b119fea5829553f651aa5ce189099274f7f73ac7713a694",
+             "d37773ffc2e41d5a9b033f56c44025a70d8fe797aa7bb3e39b081442ea3a15b4"),
+}
+
+
+def test_key_records_match_pinned_digests(rsa_key, dsa_key, ecdsa_key, bls_key, group, ring_keys):
+    pairs = {
+        "rsa": (rsa_key.public(), rsa_key),
+        "dsa": (dsa_key.public(), dsa_key),
+        "ecdsa": (ecdsa_key.public(), ecdsa_key),
+        "bls": (bls_key.public(), bls_key),
+        "group": (group.group_key, group.credentials[0]),
+        "ring": (ring_keys[0].public(), ring_keys[0]),
+    }
+    for name, (public, private) in pairs.items():
+        digests = tuple(
+            hashlib.sha256(blob).hexdigest()
+            for blob in (serialize_public(public), serialize_private(private))
+        )
+        assert digests == _KEY_RECORD_DIGESTS[name], name
+
+
+@pytest.mark.parametrize("sid", sorted(set(SCHEME_NAMES) - {SCHEME_NC}))
+def test_every_scheme_runs_through_the_table(sid):
+    """keygen (or group_setup), sign, verify, serialize and load for each scheme."""
+    rng = random.Random(sid)
+    params = default_params(sid)
+    others = []
+    if sid == SCHEME_GROUP:
+        setup = group_setup(params, rng)
+        private, public = setup.credentials[0], setup.group_key
+        sign_with = lambda key: group_sign(key, public, MSG, rng)
+    elif sid == SCHEME_RING:
+        others = [keygen(sid, params, rng).public() for _ in range(params.ring_size - 1)]
+        private = keygen(sid, params, rng)
+        public = private.public()
+        sign_with = lambda key: ring_sign([key.public()] + others, 0, key, MSG, rng)
+    else:
+        private = keygen(sid, params, rng)
+        public = private.public()
+        sign_with = lambda key: sign(key, MSG, rng)
+    loaded_public = load_public(serialize_public(public))
+    loaded_private = load_private(serialize_private(private))
+    assert (loaded_public, loaded_private) == (public, private)
+    check = verifier_for([loaded_public] + others if others else loaded_public)
+    for key in (private, loaded_private):
+        sig = sign_with(key)
+        assert check(MSG, sig) and not check(MSG + b"!", sig)
+
+
+def test_load_private_checks_rsa_exponent(rsa_key):
+    for d in (rsa_key.d + 2, 1):
+        with pytest.raises(ParameterError):
+            load_private(serialize_private(dataclasses.replace(rsa_key, d=d)))
+
+
+def test_load_private_checks_bls_secret_against_point(bls_key):
+    for x in (bls_key.x + 1, 0, CURVE_ORDER):
+        tampered = dataclasses.replace(bls_key, x=x)
+        with pytest.raises(ParameterError):
+            load_private(serialize_private(tampered))
+
+
+def test_load_private_checks_group_credential(group):
+    cred = group.credentials[0]
+    for x in (cred.x + 1, cred.x + DL_Q):
+        with pytest.raises(ParameterError):
+            load_private(serialize_private(dataclasses.replace(cred, x=x)))
+
+
+def test_load_public_validates_group_roster(group):
+    key = group.group_key
+    members = key.members
+    bad_keys = [
+        GroupPublicKey(manager_y=1, members=(1, 1)),
+        GroupPublicKey(manager_y=key.manager_y, members=()),
+        GroupPublicKey(manager_y=key.manager_y, members=members + members[:1]),
+        GroupPublicKey(manager_y=DL_P - 1, members=members),
+        GroupPublicKey(manager_y=key.manager_y, members=members + (DL_P - 1,)),
+    ]
+    for bad in bad_keys:
+        with pytest.raises(ParameterError):
+            load_public(serialize_public(bad))
+
+
+def test_load_public_rejects_the_bls_identity(bls_key):
+    identity = dataclasses.replace(bls_key.public(), point=G2Point(None))
+    with pytest.raises(ParameterError):
+        load_public(serialize_public(identity))
+
+
+def test_jacobian_ops_cover_a_zero_and_minus_three_only():
+    p = CURVES["secp160r1"].p
+    for a in (0, -3, p - 3):
+        assert len(jacobian_ops(p, a)) == 3
+    with pytest.raises(ValueError):
+        jacobian_ops(p, 7)
 
 
 # --- signature size table ----------------------------------------------------

@@ -3,6 +3,7 @@ from hypothesis import given, strategies as st
 
 from ndnkit import wire
 from ndnkit.naming import MalformedName, Name, parse_name
+from ndnkit.signatures import SCHEME_DSA, ParameterError, load_private, load_public
 from ndnkit.wire import (
     CodecError,
     Data,
@@ -190,6 +191,34 @@ def test_oversize_field_refused_on_encode():
     with pytest.raises(OversizeField):
         wire._encode_len(2**32)
     assert wire._encode_len(2**32 - 1) == b"\xfe\xff\xff\xff\xff"
+
+
+# Varint length fields that must not decode, with the CodecError each raises.
+_BAD_LENGTHS = [
+    (b"\xfd\x01", TruncatedPacket),  # cut off inside a 2-byte length
+    (b"\xfe\x00\x00\x01", TruncatedPacket),  # cut off inside a 4-byte length
+    (b"\x05", TruncatedPacket),  # announces more bytes than follow
+    (b"\xfd\x00\x04", NonMinimalLength),
+    (b"\xfe\x00\x00\x00\x04", NonMinimalLength),
+    (b"\xfe\x00\x00\xff\xff", NonMinimalLength),
+    (b"\xff" + bytes(8), OversizeField),  # 8-byte form: beyond the 4-byte range
+]
+
+
+@pytest.mark.parametrize("prefix, error", _BAD_LENGTHS)
+def test_bad_varint_lengths_raise_one_error_per_case(prefix, error):
+    name_tlv = bytes([0x07, 0x03, 0x08, 0x01, ord("a")])
+    inner = name_tlv + bytes([0x0A]) + prefix  # as the nonce's length
+    for blob in (bytes([0x05]) + prefix, bytes([0x05, len(inner)]) + inner):
+        with pytest.raises(error):
+            decode(blob)
+    with pytest.raises(error):
+        wire.unpack_varbytes(prefix)
+    with pytest.raises(error):
+        wire.unpack_varbytes(b"\x00" + prefix, 1)
+    for load in (load_public, load_private):
+        with pytest.raises(ParameterError):
+            load(bytes([SCHEME_DSA]) + prefix)
 
 
 def test_nonce_must_be_four_bytes():
