@@ -1,17 +1,19 @@
 """Verification accelerators: batching, aggregation, online/offline signing,
 and server-aided verification.
 
-Batching and aggregation exploit the pairing's linearity; the small random
-exponents (ell bits, default 80) bound a cheater's escape probability by
-2^-ell.  A BLS batch checks e(sum t_i sigma_i, g2) against the product over
-signers of e(sum t_i H(m_i), pk): one multi-exponentiation over all the
-signatures, one per signer over its message hashes, and 1 + #signers
-pairings under a single final exponentiation.  Online/offline signing moves
-the expensive base-scheme signature into a preparation phase by signing a
-chameleon hash, whose trapdoor later bends to the real message with two
-modular multiplications.  Server-aided verification ships both pairings of
-a BLS check to an untrusted helper and validates the answers against a
-blinded local relation.
+Batching and aggregation exploit the pairing's linearity.  A batch weights
+each entry by a random exponent of ELL = 80 bits, fixed at the suite's
+strength, which bounds a cheater's escape probability by 2^-80
+(Bellare-Garay-Rabin's small-exponent test, EUROCRYPT '98).  A BLS batch
+checks e(sum t_i sigma_i, g2) against the product over signers of
+e(sum t_i H(m_i), pk): one multi-exponentiation over all the signatures,
+one per signer over its message hashes, and 1 + #signers pairings under a
+single final exponentiation.  Online/offline signing moves the expensive
+base-scheme signature into a preparation phase by signing a chameleon
+hash, whose trapdoor later bends to the real message with two modular
+multiplications.  Server-aided verification ships both pairings of a BLS
+check to an untrusted helper and validates the answers against a blinded
+local relation.
 """
 
 from __future__ import annotations
@@ -23,16 +25,13 @@ from dataclasses import dataclass, field
 from typing import Callable, Protocol, Sequence
 
 from .pairing import (
-    CURVE_ORDER,
     G1Point,
     G2Point,
     GT_ONE,
-    g1_generator,
     g2_generator,
     gt_deserialize,
     gt_exp,
     gt_generator,
-    gt_inv,
     gt_mul,
     gt_serialize,
     hash_to_g1,
@@ -50,6 +49,7 @@ from .signatures import (
     Signature,
     TokenReused,
     sign as base_sign,
+    signature_data,
     verify as base_verify,
 )
 from .signatures.bls import BlsPublicKey
@@ -63,22 +63,11 @@ from .signatures.chameleon import (
 from .signatures.dlgroup import element_bytes
 from .signatures.rsa import RsaPublicKey, domain_digest
 
-DEFAULT_ELL = 80
+ELL = 80
 
 
 class ServerUnavailable(RuntimeError):
     """The pairing server did not answer."""
-
-
-def _sig_bytes(sig: Signature | bytes, scheme_id: int) -> bytes:
-    if isinstance(sig, Signature):
-        if sig.scheme_id != scheme_id:
-            raise MixedScheme(
-                f"{SCHEME_NAMES.get(sig.scheme_id, sig.scheme_id)} signature "
-                f"in a {SCHEME_NAMES[scheme_id]} batch"
-            )
-        return sig.data
-    return sig
 
 
 # --- batch verification ------------------------------------------------------
@@ -86,11 +75,10 @@ def _sig_bytes(sig: Signature | bytes, scheme_id: int) -> bytes:
 
 @dataclass(frozen=True)
 class BatchInstance:
-    """One batch: a scheme, its (pk, msg, sig) triples, and the soundness knob."""
+    """One batch: a scheme and its (pk, msg, sig) triples."""
 
     scheme_id: int
     entries: Sequence[tuple[object, bytes, Signature | bytes]]
-    ell: int = DEFAULT_ELL
 
 
 def _batch_verify_bls(batch: BatchInstance) -> bool:
@@ -100,14 +88,13 @@ def _batch_verify_bls(batch: BatchInstance) -> bool:
     # per signer: the message hashes and their exponents
     per_key: dict[BlsPublicKey, tuple[list, list]] = {}
     for pk, msg, sig in batch.entries:
-        if getattr(pk, "scheme_id", None) != SCHEME_BLS:
-            raise MixedScheme("non-BLS key in a BLS batch")
-        raw = _sig_bytes(sig, SCHEME_BLS)
+        # MixedScheme is a ValueError, so the envelope is opened outside the try
+        raw = signature_data(sig, SCHEME_BLS, MixedScheme)
         try:
             sigma = G1Point.from_bytes(raw)
         except ValueError:
             return False
-        t = rng.randrange(1, 1 << batch.ell)
+        t = rng.randrange(1, 1 << ELL)
         sigmas.append(sigma.point)
         exps.append(t)
         hashes, signer_exps = per_key.setdefault(pk, ([], []))
@@ -130,20 +117,20 @@ def _batch_verify_rsa(batch: BatchInstance) -> bool:
     rng = random.SystemRandom()
     lhs = rhs = 1
     for _, msg, sig in batch.entries:
-        raw = _sig_bytes(sig, SCHEME_RSA)
+        raw = signature_data(sig, SCHEME_RSA, MixedScheme)
         if len(raw) != pk.byte_length:
             return False
         s = int.from_bytes(raw, "big")
         if s >= pk.n:
             return False
-        t = rng.randrange(1, 1 << batch.ell)
+        t = rng.randrange(1, 1 << ELL)
         lhs = lhs * pow(s, t, pk.n) % pk.n
         rhs = rhs * pow(domain_digest(msg, pk.n), t, pk.n) % pk.n
     return pow(lhs, pk.e, pk.n) == rhs
 
 
 def batch_verify(batch: BatchInstance) -> bool:
-    """Accept iff every entry is valid, up to 2^-ell soundness error.
+    """Accept iff every entry is valid, up to 2^-ELL soundness error.
 
     BLS batches collapse to 1 + #distinct-signers pairings; same-signer RSA
     uses exponent screening.  The remaining schemes have no known batching
@@ -151,8 +138,6 @@ def batch_verify(batch: BatchInstance) -> bool:
     """
     if not batch.entries:
         raise ParameterError("empty batch")
-    if batch.ell < 1:
-        raise ParameterError("ell must be positive")
     for pk, _, _ in batch.entries:
         sid = getattr(pk, "scheme_id", None)
         if sid != batch.scheme_id:
@@ -165,7 +150,7 @@ def batch_verify(batch: BatchInstance) -> bool:
     if batch.scheme_id == SCHEME_RSA:
         return _batch_verify_rsa(batch)
     return all(
-        base_verify(pk, msg, _sig_bytes(sig, batch.scheme_id))
+        base_verify(pk, msg, signature_data(sig, batch.scheme_id, MixedScheme))
         for pk, msg, sig in batch.entries
     )
 
@@ -196,7 +181,7 @@ def aggregate(
         raise ParameterError("nothing to aggregate")
     total = None
     for sig in sigs:
-        pt = G1Point.from_bytes(_sig_bytes(sig, SCHEME_BLS))
+        pt = G1Point.from_bytes(signature_data(sig, SCHEME_BLS, MixedScheme))
         total = pt if total is None else total.add(pt)
     return AggregateSignature(element=total, covers=tuple(covers))
 
@@ -305,10 +290,10 @@ class QueuePairingServer:
     """Message-passing server: requests and replies travel over queues, with
     a worker thread standing in for the remote helper."""
 
-    def __init__(self, worker: Callable[[bytes, bytes], bytes] | None = None,
-                 timeout: float = 5.0):
+    TIMEOUT_S = 5.0
+
+    def __init__(self, worker: Callable[[bytes, bytes], bytes] | None = None):
         self._requests: queue.Queue = queue.Queue()
-        self._timeout = timeout
         self._worker = worker or LocalPairingServer().query
         self._thread = threading.Thread(target=self._serve, daemon=True)
         self._thread.start()
@@ -328,7 +313,7 @@ class QueuePairingServer:
         reply: queue.Queue = queue.Queue()
         self._requests.put((g1_blob, g2_blob, reply))
         try:
-            answer = reply.get(timeout=self._timeout)
+            answer = reply.get(timeout=self.TIMEOUT_S)
         except queue.Empty:
             raise ServerUnavailable("pairing server timed out") from None
         if answer is None:
@@ -345,25 +330,24 @@ def sav_verify(
     sig: Signature | bytes,
     server: PairingServer,
     rng: random.Random | None = None,
-    ell: int = DEFAULT_ELL,
 ) -> bool:
     """BLS verification with both pairings delegated to an untrusted server.
 
     The signature is blinded as sigma~ = delta*sigma + r*g1 before leaving
     the verifier, and the answers must satisfy A == B^delta * gt^r.  A server
     that cannot solve discrete logs learns nothing about (delta, r), so even
-    one colluding with a forger hits the relation with probability 2^-ell.
+    one colluding with a forger hits the relation with probability 2^-ELL.
     Locally this costs group arithmetic only - zero pairings.
     """
     rng = rng or random.SystemRandom()
-    raw = _sig_bytes(sig, SCHEME_BLS)
+    raw = signature_data(sig, SCHEME_BLS, MixedScheme)
     try:
         sigma = G1Point.from_bytes(raw)
     except ValueError:
         return False
     h = hash_to_g1(msg)
-    delta = rng.randrange(1, 1 << ell)
-    r = rng.randrange(1, 1 << ell)
+    delta = rng.randrange(1, 1 << ELL)
+    r = rng.randrange(1, 1 << ELL)
     blinded = sigma.mul(delta).add(G1Point(g1_mul_gen(r)))
     a_blob = server.query(blinded.to_bytes(), g2_generator().to_bytes())
     b_blob = server.query(G1Point(h).to_bytes(), pk.point.to_bytes())

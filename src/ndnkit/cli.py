@@ -60,9 +60,9 @@ class BenchRow:
     msg_size: int
 
 
-def _scheme_id(name: str, roster=BENCH_SCHEMES) -> int:
-    if name not in roster:
-        raise UnknownScheme(f"unknown scheme {name!r}; choose from {', '.join(roster)}")
+def _scheme_id(name: str) -> int:
+    if name not in BENCH_SCHEMES:
+        raise UnknownScheme(f"unknown scheme {name!r}; choose from {', '.join(BENCH_SCHEMES)}")
     return _SCHEME_IDS[name]
 
 
@@ -104,8 +104,8 @@ class _SchemeHarness:
             self.verify = lambda msg, sig: sigs.verify(pub, msg, sig)
 
 
-def _timed(fn, args_per_iteration, warmup: int = WARMUP) -> list[int]:
-    for args in args_per_iteration[:warmup]:
+def _timed(fn, args_per_iteration) -> list[int]:
+    for args in args_per_iteration[:WARMUP]:
         fn(*args)
     samples = []
     for args in args_per_iteration:

@@ -6,10 +6,11 @@ import random
 _SMALL_PRIMES = [p for p in range(3, 2000) if all(p % d for d in range(2, p))]
 
 _sysrand = random.SystemRandom()
+MILLER_RABIN_ROUNDS = 40
 
 
-def is_probable_prime(n: int, rounds: int = 40, rng=None) -> bool:
-    """Miller-Rabin with trial division; error probability <= 4^-rounds."""
+def is_probable_prime(n: int, rng=None) -> bool:
+    """Miller-Rabin with trial division; error probability <= 4^-40."""
     if n < 2:
         return False
     for sp in _SMALL_PRIMES:
@@ -23,7 +24,7 @@ def is_probable_prime(n: int, rounds: int = 40, rng=None) -> bool:
     while d % 2 == 0:
         d //= 2
         s += 1
-    for _ in range(rounds):
+    for _ in range(MILLER_RABIN_ROUNDS):
         a = rng.randrange(2, n - 1)
         x = pow(a, d, n)
         if x == 1 or x == n - 1:
@@ -54,17 +55,10 @@ def os2ip(data: bytes) -> int:
     return int.from_bytes(data, "big")
 
 
-def mgf1(seed: bytes, length: int, hash_name: str = "sha256") -> bytes:
-    """Mask generation function from PKCS#1: counter-mode hash expansion."""
-    h = hashlib.new(hash_name)
-    out = bytearray()
-    counter = 0
-    while len(out) < length:
-        c = h.copy()
-        c.update(seed + counter.to_bytes(4, "big"))
-        out.extend(c.digest())
-        counter += 1
-    return bytes(out[:length])
+def mgf1(seed: bytes, length: int) -> bytes:
+    """PKCS#1's mask generation function over SHA-256: counter-mode hashing."""
+    blocks = range((length + 31) // 32)
+    return b"".join(hashlib.sha256(seed + i.to_bytes(4, "big")).digest() for i in blocks)[:length]
 
 
 def jacobian_ops(p: int, a: int):

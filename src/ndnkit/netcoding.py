@@ -20,6 +20,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import ClassVar
 
 from .pairing import (
     CURVE_ORDER,
@@ -69,15 +70,13 @@ class Generation:
     generation_id: bytes
     n: int = DATA_SLOTS
     m: int = GENERATION_SIZE
-    modulus: int = CURVE_ORDER
+    modulus: ClassVar[int] = CURVE_ORDER  # always the pairing group's order
 
     def __post_init__(self):
         if not self.generation_id:
             raise ParameterError("generation_id must be non-empty")
         if not 1 <= self.n <= 4096 or not 1 <= self.m <= 4096:
             raise ParameterError("generation dimensions must be in 1..4096")
-        if self.modulus != CURVE_ORDER:
-            raise ParameterError("field modulus must be the pairing group order")
 
     @property
     def dimension(self) -> int:

@@ -43,8 +43,6 @@ COUNTER_NAMES = (
 @dataclass
 class CsEntry:
     data: Data
-    inserted: int
-    last_access: int
     deadline: int
 
 
@@ -72,7 +70,6 @@ class ContentStore:
         if now >= entry.deadline:
             del self._entries[name]
             return None
-        entry.last_access = now
         self._entries.move_to_end(name)
         return entry.data
 
@@ -81,9 +78,7 @@ class ContentStore:
             return
         # a fresher duplicate overwrites the cached copy
         deadline = now + self.freshness_ms
-        self._entries[data.name] = CsEntry(
-            data=data, inserted=now, last_access=now, deadline=deadline
-        )
+        self._entries[data.name] = CsEntry(data=data, deadline=deadline)
         self._earliest_deadline = min(self._earliest_deadline, deadline)
         self._entries.move_to_end(data.name)
         self.evict(now)

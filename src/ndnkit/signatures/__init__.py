@@ -6,12 +6,12 @@ for keys, and verifier_for, which the node layer uses to turn a stored
 public key into a verifier callable.
 
 _SCHEMES maps each scheme id to one record: the public and private key
-classes; keygen, sign and verify; and one validator for loaded public keys
-and one for loaded private keys.  keygen, sign and verify are None where a
-key alone is not enough: group credentials come from group_setup and sign
-through group_sign, and rings sign and verify through ring_sign and
-ring_verify (or verifier_for over the ring's key list).  Network coding
-(SCHEME_NC) has its own key material in ndnkit.netcoding and no record.
+classes; keygen, sign and verify; and one validator each for public and
+private keys, run on every key record written or loaded.  keygen, sign and
+verify are None where a key alone is not enough: group credentials come
+from group_setup and sign through group_sign, and rings sign and verify
+through ring_sign and ring_verify (or verifier_for over the ring's key
+list).  SCHEME_NC has no record: network coding keys live in ndnkit.netcoding.
 
 A key record is the scheme byte followed by the key dataclass's fields in
 declaration order, each length-prefixed with the packet varint: an int as
@@ -29,7 +29,7 @@ from typing import Callable, Sequence
 from ..pairing import CURVE_ORDER, G2Point
 from ..pairing.curve import g2_mul_gen
 from ..wire import CodecError, pack_varbytes, unpack_varbytes
-from . import bls, dsa, ecdsa, group, ring, rsa
+from . import bls, dsa, ecdsa, ring, rsa
 from .bls import BlsPrivateKey, BlsPublicKey
 from .chameleon import (
     ChameleonKey,
@@ -93,6 +93,7 @@ __all__ = [
     "TokenReused",
     "MixedScheme",
     "Signature",
+    "signature_data",
     "keygen",
     "sign",
     "verify",
@@ -151,12 +152,16 @@ def _dl_secret_ok(key) -> bool:
 
 
 def _ecdsa_public_ok(key: EcdsaPublicKey) -> bool:
-    spec = CURVES[key.curve]
+    spec = CURVES.get(key.curve)
+    if spec is None:
+        return False
     return key.qx < spec.p and key.qy < spec.p and ecdsa.on_curve(spec, key.qx, key.qy)
 
 
 def _ecdsa_private_ok(key: EcdsaPrivateKey) -> bool:
-    spec = CURVES[key.curve]
+    spec = CURVES.get(key.curve)
+    if spec is None:
+        return False
     return 0 < key.d < spec.n and ecdsa.base_mul(spec, key.d) == (key.qx, key.qy)
 
 
@@ -245,12 +250,13 @@ def sign(key, msg: bytes, rng: random.Random | None = None) -> Signature:
     return Signature(scheme_id=sid, data=_record(sid, "sign").sign(key, msg, rng))
 
 
-def _raw(sig: Signature | bytes, expect: int) -> bytes:
+def signature_data(sig: Signature | bytes, expect: int, error: type = SchemeMismatch) -> bytes:
+    """sig's bytes; a Signature envelope of any scheme but expect raises error."""
     if isinstance(sig, Signature):
         if sig.scheme_id != expect:
-            raise SchemeMismatch(
+            raise error(
                 f"signature is {SCHEME_NAMES.get(sig.scheme_id, sig.scheme_id)}, "
-                f"key is {SCHEME_NAMES[expect]}"
+                f"expected {SCHEME_NAMES[expect]}"
             )
         return sig.data
     return sig
@@ -258,7 +264,7 @@ def _raw(sig: Signature | bytes, expect: int) -> bytes:
 
 def verify(key, msg: bytes, sig: Signature | bytes) -> bool:
     sid = key.scheme_id
-    return _record(sid, "verify").verify(key, msg, _raw(sig, sid))
+    return _record(sid, "verify").verify(key, msg, signature_data(sig, sid))
 
 
 def verifier_for(context) -> Callable[[bytes, bytes], bool]:
@@ -300,12 +306,9 @@ class _RecordReader:
 
     def take_curve(self) -> str:
         try:
-            name = self.take_bytes().decode()
+            return self.take_bytes().decode()
         except UnicodeDecodeError as exc:
             raise ParameterError("curve name is not UTF-8") from exc
-        if name not in CURVES:
-            raise ParameterError(f"unknown curve {name!r}")
-        return name
 
     def take_g2(self) -> G2Point:
         blob = self.take_bytes()
@@ -333,7 +336,16 @@ _FIELD_CODECS = {
 }
 
 
-def _write(cls: type, key) -> bytes:
+def _key_class(sid: int, public: bool) -> tuple[type, Callable]:
+    """Scheme sid's public or private key class and its validator."""
+    rec = _record(sid, "public")
+    return (rec.public, rec.public_ok) if public else (rec.private, rec.private_ok)
+
+
+def _write(key, public: bool) -> bytes:
+    cls, ok = _key_class(key.scheme_id, public)
+    if not ok(key):  # write no record that load_* would refuse
+        raise ParameterError(f"{cls.__name__} holds out-of-range or inconsistent values")
     return bytes([key.scheme_id]) + b"".join(
         _FIELD_CODECS[f.type][0](getattr(key, f.name)) for f in fields(cls)
     )
@@ -341,8 +353,7 @@ def _write(cls: type, key) -> bytes:
 
 def _read(blob: bytes, public: bool):
     rd = _RecordReader(blob)
-    rec = _record(rd.scheme_id, "public")
-    cls, ok = (rec.public, rec.public_ok) if public else (rec.private, rec.private_ok)
+    cls, ok = _key_class(rd.scheme_id, public)
     key = cls(**{f.name: _FIELD_CODECS[f.type][1](rd) for f in fields(cls)})
     rd.done()
     if not ok(key):
@@ -351,7 +362,7 @@ def _read(blob: bytes, public: bool):
 
 
 def serialize_public(key) -> bytes:
-    return _write(_record(key.scheme_id, "public").public, key)
+    return _write(key, public=True)
 
 
 def load_public(blob: bytes):
@@ -359,7 +370,7 @@ def load_public(blob: bytes):
 
 
 def serialize_private(key) -> bytes:
-    return _write(_record(key.scheme_id, "private").private, key)
+    return _write(key, public=False)
 
 
 def load_private(blob: bytes):

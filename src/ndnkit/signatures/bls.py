@@ -16,7 +16,7 @@ from ..pairing import (
     prepare_g2,
 )
 from ..pairing.curve import g1_mul, g2_mul_gen
-from .params import ParameterError, SCHEME_BLS, SchemeParams
+from .params import SCHEME_BLS, SchemeParams
 
 SIGNATURE_BYTES = G1Point.SIZE
 
@@ -40,8 +40,6 @@ class BlsPrivateKey:
 
 
 def keygen(params: SchemeParams, rng: random.Random | None = None) -> BlsPrivateKey:
-    if params.scheme_id != SCHEME_BLS:
-        raise ParameterError("params are not for BLS")
     rng = rng or random.SystemRandom()
     x = rng.randrange(1, CURVE_ORDER)
     return BlsPrivateKey(x=x, point=G2Point(g2_mul_gen(x)))

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from ..intmath import i2osp, os2ip
 from .dlgroup import gen_pow, key_pow, rand_scalar
-from .params import DL_G, DL_P, DL_Q, ParameterError, SCHEME_DSA, SchemeParams
+from .params import DL_P, DL_Q, SCHEME_DSA, SchemeParams
 
 
 @dataclass(frozen=True)
@@ -35,8 +35,6 @@ def _digest(msg: bytes) -> int:
 
 
 def keygen(params: SchemeParams, rng: random.Random | None = None) -> DsaPrivateKey:
-    if params.scheme_id != SCHEME_DSA:
-        raise ParameterError("params are not for DSA")
     rng = rng or random.SystemRandom()
     x = rand_scalar(rng)
     return DsaPrivateKey(x=x, y=gen_pow(x))

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import lru_cache, partial
 
 from ..intmath import PointComb, i2osp, jacobian_ops, jacobian_to_affine, os2ip
-from .params import CURVES, CurveSpec, ParameterError, SCHEME_ECDSA, SchemeParams
+from .params import CURVES, CurveSpec, SCHEME_ECDSA, SchemeParams
 
 
 @dataclass(frozen=True)
@@ -99,8 +99,6 @@ def _digest(spec: CurveSpec, msg: bytes) -> int:
 
 
 def keygen(params: SchemeParams, rng: random.Random | None = None) -> EcdsaPrivateKey:
-    if params.scheme_id != SCHEME_ECDSA:
-        raise ParameterError("params are not for ECDSA")
     rng = rng or random.SystemRandom()
     spec = CURVES[params.curve]
     d = rng.randrange(1, spec.n)

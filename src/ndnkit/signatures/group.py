@@ -22,7 +22,6 @@ from .dlgroup import (
     DL_P,
     DL_Q,
     element_bytes,
-    element_valid,
     gen_pow,
     hash_to_scalar,
     key_pow,
@@ -151,7 +150,8 @@ def group_verify(group_key: GroupPublicKey, msg: bytes, sig: bytes) -> bool:
     cert_s = os2ip(sig[148:168])
     c = os2ip(sig[168:188])
     s = os2ip(sig[188:208])
-    if y not in group_key.members or not element_valid(y):
+    # load_public or GroupSetup vetted each roster member; membership suffices
+    if y not in group_key.members:
         return False
     if not _schnorr_verify(
         group_key.manager_y, _CERT_TAG, element_bytes(y), cert_c, cert_s

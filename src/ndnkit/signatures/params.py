@@ -15,6 +15,7 @@ curve and "secp160r1" is the reference preset whose order matches the
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 SCHEME_RSA = 1
 SCHEME_DSA = 2
@@ -130,11 +131,10 @@ class SchemeParams:
 
     scheme_id: int
     rsa_bits: int = 1024
-    rsa_e: int = 65537
     curve: str = "p256"
     group_size: int = 5
-    ring_size: int = 5
     allow_insecure: bool = False
+    ring_size: ClassVar[int] = 5  # members of every ring the suite builds
 
     def __post_init__(self):
         if self.scheme_id not in SCHEME_NAMES:
@@ -143,10 +143,6 @@ class SchemeParams:
             raise ParameterError(f"unknown curve {self.curve!r}")
         if self.group_size < 1:
             raise ParameterError("group must have at least one member")
-        if self.ring_size < 2:
-            raise ParameterError("ring must have at least two members")
-        if self.rsa_e < 3 or self.rsa_e % 2 == 0:
-            raise ParameterError("RSA exponent must be odd and >= 3")
         if not self.allow_insecure and self.rsa_bits < 1024:
             raise ParameterError(
                 f"{self.rsa_bits}-bit RSA is a toy size; "

@@ -52,8 +52,6 @@ class RingPrivateKey:
 
 
 def keygen(params: SchemeParams, rng: random.Random | None = None) -> RingPrivateKey:
-    if params.scheme_id != SCHEME_RING:
-        raise ParameterError("params are not for the ring scheme")
     rng = rng or random.SystemRandom()
     x = rand_scalar(rng)
     return RingPrivateKey(x=x, y=gen_pow(x))

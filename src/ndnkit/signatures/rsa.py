@@ -17,6 +17,7 @@ from ..intmath import i2osp, mgf1, os2ip, random_prime
 from .params import SCHEME_RSA, ParameterError, SchemeParams
 
 _FDH_TAG = b"ndnkit/rsa-fdh/v1"
+PUBLIC_EXPONENT = 65537  # F4, for every key the suite generates
 
 
 @dataclass(frozen=True)
@@ -52,11 +53,8 @@ def _prime_distance_floor(bits: int) -> int:
 
 
 def keygen(params: SchemeParams, rng: random.Random | None = None) -> RsaPrivateKey:
-    if params.scheme_id != SCHEME_RSA:
-        raise ParameterError("params are not for RSA")
     rng = rng or random.SystemRandom()
     bits = params.rsa_bits
-    e = params.rsa_e
     half = bits // 2
     distance = 1 << _prime_distance_floor(bits)
     while True:
@@ -69,10 +67,10 @@ def keygen(params: SchemeParams, rng: random.Random | None = None) -> RsaPrivate
             continue
         phi = (p - 1) * (q - 1)
         try:
-            d = pow(e, -1, phi)
+            d = pow(PUBLIC_EXPONENT, -1, phi)
         except ValueError:
             continue  # e shares a factor with phi; redraw
-        return RsaPrivateKey(n=n, e=e, d=d, p=p, q=q)
+        return RsaPrivateKey(n=n, e=PUBLIC_EXPONENT, d=d, p=p, q=q)
 
 
 def domain_digest(msg: bytes, n: int) -> int:

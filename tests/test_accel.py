@@ -143,14 +143,28 @@ def test_batch_structural_guards(bls_keys, dsa_key):
     with pytest.raises(ParameterError):
         batch_verify(BatchInstance(SCHEME_BLS, []))
     entries = _bls_entries(bls_keys, 2)
-    with pytest.raises(ParameterError):
-        batch_verify(BatchInstance(SCHEME_BLS, entries, ell=0))
     mixed_key = entries[:1] + [(dsa_key.public(), MSG, sign(dsa_key, MSG))]
     with pytest.raises(MixedScheme):
         batch_verify(BatchInstance(SCHEME_BLS, mixed_key))
     mixed_sig = entries[:1] + [(bls_keys[1].public(), MSG, sign(dsa_key, MSG))]
     with pytest.raises(MixedScheme):
         batch_verify(BatchInstance(SCHEME_BLS, mixed_sig))
+
+
+def test_foreign_signature_envelope_is_mixed_scheme(bls_keys, dsa_key, rsa_key):
+    """A Signature tagged with another scheme raises MixedScheme, not
+    SchemeMismatch, from every multi-signature entry point."""
+    bls_key = bls_keys[0]
+    foreign = sign(dsa_key, MSG)
+    for scheme_id, pk in ((SCHEME_BLS, bls_key.public()), (SCHEME_RSA, rsa_key.public())):
+        with pytest.raises(MixedScheme):
+            batch_verify(BatchInstance(scheme_id, [(pk, MSG, foreign)]))
+    with pytest.raises(MixedScheme):
+        batch_verify(BatchInstance(SCHEME_DSA, [(dsa_key.public(), MSG, sign(bls_key, MSG))]))
+    with pytest.raises(MixedScheme):
+        aggregate([sign(bls_key, MSG), foreign], [(bls_key.public(), MSG)] * 2)
+    with pytest.raises(MixedScheme):
+        sav_verify(bls_key.public(), MSG, foreign, LocalPairingServer())
 
 
 # --- aggregation -------------------------------------------------------------

@@ -320,8 +320,6 @@ def test_generation_validation():
         Generation(b"g", n=0)
     with pytest.raises(ParameterError):
         Generation(b"g", m=0)
-    with pytest.raises(ParameterError):
-        Generation(b"g", modulus=CURVE_ORDER - 1)
 
 
 def test_packet_dimension_validation():

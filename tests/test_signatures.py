@@ -510,6 +510,19 @@ def test_group_tamper_rejected(group):
     assert not group_verify(gk, MSG, sig[:-1])
 
 
+def test_group_pseudonym_outside_the_subgroup_rejected(group):
+    """Group verify makes no subgroup check of its own on the pseudonym: a
+    pseudonym must sit in the roster, and the roster's members were each
+    checked once, when the key was loaded or built as g^x."""
+    gk = group.group_key
+    sig = group_sign(group.credentials[3], gk, MSG)
+    loaded = load_public(serialize_public(gk))
+    for key in (gk, loaded):
+        assert group_verify(key, MSG, sig)
+        for y in (DL_P - 1, 1, 0):
+            assert not group_verify(key, MSG, element_bytes(y) + sig[128:])
+
+
 def test_group_single_member_degenerate():
     params = SchemeParams(scheme_id=SCHEME_GROUP, group_size=1)
     setup = group_setup(params, rng=random.Random(16))
@@ -654,6 +667,35 @@ def test_verifier_for_ring(ring_keys, ring_pubs):
 # --- key serialization -------------------------------------------------------
 
 
+def _field(value) -> bytes:
+    if isinstance(value, tuple):
+        return _field(len(value)) + b"".join(map(_field, value))
+    if isinstance(value, G2Point):
+        return pack_varbytes(value.to_bytes())
+    if isinstance(value, str):
+        return pack_varbytes(value.encode())
+    return pack_varbytes(value.to_bytes(max(1, (value.bit_length() + 7) // 8), "big"))
+
+
+def _unchecked_record(key) -> bytes:
+    """key's record built by hand, field by field, with no validator run: the
+    way to hand a loader a record that serialize_* refuses to write."""
+    return bytes([key.scheme_id]) + b"".join(
+        _field(getattr(key, f.name)) for f in dataclasses.fields(key)
+    )
+
+
+def _refused_both_ways(key, public: bool) -> None:
+    """serialize_* will not write key, and load_* rejects its record."""
+    serialize, load = (
+        (serialize_public, load_public) if public else (serialize_private, load_private)
+    )
+    with pytest.raises(ParameterError):
+        serialize(key)
+    with pytest.raises(ParameterError):
+        load(_unchecked_record(key))
+
+
 def test_public_key_round_trips(rsa_key, dsa_key, ecdsa_key, bls_key, group, ring_keys):
     keys = [
         rsa_key.public(),
@@ -664,12 +706,14 @@ def test_public_key_round_trips(rsa_key, dsa_key, ecdsa_key, bls_key, group, rin
         ring_keys[0].public(),
     ]
     for key in keys:
+        assert serialize_public(key) == _unchecked_record(key)
         assert load_public(serialize_public(key)) == key
 
 
 def test_private_key_round_trips(rsa_key, dsa_key, ecdsa_key, bls_key, group, ring_keys):
     keys = [rsa_key, dsa_key, ecdsa_key, bls_key, group.credentials[0], ring_keys[0]]
     for key in keys:
+        assert serialize_private(key) == _unchecked_record(key)
         assert load_private(serialize_private(key)) == key
 
 
@@ -706,8 +750,7 @@ def test_load_validates_dl_secret(dsa_key):
 
 
 def _ecdsa_record(curve: bytes, *ints: int) -> bytes:
-    fields = [pack_varbytes(v.to_bytes(max(1, (v.bit_length() + 7) // 8), "big")) for v in ints]
-    return bytes([SCHEME_ECDSA]) + pack_varbytes(curve) + b"".join(fields)
+    return bytes([SCHEME_ECDSA]) + pack_varbytes(curve) + b"".join(map(_field, ints))
 
 
 def test_load_public_rejects_unreduced_ecdsa_coordinates(ecdsa_key):
@@ -739,6 +782,11 @@ def test_load_maps_bad_curve_text_to_parameter_error(ecdsa_key):
                        (load_private, (ecdsa_key.d, ecdsa_key.qx, ecdsa_key.qy))):
         with pytest.raises(ParameterError):
             load(_ecdsa_record(b"p\xff256", *ints))
+
+
+def test_unknown_curve_refused_both_ways(ecdsa_key):
+    _refused_both_ways(dataclasses.replace(ecdsa_key.public(), curve="p384"), public=True)
+    _refused_both_ways(dataclasses.replace(ecdsa_key, curve="p384"), public=False)
 
 
 def test_load_maps_truncated_records_to_parameter_error(dsa_key, ecdsa_key, group):
@@ -826,22 +874,18 @@ def test_every_scheme_runs_through_the_table(sid):
 
 def test_load_private_checks_rsa_exponent(rsa_key):
     for d in (rsa_key.d + 2, 1):
-        with pytest.raises(ParameterError):
-            load_private(serialize_private(dataclasses.replace(rsa_key, d=d)))
+        _refused_both_ways(dataclasses.replace(rsa_key, d=d), public=False)
 
 
 def test_load_private_checks_bls_secret_against_point(bls_key):
     for x in (bls_key.x + 1, 0, CURVE_ORDER):
-        tampered = dataclasses.replace(bls_key, x=x)
-        with pytest.raises(ParameterError):
-            load_private(serialize_private(tampered))
+        _refused_both_ways(dataclasses.replace(bls_key, x=x), public=False)
 
 
 def test_load_private_checks_group_credential(group):
     cred = group.credentials[0]
     for x in (cred.x + 1, cred.x + DL_Q):
-        with pytest.raises(ParameterError):
-            load_private(serialize_private(dataclasses.replace(cred, x=x)))
+        _refused_both_ways(dataclasses.replace(cred, x=x), public=False)
 
 
 def test_load_public_validates_group_roster(group):
@@ -855,14 +899,22 @@ def test_load_public_validates_group_roster(group):
         GroupPublicKey(manager_y=key.manager_y, members=members + (DL_P - 1,)),
     ]
     for bad in bad_keys:
-        with pytest.raises(ParameterError):
-            load_public(serialize_public(bad))
+        _refused_both_ways(bad, public=True)
+
+
+def test_serialize_refuses_a_fully_revoked_group():
+    setup = group_setup(SchemeParams(scheme_id=SCHEME_GROUP, group_size=2), random.Random(17))
+    setup.revoke(0)
+    assert load_public(serialize_public(setup.group_key)) == setup.group_key
+    setup.revoke(1)
+    assert setup.group_key.members == ()
+    with pytest.raises(ParameterError):
+        serialize_public(setup.group_key)
 
 
 def test_load_public_rejects_the_bls_identity(bls_key):
     identity = dataclasses.replace(bls_key.public(), point=G2Point(None))
-    with pytest.raises(ParameterError):
-        load_public(serialize_public(identity))
+    _refused_both_ways(identity, public=True)
 
 
 def test_jacobian_ops_cover_a_zero_and_minus_three_only():
