@@ -19,16 +19,14 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .curve import G1Point, G2Point, g1_generator, g2_generator
+from .curve import G1Point, G2Point, g1_generator, g2_generator, g2_psi
 from .fields import (
     F12_ONE,
-    GAMMA1,
     GT_ONE,
     P,
     X_PARAM,
     _naf,
     cyc_exp_x,
-    f2_conj,
     f2_inv,
     f2_mul,
     f2_neg,
@@ -50,10 +48,6 @@ _ATE_LOOP = 6 * X_PARAM + 2
 # MSB-first with the leading digit dropped (the accumulator starts at Q)
 _LOOP_DIGITS = tuple(_naf(_ATE_LOOP)[1:])
 
-# twist-point Frobenius: (x, y) -> (conj(x) * xi^((p-1)/3), conj(y) * xi^((p-1)/2))
-_FROB_CX = GAMMA1[2]
-_FROB_CY = GAMMA1[3]
-
 _pairing_calls = 0
 
 
@@ -69,11 +63,6 @@ class PreparedG2:
 
     def __init__(self, coeffs):
         self.coeffs = coeffs  # None encodes the identity point
-
-
-def _g2_frob(q):
-    x, y = q
-    return (f2_mul(f2_conj(x), _FROB_CX), f2_mul(f2_conj(y), _FROB_CY))
 
 
 def _line_through(t, q):
@@ -113,8 +102,8 @@ def prepare_g2(q) -> PreparedG2:
         if d:
             lam, c, t = _line_through(t, q if d == 1 else neg_q)
             coeffs.append((lam, c))
-    q1 = _g2_frob(q)
-    q2 = _g2_frob(q1)
+    q1 = g2_psi(q)
+    q2 = g2_psi(q1)
     q2 = (q2[0], f2_neg(q2[1]))
     lam, c, t = _line_through(t, q1)
     coeffs.append((lam, c))
@@ -219,7 +208,8 @@ def _miller_many(pairs):
     f = F12_ONE
     idx = 0
     for d in _LOOP_DIGITS:
-        f = f12_sqr(f)
+        if idx:  # the first squaring would square F12_ONE
+            f = f12_sqr(f)
         for yp, nxp, coeffs in live:
             lam, c = coeffs[idx]
             f = _mul_line(f, yp, lam, nxp, c)

@@ -5,14 +5,21 @@ G2: order-n subgroup of the D-type sextic twist E'(Fp2): y^2 = x^3 + 2/xi,
     twist cofactor 2p - n.
 
 Affine points are coordinate tuples (None is the identity); scalar
-multiplication runs in Jacobian coordinates with NAF digits.  The fixed
-generators additionally carry radix-16 comb tables so generator
-exponentiations (key generation, signing bases) cost ~40 mixed additions.
+multiplication runs in Jacobian coordinates.  The fixed generators carry
+radix-16 comb tables so generator exponentiations (key generation, signing
+bases) cost ~40 mixed additions.
 
 Sums k_1 B_1 + ... + k_n B_n run on one engine: width-w NAF digits (odd,
 within +-2^(w-1)) pick entries of per-base affine tables of odd multiples,
 over one run of doublings shared by all bases.  g1_multi_exp uses its
 tables once and takes w = 4; G1MultiExp keeps them and takes w = 8.
+Variable-base g1_mul (BLS signing, nc_sign, SAV blinding) is a two-base sum
+on the same engine: the GLV endomorphism phi(x, y) = (beta x, y) = [lambda]P
+splits the scalar into two halves below 2^80, halving the doublings.
+
+G2 scalar multiplication is a plain NAF ladder over Fp2.  Subgroup
+membership tests psi(Q) = [6x^2]Q with the twisted Frobenius psi (also the
+Miller loop's correction steps), a 78-bit multiplication instead of [n]Q.
 
 Generator provenance: g1 is the smallest-x curve point; g2 is the first
 twist point with x = (k, 1), k = 1, 2, ..., cleared by the twist cofactor.
@@ -30,15 +37,17 @@ from ..intmath import PointComb, jacobian_ops, jacobian_to_affine
 from .fields import (
     F2_ONE,
     F2_ZERO,
+    GAMMA1,
     N,
     P,
+    X_PARAM,
     XI,
     _naf,
     f2_add,
+    f2_conj,
     f2_inv,
     f2_mul,
     f2_neg,
-    f2_scal,
     f2_sqr,
     f2_sqrt,
     f2_sub,
@@ -87,21 +96,6 @@ def g1_add(a, b):
     if b is None:
         return a
     X, Y, Z = _jac_add_mixed(a[0], a[1], 1, b[0], b[1])
-    return _jac_to_affine(X, Y, Z)
-
-
-def g1_mul(pt, k: int):
-    k %= N
-    if pt is None or k == 0:
-        return None
-    neg = (pt[0], (-pt[1]) % P)
-    X, Y, Z = 1, 1, 0
-    for d in _naf(k):
-        X, Y, Z = _jac_dbl(X, Y, Z)
-        if d == 1:
-            X, Y, Z = _jac_add_mixed(X, Y, Z, pt[0], pt[1])
-        elif d == -1:
-            X, Y, Z = _jac_add_mixed(X, Y, Z, neg[0], neg[1])
     return _jac_to_affine(X, Y, Z)
 
 
@@ -217,6 +211,44 @@ def g1_multi_exp(points, scalars):
     return _multi_exp(_odd_multiples(points, _ONE_SHOT_WINDOW), scalars, _ONE_SHOT_WINDOW)
 
 
+# GLV (Gallant-Lambert-Vanstone, CRYPTO 2001): phi(x, y) = (beta x, y) is
+# [lambda] on G1, and k = k1 + k2 lambda (mod n) with |k1|, |k2| < 2^80 by
+# Babai rounding against a reduced basis of {(a, b): a + b lambda = 0 mod n}:
+# v1 = (-(2x+1), 6x^2+2x), v2 = (6x^2+4x+1, 2x+1), determinant -n.
+GLV_BETA = (18 * X_PARAM**3 + 18 * X_PARAM**2 + 9 * X_PARAM + 1) % P
+GLV_LAMBDA = (36 * X_PARAM**3 + 18 * X_PARAM**2 + 6 * X_PARAM + 1) % N
+_V_SHORT = 2 * X_PARAM + 1
+_V_LONG = 6 * X_PARAM**2 + 2 * X_PARAM
+
+
+def glv_split(k: int) -> tuple[int, int]:
+    """(k1, k2) with k1 + k2 * GLV_LAMBDA = k (mod n), both below 2^80 in
+    absolute value for 0 <= k < n."""
+    r1 = (2 * k * _V_SHORT + N) // (2 * N)
+    r2 = (2 * k * _V_LONG + N) // (2 * N)
+    return (
+        k - r1 * _V_SHORT - r2 * (_V_LONG + _V_SHORT),
+        r1 * _V_LONG - r2 * _V_SHORT,
+    )
+
+
+def g1_mul(pt, k: int):
+    """k * pt as k1 * pt + k2 * phi(pt) over ~80 shared doublings.  phi's row
+    of odd multiples is pt's with x scaled by beta, and a negative half takes
+    its row reversed, which is the row of the negated base."""
+    k %= N
+    if pt is None or k == 0:
+        return None
+    k1, k2 = glv_split(k)
+    row = _odd_multiples([pt], _ONE_SHOT_WINDOW)[0]
+    phi_row = [(GLV_BETA * x % P, y) for x, y in row]
+    if k1 < 0:
+        row, k1 = row[::-1], -k1
+    if k2 < 0:
+        phi_row, k2 = phi_row[::-1], -k2
+    return _multi_exp([row, phi_row], [k1, k2], _ONE_SHOT_WINDOW)
+
+
 # --- G2 arithmetic (over Fp2) ------------------------------------------------
 
 
@@ -227,39 +259,66 @@ def g2_on_twist(pt) -> bool:
     return f2_sub(f2_sqr(y), f2_add(f2_mul(f2_sqr(x), x), TWIST_B)) == F2_ZERO
 
 
+# The Jacobian formulas of intmath.jacobian_ops (dbl-2009-l, madd-2004-hmv)
+# over Fp2 = Fp[i]/(i^2 + 1), written out on the coordinate pairs:
+# (a0 + a1 i)(b0 + b1 i) = (a0 b0 - a1 b1) + (a0 b1 + a1 b0) i.
+
+
 def _jac2_dbl(X, Y, Z):
     if Y == F2_ZERO or Z == F2_ZERO:
         return (F2_ONE, F2_ONE, F2_ZERO)
-    A = f2_sqr(X)
-    B = f2_sqr(Y)
-    C = f2_sqr(B)
-    D = f2_scal(f2_sub(f2_sub(f2_sqr(f2_add(X, B)), A), C), 2)
-    E = f2_scal(A, 3)
-    X3 = f2_sub(f2_sqr(E), f2_scal(D, 2))
-    Y3 = f2_sub(f2_mul(E, f2_sub(D, X3)), f2_scal(C, 8))
-    Z3 = f2_scal(f2_mul(Y, Z), 2)
-    return (X3, Y3, Z3)
+    x0, x1 = X
+    y0, y1 = Y
+    z0, z1 = Z
+    a0, a1 = (x0 + x1) * (x0 - x1) % P, 2 * x0 * x1 % P  # A = X^2
+    b0, b1 = (y0 + y1) * (y0 - y1) % P, 2 * y0 * y1 % P  # B = Y^2
+    c0, c1 = (b0 + b1) * (b0 - b1) % P, 2 * b0 * b1 % P  # C = B^2
+    s0, s1 = x0 + b0, x1 + b1
+    d0 = 2 * ((s0 + s1) * (s0 - s1) - a0 - c0) % P  # D = 2((X + B)^2 - A - C)
+    d1 = 2 * (2 * s0 * s1 - a1 - c1) % P
+    e0, e1 = 3 * a0, 3 * a1  # E = 3A
+    n0 = ((e0 + e1) * (e0 - e1) - 2 * d0) % P  # X3 = E^2 - 2D
+    n1 = (2 * e0 * e1 - 2 * d1) % P
+    u0, u1 = d0 - n0, d1 - n1
+    return (
+        (n0, n1),
+        ((e0 * u0 - e1 * u1 - 8 * c0) % P, (e0 * u1 + e1 * u0 - 8 * c1) % P),  # E(D - X3) - 8C
+        (2 * (y0 * z0 - y1 * z1) % P, 2 * (y0 * z1 + y1 * z0) % P),  # 2YZ
+    )
 
 
 def _jac2_add_mixed(X1, Y1, Z1, x2, y2):
     if Z1 == F2_ZERO:
         return (x2, y2, F2_ONE)
-    Z1Z1 = f2_sqr(Z1)
-    U2 = f2_mul(x2, Z1Z1)
-    S2 = f2_mul(f2_mul(y2, Z1Z1), Z1)
-    H = f2_sub(U2, X1)
-    R = f2_sub(S2, Y1)
-    if H == F2_ZERO:
-        if R == F2_ZERO:
+    a0, a1 = X1
+    b0, b1 = Y1
+    c0, c1 = Z1
+    zz0, zz1 = (c0 + c1) * (c0 - c1) % P, 2 * c0 * c1 % P  # Z1^2
+    t0, t1 = (zz0 * c0 - zz1 * c1) % P, (zz0 * c1 + zz1 * c0) % P  # Z1^3
+    p0, p1 = x2
+    q0, q1 = y2
+    h0 = (p0 * zz0 - p1 * zz1 - a0) % P  # H = x2 Z1^2 - X1
+    h1 = (p0 * zz1 + p1 * zz0 - a1) % P
+    r0 = (q0 * t0 - q1 * t1 - b0) % P  # R = y2 Z1^3 - Y1
+    r1 = (q0 * t1 + q1 * t0 - b1) % P
+    if not (h0 or h1):
+        if not (r0 or r1):
             return _jac2_dbl(X1, Y1, Z1)
         return (F2_ONE, F2_ONE, F2_ZERO)
-    HH = f2_sqr(H)
-    HHH = f2_mul(HH, H)
-    V = f2_mul(X1, HH)
-    X3 = f2_sub(f2_sub(f2_sqr(R), HHH), f2_scal(V, 2))
-    Y3 = f2_sub(f2_mul(R, f2_sub(V, X3)), f2_mul(Y1, HHH))
-    Z3 = f2_mul(Z1, H)
-    return (X3, Y3, Z3)
+    hh0, hh1 = (h0 + h1) * (h0 - h1) % P, 2 * h0 * h1 % P  # H^2
+    g0, g1 = (hh0 * h0 - hh1 * h1) % P, (hh0 * h1 + hh1 * h0) % P  # H^3
+    v0, v1 = (a0 * hh0 - a1 * hh1) % P, (a0 * hh1 + a1 * hh0) % P  # V = X1 H^2
+    n0 = ((r0 + r1) * (r0 - r1) - g0 - 2 * v0) % P  # X3 = R^2 - H^3 - 2V
+    n1 = (2 * r0 * r1 - g1 - 2 * v1) % P
+    w0, w1 = v0 - n0, v1 - n1
+    return (
+        (n0, n1),
+        (
+            (r0 * w0 - r1 * w1 - b0 * g0 + b1 * g1) % P,  # R(V - X3) - Y1 H^3
+            (r0 * w1 + r1 * w0 - b0 * g1 - b1 * g0) % P,
+        ),
+        ((c0 * h0 - c1 * h1) % P, (c0 * h1 + c1 * h0) % P),  # Z1 H
+    )
 
 
 def _jac2_to_affine(X, Y, Z):
@@ -283,14 +342,10 @@ def g2_add(a, b):
     return _jac2_to_affine(X, Y, Z)
 
 
-def g2_mul(pt, k: int, reduce_mod_n: bool = True):
-    if reduce_mod_n:
-        k %= N
+def g2_mul(pt, k: int):
+    k %= N
     if pt is None or k == 0:
         return None
-    if k < 0:
-        pt = g2_neg(pt)
-        k = -k
     neg = g2_neg(pt)
     X, Y, Z = F2_ONE, F2_ONE, F2_ZERO
     for d in _naf(k):
@@ -302,13 +357,32 @@ def g2_mul(pt, k: int, reduce_mod_n: bool = True):
     return _jac2_to_affine(X, Y, Z)
 
 
+# psi = untwist, p-power Frobenius, twist:
+# (x, y) -> (conj(x) xi^((p-1)/3), conj(y) xi^((p-1)/2))
+_PSI_CX = GAMMA1[2]
+_PSI_CY = GAMMA1[3]
+# psi acts on G2 as [p] = [p - n] = [6x^2]
+PSI_EIGENVALUE = 6 * X_PARAM**2
+
+
+def g2_psi(pt):
+    x, y = pt
+    return (f2_mul(f2_conj(x), _PSI_CX), f2_mul(f2_conj(y), _PSI_CY))
+
+
 def g2_in_subgroup(pt) -> bool:
-    """Order-n membership; twist points have cofactor 2p-n, so this matters."""
+    """Order-n membership; twist points have cofactor 2p-n, so this matters.
+
+    psi satisfies psi^2 - t psi + p = 0 on the whole twist (t = 6x^2 + 1),
+    so psi(Q) = [c]Q with c = 6x^2 gives [c^2 - t c + p]Q = [n]Q = 0
+    (El Housni-Guillevic-Piellard, AFRICACRYPT 2022): a 78-bit
+    multiplication instead of one by n.
+    """
     if pt is None:
         return True
     if not g2_on_twist(pt):
         return False
-    return g2_mul(pt, N, reduce_mod_n=False) is None
+    return g2_psi(pt) == g2_mul(pt, PSI_EIGENVALUE)
 
 
 def _normalize2(jac):

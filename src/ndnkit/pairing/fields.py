@@ -386,14 +386,15 @@ def _naf(k):
     return out
 
 
-NAF_X = tuple(_naf(X_PARAM))
+# the top NAF digit is always 1: exponentiations start at r = f and walk the rest
+_NAF_X_TAIL = tuple(_naf(X_PARAM))[1:]
 
 
 def cyc_exp_x(f):
     """f^x for unitary f, NAF digits with free inversion by conjugation."""
     fc = f12_conj(f)
-    r = F12_ONE
-    for d in NAF_X:
+    r = f
+    for d in _NAF_X_TAIL:
         r = gs_sqr(r)
         if d == 1:
             r = f12_mul(r, f)
@@ -407,8 +408,8 @@ def cyc_exp(f, e):
     if e == 0:
         return F12_ONE
     fc = f12_conj(f)
-    r = F12_ONE
-    for d in _naf(e):
+    r = f
+    for d in _naf(e)[1:]:
         r = gs_sqr(r)
         if d == 1:
             r = f12_mul(r, f)

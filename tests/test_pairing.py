@@ -11,6 +11,8 @@ import random
 
 import pytest
 
+from ndnkit.accel import LocalPairingServer, sav_verify
+from ndnkit.netcoding import Generation, nc_keygen, nc_sign, split_and_augment
 from ndnkit.pairing import (
     CURVE_ORDER,
     FIELD_PRIME,
@@ -33,6 +35,7 @@ from ndnkit.pairing import (
     prepare_g2,
 )
 from ndnkit.pairing import ate, curve, fields
+from ndnkit.signatures import SCHEME_BLS, keygen, sign
 
 N = CURVE_ORDER
 P = FIELD_PRIME
@@ -77,22 +80,76 @@ def test_g2_generator_in_subgroup():
     assert curve.g2_in_subgroup(g)
 
 
+def _twist_affine_add(a, b):
+    """a + b on the twist by the affine chord-tangent formulas: an oracle
+    that shares no code with curve's Jacobian ladder."""
+    if a is None:
+        return b
+    if b is None:
+        return a
+    (x1, y1), (x2, y2) = a, b
+    if x1 == x2:
+        if fields.f2_add(y1, y2) == fields.F2_ZERO:
+            return None
+        num = fields.f2_scal(fields.f2_sqr(x1), 3)
+        den = fields.f2_scal(y1, 2)
+    else:
+        num = fields.f2_sub(y2, y1)
+        den = fields.f2_sub(x2, x1)
+    lam = fields.f2_mul(num, fields.f2_inv(den))
+    x3 = fields.f2_sub(fields.f2_sub(fields.f2_sqr(lam), x1), x2)
+    return (x3, fields.f2_sub(fields.f2_mul(lam, fields.f2_sub(x1, x3)), y1))
+
+
+def _twist_times(q, k):
+    """[k]q by affine double-and-add, k taken as is (no reduction mod n)."""
+    acc = None
+    for bit in bin(k)[2:]:
+        acc = _twist_affine_add(acc, acc)
+        if bit == "1":
+            acc = _twist_affine_add(acc, q)
+    return acc
+
+
+def _raw_twist_points(count):
+    """Twist points (k, 1), k = 2, 3, ..., with no cofactor clearing."""
+    out = []
+    k = 2
+    while len(out) < count:
+        x = (k, 1)
+        y = fields.f2_sqrt(fields.f2_add(fields.f2_mul(fields.f2_sqr(x), x), curve.TWIST_B))
+        if y is not None:
+            out.append((x, y))
+        k += 1
+    return out
+
+
 def test_twist_point_outside_subgroup_is_detected():
-    # walk twist x-coordinates until one yields a point; with cofactor
-    # 2p - n it is (overwhelmingly) not in the order-n subgroup
-    for k in range(2, 50):
-        x = ((k, 1), None)
-        rhs = fields.f2_add(
-            fields.f2_mul(fields.f2_sqr(x[0]), x[0]), curve.TWIST_B
-        )
-        y = fields.f2_sqrt(rhs)
-        if y is None:
-            continue
-        pt = (x[0], y)
-        if curve.g2_mul(pt, N, reduce_mod_n=False) is not None:
+    # with cofactor 2p - n a raw twist point is (overwhelmingly) outside G2
+    for pt in _raw_twist_points(5):
+        if _twist_times(pt, N) is not None:
             assert not curve.g2_in_subgroup(pt)
             return
     pytest.fail("no low-order twist point found to exercise the check")
+
+
+def test_psi_membership_agrees_with_the_order_n_oracle():
+    x = fields.X_PARAM
+    c, t = curve.PSI_EIGENVALUE, 6 * x * x + 1
+    # psi^2 - t psi + p = 0 on the twist, so psi(Q) = [c]Q forces [n]Q = 0
+    assert c == 6 * x * x and c * c - t * c + P == N
+    g = g2_generator().point
+    assert curve.g2_psi(g) == curve.g2_mul(g, P)
+    raw = _raw_twist_points(8)
+    members = [curve.g2_mul_gen(rand_scalar()) for _ in range(4)]
+    # [n]R has order dividing the cofactor; R + S mixes both components
+    low_order = [_twist_times(r, N) for r in raw[:3]]
+    mixed = [_twist_affine_add(r, s) for r, s in zip(raw[3:6], members)]
+    cleared = [_twist_times(raw[6], 2 * P - N)]
+    points = raw + members + low_order + mixed + cleared + [g, None]
+    verdicts = [curve.g2_in_subgroup(pt) for pt in points]
+    assert verdicts == [_twist_times(pt, N) is None if pt else True for pt in points]
+    assert sum(verdicts) == len(members) + len(cleared) + 2
 
 
 # --- group arithmetic --------------------------------------------------------
@@ -116,6 +173,10 @@ def test_g2_group_laws():
     qb = curve.g2_mul(g, b)
     assert curve.g2_add(qa, qb) == curve.g2_mul(g, (a + b) % N)
     assert curve.g2_add(qa, curve.g2_neg(qa)) is None
+    # the Jacobian ladder against the affine oracle, doubling branch included
+    assert curve.g2_add(qa, qb) == _twist_affine_add(qa, qb)
+    assert curve.g2_add(qa, qa) == _twist_affine_add(qa, qa) == curve.g2_mul(g, 2 * a)
+    assert curve.g2_mul(qa, b) == _twist_times(qa, b)
 
 
 def test_fixed_base_combs_match_generic_mul():
@@ -227,6 +288,75 @@ def test_cached_multi_exp_is_reusable():
     expected = [_naive_multi_exp(bases, v) for v in vectors]
     assert [cached.combine(v) for v in vectors] == expected
     assert [cached.combine(v) for v in reversed(vectors)] == expected[::-1]
+
+
+# --- GLV variable-base multiplication -----------------------------------------
+
+
+def test_glv_endomorphism_relations():
+    assert pow(curve.GLV_BETA, 3, P) == 1 != curve.GLV_BETA
+    lam = curve.GLV_LAMBDA
+    assert (lam * lam + lam + 1) % N == 0
+    g = g1_generator().point
+    assert _double_and_add(g, lam) == (curve.GLV_BETA * g[0] % P, g[1])
+
+
+def _glv_scalars():
+    lam = curve.GLV_LAMBDA
+    edges = [0, 1, N - 1, N, N + 1, lam, N - lam, (1 << 80) - 1, 1 << 159]
+    rng = random.Random(0x61F)
+    return edges + [rng.randrange(N) for _ in range(500)]
+
+
+def test_glv_split_identity_and_bound():
+    halves = []
+    for k in _glv_scalars():
+        k1, k2 = curve.glv_split(k % N)
+        assert (k1 + k2 * curve.GLV_LAMBDA - k) % N == 0
+        assert abs(k1) < 1 << 80 and abs(k2) < 1 << 80
+        halves.append((k1, k2))
+    # the scalars reach every sign case of the two-row multiply
+    assert {k1 == 0 for k1, _ in halves} == {True, False}
+    assert {k2 == 0 for _, k2 in halves} == {True, False}
+    assert any(k1 < 0 for k1, _ in halves) and any(k2 < 0 for _, k2 in halves)
+
+
+def test_glv_mul_matches_double_and_add():
+    b = _random_bases(1)[0]
+    scalars = _glv_scalars()
+    for k in scalars:
+        assert curve.g1_mul(b, k) == _double_and_add(b, k % N)
+    neg_b = curve.g1_neg(b)
+    for k in scalars[:9]:
+        assert curve.g1_mul(neg_b, k) == curve.g1_neg(curve.g1_mul(b, k))
+        assert curve.g1_mul(None, k) is None
+
+
+def test_variable_base_outputs_are_pinned():
+    """BLS signatures, nc_sign signatures, SAV verdicts and G1Point.mul
+    products for seeded keys, digested at the NAF double-and-add g1_mul
+    that GLV replaced."""
+    h = hashlib.sha256()
+    rng = random.Random(0x6C5)
+    keys = [keygen(SCHEME_BLS, rng=rng) for _ in range(3)]
+    for i in range(12):
+        h.update(sign(keys[i % 3], rng.randbytes(rng.randrange(1, 1200))).data)
+    nc_key = nc_keygen(random.Random(0x6C6))
+    gen = Generation(b"golden", n=4, m=2)
+    content = random.Random(0x6C7).randbytes(gen.capacity())
+    for v in split_and_augment(content, gen.n, gen.m):
+        h.update(nc_sign(nc_key, gen, v).signature.to_bytes())
+    sig = sign(keys[0], b"sav")
+    for s in range(3):
+        verdict = sav_verify(keys[0].public(), b"sav", sig, LocalPairingServer(),
+                             rng=random.Random(s))
+        h.update(bytes([verdict]))
+    pt = G1Point(hash_to_g1(b"blind"))
+    for d in (1, 2, (1 << 80) - 1, rng.randrange(1 << 80)):
+        h.update(pt.mul(d).to_bytes())
+    assert h.hexdigest() == (
+        "10f560c64c26da526d6adeeb398463157066faa04c00386cfa2664cf142ef8c2"
+    )
 
 
 # --- hashing to G1 -----------------------------------------------------------
@@ -350,6 +480,8 @@ def test_cyclotomic_exponentiation_matches_generic():
     u = rand_unitary()
     e = RNG.randrange(1, 1 << 64)
     assert fields.cyc_exp(u, e) == fields.f12_pow(u, e)
+    for e in (0, 1, 2, 3, 7):
+        assert fields.cyc_exp(u, e) == fields.f12_pow(u, e)
     assert fields.cyc_exp_x(u) == fields.f12_pow(u, fields.X_PARAM)
 
 
@@ -462,13 +594,8 @@ def test_g1_from_bytes_rejects_garbage():
 
 def test_g2_from_bytes_enforces_subgroup():
     # find a twist point outside the order-n subgroup and serialize it by hand
-    for k in range(2, 60):
-        x = (k, 1)
-        rhs = fields.f2_add(fields.f2_mul(fields.f2_sqr(x), x), curve.TWIST_B)
-        y = fields.f2_sqrt(rhs)
-        if y is None:
-            continue
-        if curve.g2_mul((x, y), N, reduce_mod_n=False) is None:
+    for x, y in _raw_twist_points(5):
+        if _twist_times((x, y), N) is None:
             continue
         blob = (
             bytes([0x02 | (y[0] & 1 if y[0] else y[1] & 1)])
