@@ -2,6 +2,7 @@
 
 import hashlib
 import random
+from typing import Callable, NamedTuple
 
 _SMALL_PRIMES = [p for p in range(3, 2000) if all(p % d for d in range(2, p))]
 
@@ -61,15 +62,47 @@ def mgf1(seed: bytes, length: int) -> bytes:
     return b"".join(hashlib.sha256(seed + i.to_bytes(4, "big")).digest() for i in blocks)[:length]
 
 
-def jacobian_ops(p: int, a: int):
-    """(dbl, add_mixed, to_affine) for y^2 = x^3 + ax + b over F_p in
-    Jacobian coordinates, for a = 0 and a = -3.  The formulas are from
-    Bernstein-Lange's Explicit-Formulas Database: doubling by dbl-2009-l
-    (a = 0) or dbl-2001-b (a = -3), and mixed addition by madd-2004-hmv,
-    falling back to doubling on equal inputs.
+class CurveOps(NamedTuple):
+    """One elliptic-curve group, as the scalar-multiplication engines see it.
 
-    Points are (X, Y, Z) with the identity at Z = 0; add_mixed adds an
-    affine (x, y), and to_affine returns None for the identity.
+    Points are affine (x, y) tuples with None for the identity, or Jacobian
+    (X, Y, Z) with the identity at Z = 0; coordinates are ints for F_p or
+    pairs for F_p2.  dbl(X, Y, Z) doubles and add_mixed(X, Y, Z, x, y) adds
+    an affine point to a Jacobian one; normalize maps a list of Jacobian
+    points, none the identity, to affine with a single inversion.  neg
+    negates a y-coordinate, and identity is (one, one, zero) of the
+    coordinate field.
+    """
+
+    dbl: Callable
+    add_mixed: Callable
+    normalize: Callable
+    neg: Callable
+    identity: tuple
+
+    def to_affine(self, X, Y, Z):
+        """One Jacobian point to affine, None for the identity."""
+        return None if Z == self.identity[2] else self.normalize([(X, Y, Z)])[0]
+
+    def add(self, a, b):
+        """a + b on affine points."""
+        if a is None:
+            return b
+        if b is None:
+            return a
+        return self.to_affine(*self.add_mixed(a[0], a[1], self.identity[0], b[0], b[1]))
+
+    def negate(self, pt):
+        return None if pt is None else (pt[0], self.neg(pt[1]))
+
+
+def jacobian_ops(p: int, a: int) -> CurveOps:
+    """The group y^2 = x^3 + ax + b over F_p, for a = 0 and a = -3.  The
+    formulas are from Bernstein-Lange's Explicit-Formulas Database: doubling
+    by dbl-2009-l (a = 0) or dbl-2001-b (a = -3), and mixed addition by
+    madd-2004-hmv, falling back to doubling on equal inputs.  normalize is
+    Montgomery's trick: invert the product of the Zs, then peel off one Z at
+    a time.
     """
     if a % p == 0:
 
@@ -120,34 +153,23 @@ def jacobian_ops(p: int, a: int):
         Y3 = (R * (V - X3) - Y1 * HHH) % p
         return (X3, Y3, Z1 * H % p)
 
-    def to_affine(X, Y, Z):
-        if not Z:
-            return None
-        zi = pow(Z, -1, p)
-        zi2 = zi * zi % p
-        return (X * zi2 % p, Y * zi2 * zi % p)
+    def normalize(points):
+        prefix = []
+        acc = 1
+        for _, _, Z in points:
+            prefix.append(acc)
+            acc = acc * Z % p
+        inv = pow(acc, -1, p)
+        out = [None] * len(points)
+        for i in range(len(points) - 1, -1, -1):
+            X, Y, Z = points[i]
+            zi = prefix[i] * inv % p
+            inv = inv * Z % p
+            zi2 = zi * zi % p
+            out[i] = (X * zi2 % p, Y * zi2 * zi % p)
+        return out
 
-    return dbl, add_mixed, to_affine
-
-
-def jacobian_to_affine(points, p: int) -> list[tuple[int, int]]:
-    """Jacobian points over F_p, none the identity, to affine with a single
-    inversion (Montgomery's trick: invert the product, then peel off one Z
-    at a time)."""
-    prefix = []
-    acc = 1
-    for _, _, Z in points:
-        prefix.append(acc)
-        acc = acc * Z % p
-    inv = pow(acc, -1, p)
-    out = [None] * len(points)
-    for i in range(len(points) - 1, -1, -1):
-        X, Y, Z = points[i]
-        zi = prefix[i] * inv % p
-        inv = inv * Z % p
-        zi2 = zi * zi % p
-        out[i] = (X * zi2 % p, Y * zi2 * zi % p)
-    return out
+    return CurveOps(dbl, add_mixed, normalize, lambda y: -y % p, (1, 1, 0))
 
 
 class CombTable:
@@ -188,32 +210,29 @@ class CombTable:
 
 
 class PointComb:
-    """CombTable's radix-16 comb over an elliptic-curve group.
+    """CombTable's radix-16 comb over an elliptic-curve group (a CurveOps).
 
-    The curve comes as callbacks: add(X, Y, Z, x, y) adds an affine point to
-    a Jacobian one, normalize maps a list of Jacobian points to affine,
-    to_affine maps one (None for the identity), and identity is the Jacobian
-    identity (one, one, zero) of the coordinate field.  Row j holds
-    d * 16^j * base for d = 1..15; each row, with 16 * 16^j * base appended
-    to start the next, is built in Jacobian coordinates and normalized with
-    one inversion.
+    Row j holds d * 16^j * base for d = 1..15; each row, with 16 * 16^j *
+    base appended to start the next, is built in Jacobian coordinates and
+    normalized with one inversion.
     """
 
-    def __init__(self, base, windows: int, add, normalize, to_affine, identity):
-        self.add, self.to_affine, self.identity = add, to_affine, identity
+    def __init__(self, ops: CurveOps, base, windows: int):
+        self.ops = ops
         self.rows = []
+        add, one = ops.add_mixed, ops.identity[0]
         x, y = base
         for _ in range(windows):
-            jac = [(x, y, identity[0])]
+            jac = [(x, y, one)]
             for _ in range(15):
                 jac.append(add(*jac[-1], x, y))
-            *row, (x, y) = normalize(jac)
+            *row, (x, y) = ops.normalize(jac)
             self.rows.append(row)
 
     def mul(self, k: int):
         """k * base for 0 <= k < 16^windows."""
-        add, rows = self.add, self.rows
-        X, Y, Z = self.identity
+        add, rows = self.ops.add_mixed, self.rows
+        X, Y, Z = self.ops.identity
         j = 0
         while k:
             d = k & 15
@@ -222,4 +241,4 @@ class PointComb:
                 X, Y, Z = add(X, Y, Z, px, py)
             k >>= 4
             j += 1
-        return self.to_affine(X, Y, Z)
+        return self.ops.to_affine(X, Y, Z)

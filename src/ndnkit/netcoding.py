@@ -20,7 +20,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import ClassVar
 
 from .pairing import (
     CURVE_ORDER,
@@ -70,7 +69,6 @@ class Generation:
     generation_id: bytes
     n: int = DATA_SLOTS
     m: int = GENERATION_SIZE
-    modulus: ClassVar[int] = CURVE_ORDER  # always the pairing group's order
 
     def __post_init__(self):
         if not self.generation_id:
@@ -105,8 +103,7 @@ class CodedPacket:
                 f"vector has {len(self.vector)} elements, "
                 f"generation needs {self.generation.dimension}"
             )
-        q = self.generation.modulus
-        object.__setattr__(self, "vector", tuple(v % q for v in self.vector))
+        object.__setattr__(self, "vector", tuple(v % CURVE_ORDER for v in self.vector))
 
     @property
     def generation_id(self) -> bytes:
@@ -149,7 +146,7 @@ class CodedPacket:
         vector = []
         for _ in range(generation.dimension):
             el = int.from_bytes(blob[pos : pos + 20], "big")
-            if el >= generation.modulus:
+            if el >= CURVE_ORDER:
                 raise CodecError("vector element exceeds the field modulus")
             vector.append(el)
             pos += 20
@@ -236,8 +233,7 @@ def nc_sign(key: NcPrivateKey, generation: Generation, vector) -> CodedPacket:
         raise DimensionError(
             f"vector has {len(vector)} elements, generation needs {generation.dimension}"
         )
-    q = generation.modulus
-    reduced = tuple(v % q for v in vector)
+    reduced = tuple(v % CURVE_ORDER for v in vector)
     commit = _vector_commit(generation, reduced)
     if commit.is_identity():
         sigma = commit
@@ -268,14 +264,13 @@ def combine(packets, coeffs) -> CodedPacket:
     for p in packets[1:]:
         if p.generation != generation:
             raise GenerationMismatch("cannot combine packets across generations")
-    q = generation.modulus
-    scalars = [c % q for c in coeffs]
+    scalars = [c % CURVE_ORDER for c in coeffs]
     vector = [0] * generation.dimension
     for p, c in zip(packets, scalars):
         if c == 0:
             continue
         for j, v in enumerate(p.vector):
-            vector[j] = (vector[j] + c * v) % q
+            vector[j] = (vector[j] + c * v) % CURVE_ORDER
     sigma = g1_multi_exp([p.signature.point for p in packets], scalars)
     return CodedPacket(generation, tuple(vector), G1Point(sigma))
 
@@ -311,7 +306,7 @@ def decode(packets) -> bytes:
     originals = _solve(
         [p.coeff_part for p in packets],
         [p.data_part for p in packets],
-        generation.modulus,
+        CURVE_ORDER,
     )
     try:
         stream = b"".join(

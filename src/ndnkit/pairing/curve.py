@@ -5,9 +5,10 @@ G2: order-n subgroup of the D-type sextic twist E'(Fp2): y^2 = x^3 + 2/xi,
     twist cofactor 2p - n.
 
 Affine points are coordinate tuples (None is the identity); scalar
-multiplication runs in Jacobian coordinates.  The fixed generators carry
-radix-16 comb tables so generator exponentiations (key generation, signing
-bases) cost ~40 mixed additions.
+multiplication runs in Jacobian coordinates.  Each group is one
+intmath.CurveOps record, G1 and G2, and the engines below take the record.
+The fixed generators carry radix-16 comb tables so generator
+exponentiations (key generation, signing bases) cost ~40 mixed additions.
 
 Sums k_1 B_1 + ... + k_n B_n run on one engine: width-w NAF digits (odd,
 within +-2^(w-1)) pick entries of per-base affine tables of odd multiples,
@@ -17,7 +18,7 @@ Variable-base g1_mul (BLS signing, nc_sign, SAV blinding) is a two-base sum
 on the same engine: the GLV endomorphism phi(x, y) = (beta x, y) = [lambda]P
 splits the scalar into two halves below 2^80, halving the doublings.
 
-G2 scalar multiplication is a plain NAF ladder over Fp2.  Subgroup
+g2_mul is a one-base sum on the same engine over the G2 record.  Subgroup
 membership tests psi(Q) = [6x^2]Q with the twisted Frobenius psi (also the
 Miller loop's correction steps), a 78-bit multiplication instead of [n]Q.
 
@@ -30,10 +31,9 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from functools import partial
 from typing import Optional
 
-from ..intmath import PointComb, jacobian_ops, jacobian_to_affine
+from ..intmath import CurveOps, PointComb, jacobian_ops
 from .fields import (
     F2_ONE,
     F2_ZERO,
@@ -42,7 +42,6 @@ from .fields import (
     P,
     X_PARAM,
     XI,
-    _naf,
     f2_add,
     f2_conj,
     f2_inv,
@@ -83,21 +82,7 @@ def g1_on_curve(pt) -> bool:
     return (y * y - x * x * x - CURVE_B) % P == 0
 
 
-_jac_dbl, _jac_add_mixed, _jac_to_affine = jacobian_ops(P, 0)
-
-
-def g1_neg(pt):
-    return None if pt is None else (pt[0], (-pt[1]) % P)
-
-
-def g1_add(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    X, Y, Z = _jac_add_mixed(a[0], a[1], 1, b[0], b[1])
-    return _jac_to_affine(X, Y, Z)
-
+G1 = jacobian_ops(P, 0)
 
 _COMB_WINDOWS = (N.bit_length() + 3) // 4
 _g1_comb: Optional[PointComb] = None
@@ -107,11 +92,18 @@ def g1_mul_gen(k: int):
     """k * g1 through the fixed-base table."""
     global _g1_comb
     if _g1_comb is None:
-        _g1_comb = PointComb(
-            (G1_X, G1_Y), _COMB_WINDOWS, _jac_add_mixed,
-            partial(jacobian_to_affine, p=P), _jac_to_affine, (1, 1, 0),
-        )
+        _g1_comb = PointComb(G1, (G1_X, G1_Y), _COMB_WINDOWS)
     return _g1_comb.mul(k % N)
+
+
+def _g1_lift(x: int, parity: int):
+    """The G1 point over 0 <= x < P whose y has the given parity, or None
+    when x^3 + b is not a square (P = 3 mod 4, so a root is a power)."""
+    rhs = (x * x * x + CURVE_B) % P
+    y = pow(rhs, (P + 1) // 4, P)
+    if y * y % P != rhs:
+        return None
+    return (x, y if (y & 1) == parity else P - y)
 
 
 def hash_to_g1(msg: bytes):
@@ -119,45 +111,41 @@ def hash_to_g1(msg: bytes):
     for ctr in range(512):
         d = hashlib.sha256(_H2G1_TAG + ctr.to_bytes(2, "big") + msg).digest()
         x = int.from_bytes(d[:20], "big")
-        if x >= P:
-            continue
-        rhs = (x * x * x + CURVE_B) % P
-        y = pow(rhs, (P + 1) // 4, P)
-        if y * y % P != rhs:
-            continue
-        if (y & 1) != (d[20] & 1):
-            y = P - y
-        return (x, y)
+        pt = _g1_lift(x, d[20] & 1) if x < P else None
+        if pt is not None:
+            return pt
     raise RuntimeError("hash_to_g1 exhausted its counter")  # unreachable in practice
 
 
-def _odd_multiples(bases, w):
+def _odd_multiples(ops: CurveOps, bases, w):
     """Per base B, the affine row B, 3B, .., (2^(w-1) - 1)B, then the same
-    multiples negated (y -> P - y) in reverse order, so row[d >> 1] is dB for
-    every odd digit |d| < 2^(w-1): a negative d indexes from the end.  A None
-    base gets no row."""
+    multiples negated in reverse order, so row[d >> 1] is dB for every odd
+    digit |d| < 2^(w-1): a negative d indexes from the end.  A None base
+    gets no row.  No multiple jB with 1 <= j < 2^(w-1) may be the identity,
+    which holds for every point of G1 and of the twist."""
     live = [b for b in bases if b is not None]
     count = 1 << (w - 2)
-    twos = jacobian_to_affine([_jac_dbl(x, y, 1) for x, y in live], P)
+    dbl, add, one, neg = ops.dbl, ops.add_mixed, ops.identity[0], ops.neg
+    twos = ops.normalize([dbl(x, y, one) for x, y in live])
     jac = []
     for (x, y), (tx, ty) in zip(live, twos):
-        X, Y, Z = x, y, 1
+        X, Y, Z = x, y, one
         jac.append((X, Y, Z))
         for _ in range(count - 1):
-            X, Y, Z = _jac_add_mixed(X, Y, Z, tx, ty)
+            X, Y, Z = add(X, Y, Z, tx, ty)
             jac.append((X, Y, Z))
-    flat = jacobian_to_affine(jac, P)
+    flat = ops.normalize(jac)
     signed = iter(
-        flat[i : i + count] + [(x, P - y) for x, y in reversed(flat[i : i + count])]
+        flat[i : i + count] + [(x, neg(y)) for x, y in reversed(flat[i : i + count])]
         for i in range(0, len(flat), count)
     )
     return [None if b is None else next(signed) for b in bases]
 
 
-def _multi_exp(rows, scalars, w):
+def _multi_exp(ops: CurveOps, rows, scalars, w):
     """sum k_i * B_i by interleaved width-w NAFs over the rows of
     _odd_multiples: one shared doubling per bit, one mixed addition per
-    nonzero digit."""
+    nonzero digit.  Scalars are taken mod n, the order of G1 and G2."""
     if len(scalars) != len(rows):
         raise ValueError("scalar count does not match base count")
     scalars = [s % N for s in scalars]
@@ -178,13 +166,14 @@ def _multi_exp(rows, scalars, w):
                 d -= mask + 1
             adds[j].append(row[d >> 1])
             k -= d
-    X, Y, Z = 1, 1, 0
+    dbl, add = ops.dbl, ops.add_mixed
+    X, Y, Z = ops.identity
     for entries in reversed(adds):
         if Z:
-            X, Y, Z = _jac_dbl(X, Y, Z)
+            X, Y, Z = dbl(X, Y, Z)
         for x, y in entries:
-            X, Y, Z = _jac_add_mixed(X, Y, Z, x, y)
-    return _jac_to_affine(X, Y, Z)
+            X, Y, Z = add(X, Y, Z, x, y)
+    return ops.to_affine(X, Y, Z)
 
 
 _CACHED_WINDOW = 8
@@ -201,14 +190,14 @@ class G1MultiExp:
     """
 
     def __init__(self, bases):
-        self.tables = _odd_multiples(bases, _CACHED_WINDOW)
+        self.tables = _odd_multiples(G1, bases, _CACHED_WINDOW)
 
     def combine(self, scalars):
-        return _multi_exp(self.tables, scalars, _CACHED_WINDOW)
+        return _multi_exp(G1, self.tables, scalars, _CACHED_WINDOW)
 
 
 def g1_multi_exp(points, scalars):
-    return _multi_exp(_odd_multiples(points, _ONE_SHOT_WINDOW), scalars, _ONE_SHOT_WINDOW)
+    return _multi_exp(G1, _odd_multiples(G1, points, _ONE_SHOT_WINDOW), scalars, _ONE_SHOT_WINDOW)
 
 
 # GLV (Gallant-Lambert-Vanstone, CRYPTO 2001): phi(x, y) = (beta x, y) is
@@ -240,13 +229,13 @@ def g1_mul(pt, k: int):
     if pt is None or k == 0:
         return None
     k1, k2 = glv_split(k)
-    row = _odd_multiples([pt], _ONE_SHOT_WINDOW)[0]
+    row = _odd_multiples(G1, [pt], _ONE_SHOT_WINDOW)[0]
     phi_row = [(GLV_BETA * x % P, y) for x, y in row]
     if k1 < 0:
         row, k1 = row[::-1], -k1
     if k2 < 0:
         phi_row, k2 = phi_row[::-1], -k2
-    return _multi_exp([row, phi_row], [k1, k2], _ONE_SHOT_WINDOW)
+    return _multi_exp(G1, [row, phi_row], [k1, k2], _ONE_SHOT_WINDOW)
 
 
 # --- G2 arithmetic (over Fp2) ------------------------------------------------
@@ -321,40 +310,39 @@ def _jac2_add_mixed(X1, Y1, Z1, x2, y2):
     )
 
 
-def _jac2_to_affine(X, Y, Z):
-    if Z == F2_ZERO:
-        return None
-    zi = f2_inv(Z)
-    zi2 = f2_sqr(zi)
-    return (f2_mul(X, zi2), f2_mul(Y, f2_mul(zi2, zi)))
+def _normalize2(jac):
+    """G1's normalize over Fp2: one inversion for the whole list.  Written
+    out like _jac2_*, since with the f2 helpers g2_mul's two row
+    normalizations cost about 3% more of a checked G2 decode."""
+    prefix = []
+    a0, a1 = 1, 0
+    for _, _, (z0, z1) in jac:
+        prefix.append((a0, a1))
+        a0, a1 = (a0 * z0 - a1 * z1) % P, (a0 * z1 + a1 * z0) % P
+    d = pow(a0 * a0 + a1 * a1, -1, P)
+    i0, i1 = a0 * d % P, -a1 * d % P  # 1 / (Z_0 Z_1 ... Z_last)
+    out = [None] * len(jac)
+    for k in range(len(jac) - 1, -1, -1):
+        (x0, x1), (y0, y1), (z0, z1) = jac[k]
+        p0, p1 = prefix[k]
+        s0, s1 = (p0 * i0 - p1 * i1) % P, (p0 * i1 + p1 * i0) % P  # 1 / Z_k
+        i0, i1 = (i0 * z0 - i1 * z1) % P, (i0 * z1 + i1 * z0) % P
+        t0, t1 = (s0 + s1) * (s0 - s1) % P, 2 * s0 * s1 % P  # 1 / Z_k^2
+        c0, c1 = (t0 * s0 - t1 * s1) % P, (t0 * s1 + t1 * s0) % P  # 1 / Z_k^3
+        out[k] = (
+            ((x0 * t0 - x1 * t1) % P, (x0 * t1 + x1 * t0) % P),
+            ((y0 * c0 - y1 * c1) % P, (y0 * c1 + y1 * c0) % P),
+        )
+    return out
 
 
-def g2_neg(pt):
-    return None if pt is None else (pt[0], f2_neg(pt[1]))
-
-
-def g2_add(a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    X, Y, Z = _jac2_add_mixed(a[0], a[1], F2_ONE, b[0], b[1])
-    return _jac2_to_affine(X, Y, Z)
+G2 = CurveOps(_jac2_dbl, _jac2_add_mixed, _normalize2, f2_neg, (F2_ONE, F2_ONE, F2_ZERO))
 
 
 def g2_mul(pt, k: int):
-    k %= N
-    if pt is None or k == 0:
-        return None
-    neg = g2_neg(pt)
-    X, Y, Z = F2_ONE, F2_ONE, F2_ZERO
-    for d in _naf(k):
-        X, Y, Z = _jac2_dbl(X, Y, Z)
-        if d == 1:
-            X, Y, Z = _jac2_add_mixed(X, Y, Z, pt[0], pt[1])
-        elif d == -1:
-            X, Y, Z = _jac2_add_mixed(X, Y, Z, neg[0], neg[1])
-    return _jac2_to_affine(X, Y, Z)
+    """k * pt for any twist point pt: the twist cofactor's least prime factor
+    is 2017, so no entry of pt's row of odd multiples is the identity."""
+    return _multi_exp(G2, _odd_multiples(G2, [pt], _ONE_SHOT_WINDOW), [k], _ONE_SHOT_WINDOW)
 
 
 # psi = untwist, p-power Frobenius, twist:
@@ -385,34 +373,13 @@ def g2_in_subgroup(pt) -> bool:
     return g2_psi(pt) == g2_mul(pt, PSI_EIGENVALUE)
 
 
-def _normalize2(jac):
-    """jacobian_to_affine over Fp2: one f2_inv for the whole list."""
-    prefix = []
-    acc = F2_ONE
-    for _, _, Z in jac:
-        prefix.append(acc)
-        acc = f2_mul(acc, Z)
-    inv = f2_inv(acc)
-    out = [None] * len(jac)
-    for i in range(len(jac) - 1, -1, -1):
-        X, Y, Z = jac[i]
-        zi = f2_mul(prefix[i], inv)
-        inv = f2_mul(inv, Z)
-        zi2 = f2_sqr(zi)
-        out[i] = (f2_mul(X, zi2), f2_mul(Y, f2_mul(zi2, zi)))
-    return out
-
-
 _g2_comb: Optional[PointComb] = None
 
 
 def g2_mul_gen(k: int):
     global _g2_comb
     if _g2_comb is None:
-        _g2_comb = PointComb(
-            (G2_X, G2_Y), _COMB_WINDOWS, _jac2_add_mixed,
-            _normalize2, _jac2_to_affine, (F2_ONE, F2_ONE, F2_ZERO),
-        )
+        _g2_comb = PointComb(G2, (G2_X, G2_Y), _COMB_WINDOWS)
     return _g2_comb.mul(k % N)
 
 
@@ -435,10 +402,10 @@ class G1Point:
         return self.point is None
 
     def add(self, other: "G1Point") -> "G1Point":
-        return G1Point(g1_add(self.point, other.point))
+        return G1Point(G1.add(self.point, other.point))
 
     def neg(self) -> "G1Point":
-        return G1Point(g1_neg(self.point))
+        return G1Point(G1.negate(self.point))
 
     def mul(self, k: int) -> "G1Point":
         return G1Point(g1_mul(self.point, k))
@@ -461,13 +428,10 @@ class G1Point:
         x = int.from_bytes(blob[1:], "big")
         if x >= P:
             raise ValueError("G1 x-coordinate out of range")
-        rhs = (x * x * x + CURVE_B) % P
-        y = pow(rhs, (P + 1) // 4, P)
-        if y * y % P != rhs:
+        pt = _g1_lift(x, flag & 1)
+        if pt is None:
             raise ValueError("not a curve point")
-        if (y & 1) != (flag & 1):
-            y = P - y
-        return cls((x, y))
+        return cls(pt)
 
 
 @dataclass(frozen=True)
@@ -482,7 +446,7 @@ class G2Point:
         return self.point is None
 
     def add(self, other: "G2Point") -> "G2Point":
-        return G2Point(g2_add(self.point, other.point))
+        return G2Point(G2.add(self.point, other.point))
 
     def mul(self, k: int) -> "G2Point":
         return G2Point(g2_mul(self.point, k))

@@ -17,9 +17,9 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 
-from ..intmath import PointComb, i2osp, jacobian_ops, jacobian_to_affine, os2ip
+from ..intmath import CurveOps, PointComb, i2osp, jacobian_ops, os2ip
 from .params import CURVES, CurveSpec, SCHEME_ECDSA, SchemeParams
 
 
@@ -53,8 +53,8 @@ def on_curve(spec: CurveSpec, x: int, y: int) -> bool:
 
 
 @lru_cache(maxsize=len(CURVES))
-def _ops(spec: CurveSpec):
-    """The curve's (dbl, add_mixed, to_affine), bound once per curve."""
+def _ops(spec: CurveSpec) -> CurveOps:
+    """The curve's group record, built once per curve."""
     return jacobian_ops(spec.p, spec.a)
 
 
@@ -66,24 +66,11 @@ def point_mul(spec: CurveSpec, pt, k: int):
     return _comb(spec, pt[0], pt[1]).mul(k)
 
 
-def point_add(spec: CurveSpec, a, b):
-    if a is None:
-        return b
-    if b is None:
-        return a
-    _, add_mixed, to_affine = _ops(spec)
-    return to_affine(*add_mixed(a[0], a[1], 1, b[0], b[1]))
-
-
 @lru_cache(maxsize=128)
 def _comb(spec: CurveSpec, x: int, y: int) -> PointComb:
     """The table for one curve point, kept per (curve, point) value: the base
     point's serves signing, a public key's serves every verify under it."""
-    _, add_mixed, to_affine = _ops(spec)
-    return PointComb(
-        (x, y), (spec.n.bit_length() + 3) // 4, add_mixed,
-        partial(jacobian_to_affine, p=spec.p), to_affine, (1, 1, 0),
-    )
+    return PointComb(_ops(spec), (x, y), (spec.n.bit_length() + 3) // 4)
 
 
 def base_mul(spec: CurveSpec, k: int):
@@ -135,8 +122,7 @@ def verify(key: EcdsaPublicKey, msg: bytes, sig: bytes) -> bool:
         return False
     z = _digest(spec, msg)
     w = pow(s, -1, spec.n)
-    pt = point_add(
-        spec,
+    pt = _ops(spec).add(
         base_mul(spec, z * w % spec.n),
         point_mul(spec, (key.qx, key.qy), r * w % spec.n),
     )

@@ -15,7 +15,7 @@ from ndnkit import accel, cli, netcoding, simnet
 from ndnkit import signatures as sigs
 from ndnkit.naming import parse_name
 from ndnkit.node import Node
-from ndnkit.pairing import pairing_call_count
+from ndnkit.pairing import CURVE_ORDER, pairing_call_count
 from ndnkit.wire import Data, Interest, signed_portion
 
 
@@ -333,7 +333,7 @@ def test_criterion_07_network_coding_end_to_end():
             packets = [
                 netcoding.combine(
                     packets,
-                    [rng.randrange(generation.modulus) for _ in packets],
+                    [rng.randrange(CURVE_ORDER) for _ in packets],
                 )
                 for _ in range(generation.m)
             ]
@@ -344,7 +344,7 @@ def test_criterion_07_network_coding_end_to_end():
         slot = rng.randrange(victim.generation.dimension)
         forged_vector = list(victim.vector)
         forged_vector[slot] = (forged_vector[slot] + 1 + rng.randrange(1000)) \
-            % generation.modulus
+            % CURVE_ORDER
         forged = netcoding.CodedPacket(
             generation=victim.generation,
             vector=tuple(forged_vector),

@@ -12,6 +12,7 @@ import random
 import pytest
 
 from ndnkit.accel import LocalPairingServer, sav_verify
+from ndnkit.intmath import jacobian_ops
 from ndnkit.netcoding import Generation, nc_keygen, nc_sign, split_and_augment
 from ndnkit.pairing import (
     CURVE_ORDER,
@@ -35,7 +36,8 @@ from ndnkit.pairing import (
     prepare_g2,
 )
 from ndnkit.pairing import ate, curve, fields
-from ndnkit.signatures import SCHEME_BLS, keygen, sign
+from ndnkit.signatures import SCHEME_BLS, ecdsa, keygen, sign
+from ndnkit.signatures.params import CURVES
 
 N = CURVE_ORDER
 P = FIELD_PRIME
@@ -160,9 +162,9 @@ def test_g1_group_laws():
     a, b = rand_scalar(), rand_scalar()
     pa = curve.g1_mul(g, a)
     pb = curve.g1_mul(g, b)
-    assert curve.g1_add(pa, pb) == curve.g1_mul(g, (a + b) % N)
-    assert curve.g1_add(pa, curve.g1_neg(pa)) is None
-    assert curve.g1_add(pa, None) == pa
+    assert curve.G1.add(pa, pb) == curve.g1_mul(g, (a + b) % N)
+    assert curve.G1.add(pa, curve.G1.negate(pa)) is None
+    assert curve.G1.add(pa, None) == pa
     assert curve.g1_mul(pa, 0) is None
 
 
@@ -171,12 +173,48 @@ def test_g2_group_laws():
     a, b = rand_scalar(), rand_scalar()
     qa = curve.g2_mul(g, a)
     qb = curve.g2_mul(g, b)
-    assert curve.g2_add(qa, qb) == curve.g2_mul(g, (a + b) % N)
-    assert curve.g2_add(qa, curve.g2_neg(qa)) is None
-    # the Jacobian ladder against the affine oracle, doubling branch included
-    assert curve.g2_add(qa, qb) == _twist_affine_add(qa, qb)
-    assert curve.g2_add(qa, qa) == _twist_affine_add(qa, qa) == curve.g2_mul(g, 2 * a)
+    assert curve.G2.add(qa, qb) == curve.g2_mul(g, (a + b) % N)
+    assert curve.G2.add(qa, curve.G2.negate(qa)) is None
+    # the Jacobian formulas against the affine oracle, doubling branch included
+    assert curve.G2.add(qa, qb) == _twist_affine_add(qa, qb)
+    assert curve.G2.add(qa, qa) == _twist_affine_add(qa, qa) == curve.g2_mul(g, 2 * a)
     assert curve.g2_mul(qa, b) == _twist_times(qa, b)
+    for k in (0, 1, N - 1, N, N + 1, curve.PSI_EIGENVALUE):
+        assert curve.g2_mul(qa, k) == _twist_times(qa, k)
+        assert curve.g2_mul(None, k) is None
+    # membership multiplies twist points outside G2 by 6x^2 on the same engine,
+    # whose rows of odd multiples hold no identity while the cofactor has no
+    # small prime factor
+    assert all((2 * P - N) % q for q in range(2, 2017))
+    for r in _raw_twist_points(2):
+        assert curve.g2_mul(r, curve.PSI_EIGENVALUE) == _twist_times(r, curve.PSI_EIGENVALUE)
+
+
+def _group_record(name):
+    """A group's CurveOps and its generator's fixed-base multiplication."""
+    if name == "G1":
+        return curve.G1, curve.g1_mul_gen
+    if name == "G2":
+        return curve.G2, curve.g2_mul_gen
+    spec = CURVES[name]
+    return jacobian_ops(spec.p, spec.a), lambda k: ecdsa.base_mul(spec, k)
+
+
+@pytest.mark.parametrize("name", ["G1", "G2", "secp160r1", "p256"])
+def test_group_record_laws(name):
+    ops, mul = _group_record(name)
+    one = ops.identity[0]
+    scalars = [RNG.randrange(1, 1 << 150) for _ in range(4)]
+    pts = [mul(k) for k in scalars]
+    assert ops.add(pts[0], pts[1]) == mul(scalars[0] + scalars[1])
+    assert ops.add(None, None) is None and ops.negate(None) is None
+    for pt in pts:
+        assert ops.add(pt, None) == ops.add(None, pt) == pt
+        assert ops.add(pt, ops.negate(pt)) is None
+        assert ops.add(pt, pt) == ops.to_affine(*ops.dbl(*pt, one))
+    jac = [ops.dbl(*pt, one) for pt in pts]
+    jac += [ops.add_mixed(*j, *pt) for j, pt in zip(jac, pts[1:])]
+    assert ops.normalize(jac) == [ops.to_affine(*j) for j in jac]
 
 
 def test_fixed_base_combs_match_generic_mul():
@@ -196,7 +234,7 @@ def test_g1_multi_exp_matches_naive_sum():
     scalars = [rand_scalar() for _ in range(6)] + [rand_scalar()]
     expected = None
     for b, s in zip(bases, scalars):
-        expected = curve.g1_add(expected, curve.g1_mul(b, s))
+        expected = curve.G1.add(expected, curve.g1_mul(b, s))
     assert curve.g1_multi_exp(bases, scalars) == expected
 
 
@@ -211,16 +249,16 @@ def _double_and_add(base, k):
     """k * base by plain left-to-right double-and-add in affine form."""
     acc = None
     for bit in bin(k)[2:] if k > 0 else "":
-        acc = curve.g1_add(acc, acc)
+        acc = curve.G1.add(acc, acc)
         if bit == "1":
-            acc = curve.g1_add(acc, base)
+            acc = curve.G1.add(acc, base)
     return acc
 
 
 def _naive_multi_exp(bases, scalars):
     total = None
     for b, k in zip(bases, scalars):
-        total = curve.g1_add(total, _double_and_add(b, k))
+        total = curve.G1.add(total, _double_and_add(b, k))
     return total
 
 
@@ -258,7 +296,7 @@ def test_multi_exp_all_ones_scalars_carry_out_of_the_top_window():
 
 def test_multi_exp_identity_duplicate_and_negated_bases():
     b, c = _random_bases(2)
-    neg_b = curve.g1_neg(b)
+    neg_b = curve.G1.negate(b)
     k = rand_scalar()
     # equal digits land on the same bit: doubling and cancellation branches
     assert _both_entry_points([b, b], [k, k]) == curve.g1_mul(b, 2 * k)
@@ -267,7 +305,7 @@ def test_multi_exp_identity_duplicate_and_negated_bases():
     assert _both_entry_points([None, b, None], [k, 3, 7]) == curve.g1_mul(b, 3)
     assert _both_entry_points([None], [k]) is None
     assert _both_entry_points([], []) is None
-    mixed = [b, None, neg_b, b, c, c, curve.g1_neg(c)]
+    mixed = [b, None, neg_b, b, c, c, curve.G1.negate(c)]
     _both_entry_points(mixed, [rand_scalar() for _ in mixed])
     _both_entry_points(mixed, [1, 2, 1, 1, N - 1, 1, 1])
 
@@ -326,9 +364,9 @@ def test_glv_mul_matches_double_and_add():
     scalars = _glv_scalars()
     for k in scalars:
         assert curve.g1_mul(b, k) == _double_and_add(b, k % N)
-    neg_b = curve.g1_neg(b)
+    neg_b = curve.G1.negate(b)
     for k in scalars[:9]:
-        assert curve.g1_mul(neg_b, k) == curve.g1_neg(curve.g1_mul(b, k))
+        assert curve.g1_mul(neg_b, k) == curve.G1.negate(curve.g1_mul(b, k))
         assert curve.g1_mul(None, k) is None
 
 

@@ -920,7 +920,9 @@ def test_load_public_rejects_the_bls_identity(bls_key):
 def test_jacobian_ops_cover_a_zero_and_minus_three_only():
     p = CURVES["secp160r1"].p
     for a in (0, -3, p - 3):
-        assert len(jacobian_ops(p, a)) == 3
+        ops = jacobian_ops(p, a)
+        assert ops._fields == ("dbl", "add_mixed", "normalize", "neg", "identity")
+        assert all(callable(f) for f in ops[:4]) and ops.identity == (1, 1, 0)
     with pytest.raises(ValueError):
         jacobian_ops(p, 7)
 
