@@ -2,11 +2,19 @@
 
 A topology is consumers, routers, and producers joined by point-to-point
 links with integer-tick latencies; every node runs the forwarding pipeline
-from the node module, and packets cross links as encoded wire bytes. A
-scenario schedules consumer requests and cache-poisoning injections against
-that topology. run() replays the scenario event by event and returns a
-trace: ordered per-node records, final counters, and the outcome of every
-request.
+from the node module. A scenario schedules consumer requests and
+cache-poisoning injections against that topology. run() replays the scenario
+event by event and returns a trace: ordered per-node records, final counters,
+and the outcome of every request.
+
+Packets cross links as encoded wire bytes, but a packet is immutable and the
+codec canonical, so a run encodes each distinct packet once and decodes each
+distinct blob once: a Data forwarded unchanged, or answered from a cache,
+reuses its bytes, and every hop that receives those bytes shares one decoded
+object. The two memos hold at most CODEC_MEMO_ENTRIES packets and start over
+when full, and every SWEEP_TICKS ticks each node drops its expired PIT,
+duplicate-nonce and CS entries, so a run's state does not grow with its
+length. Neither changes a trace: expired entries already count as absent.
 
 Everything is derived from the config and its 64-bit seed: producer keys,
 packet payloads, nonces, and forged attack keys all come from seeded
@@ -32,13 +40,17 @@ from typing import Optional
 from . import signatures as sigs
 from .naming import Name, longest_prefix_match, parse_name
 from .node import Node
-from .wire import Data, Interest, decode, encode, signed_portion
+from .wire import Data, Interest, Packet, decode, encode, signed_portion
 
 APP_FACE = 0
 MAX_ATTEMPTS = 3
 DEFAULT_TICK_LIMIT = 100_000
 DEFAULT_LIFETIME_MS = 4_000
 PAYLOAD_BYTES = 64
+# distinct packets the codec memos hold before they start over
+CODEC_MEMO_ENTRIES = 4096
+# ticks between two sweeps of every node's expired state
+SWEEP_TICKS = 1000
 
 _ROLES = ("consumer", "router", "producer")
 _PRODUCER_SCHEMES = {
@@ -361,8 +373,11 @@ def inject_poison(scenario: Scenario, tick: int, router: str, name: Name) -> Sce
 # --- deterministic content ---------------------------------------------------
 
 
-def _stretch(tag: bytes, seed: int, name: Name) -> bytes:
-    material = tag + seed.to_bytes(8, "big") + str(name).encode()
+_CONTENT_TAG = b"ndnkit/sim-content/v1"
+
+
+def _stretch(tag: bytes, seed: int, text: str) -> bytes:
+    material = tag + seed.to_bytes(8, "big") + text.encode()
     out = b""
     counter = 0
     while len(out) < PAYLOAD_BYTES:
@@ -373,11 +388,11 @@ def _stretch(tag: bytes, seed: int, name: Name) -> bytes:
 
 def producer_payload(seed: int, name: Name) -> bytes:
     """The content bytes every producer publishes for a name under this seed."""
-    return _stretch(b"ndnkit/sim-content/v1", seed, name)
+    return _stretch(_CONTENT_TAG, seed, str(name))
 
 
 def forged_payload(seed: int, name: Name) -> bytes:
-    return _stretch(b"ndnkit/sim-poison/v1", seed, name)
+    return _stretch(b"ndnkit/sim-poison/v1", seed, str(name))
 
 
 def _rng_for(seed: int, *labels: str) -> random.Random:
@@ -400,6 +415,9 @@ class _Runner:
         # name text -> ticks of its emit records; ticks are logged in
         # non-decreasing order, so each list is sorted
         self.emit_ticks: dict[str, list[int]] = {}
+        # packet -> its encoding, and blob -> its decoded packet; see to_wire
+        self.blobs: dict[Packet, bytes] = {}
+        self.packets: dict[bytes, Packet] = {}
         self.heap: list[tuple] = []
         self.seq = 0
         self.nonce_rng = _rng_for(scenario.seed, "nonce")
@@ -438,6 +456,31 @@ class _Runner:
             text = self.texts[name] = str(name)
         return text
 
+    def to_wire(self, packet: Packet) -> bytes:
+        # encode and decode are looked up as module globals on every miss, so
+        # a patched codec still sees each real call; a CodecError stores nothing
+        blob = self.blobs.get(packet)
+        if blob is None:
+            blob = encode(packet)
+            self.make_room()
+            self.blobs[packet] = blob
+        return blob
+
+    def from_wire(self, blob: bytes) -> Packet:
+        packet = self.packets.get(blob)
+        if packet is None:
+            packet = decode(blob)
+            self.make_room()
+            self.packets[blob] = packet
+            self.blobs[packet] = blob
+        return packet
+
+    def make_room(self) -> None:
+        # every packets entry has its inverse in blobs, so blobs bounds both
+        if len(self.blobs) >= CODEC_MEMO_ENTRIES:
+            self.blobs.clear()
+            self.packets.clear()
+
     def log(self, tick: int, node_id: str, event: str, name: Name,
             face: Optional[int], nonce: Optional[int] = None) -> None:
         text = self.text(name)
@@ -461,7 +504,7 @@ class _Runner:
             self.log(tick, node_id, "emit_interest" if is_interest else "emit_data",
                      packet.name, face, packet.nonce if is_interest else None)
             peer, peer_face, latency = self.topology.faces[node_id][face]
-            self.push(tick + latency, peer, "arrive", (peer_face, encode(packet)))
+            self.push(tick + latency, peer, "arrive", (peer_face, self.to_wire(packet)))
 
     # -- applications --
 
@@ -502,7 +545,7 @@ class _Runner:
             data = self.sign_data(
                 binding,
                 interest.name,
-                producer_payload(self.scenario.seed, interest.name),
+                _stretch(_CONTENT_TAG, self.scenario.seed, self.text(interest.name)),
                 self.keys[binding.prefix],
             )
             self.published[interest.name] = data
@@ -518,7 +561,7 @@ class _Runner:
             scheme_id=binding.scheme_id,
             signature=b"",
         )
-        rng = _rng_for(self.scenario.seed, "sig", str(name))
+        rng = _rng_for(self.scenario.seed, "sig", self.text(name))
         return blank.with_signature(sigs.sign(key, signed_portion(blank), rng).data)
 
     def plant_poison(self, spec: AttackSpec, tick: int) -> None:
@@ -544,6 +587,17 @@ class _Runner:
         self.log(tick, spec.node, "poison", spec.name, None)
         self.nodes[spec.node].cs.put(data, tick)
 
+    def arrive(self, node_id: str, face: int, blob: bytes, tick: int) -> None:
+        packet = self.from_wire(blob)
+        node = self.nodes[node_id]
+        if isinstance(packet, Interest):
+            self.log(tick, node_id, "recv_interest", packet.name, face, packet.nonce)
+            emissions = node.process_interest(face, packet, tick)
+        else:
+            self.log(tick, node_id, "recv_data", packet.name, face)
+            emissions = node.process_data(face, packet, tick)
+        self.route_emissions(node_id, emissions, tick)
+
     # -- the loop --
 
     def run(self) -> Trace:
@@ -559,21 +613,19 @@ class _Runner:
         for attack in self.scenario.attacks:
             self.push(attack.tick, attack.node, "attack", attack)
 
+        next_sweep = SWEEP_TICKS
         while self.heap:
             tick, node_id, _, kind, payload = heapq.heappop(self.heap)
             if tick > self.scenario.tick_limit:
                 raise TickLimitExceeded(f"event at tick {tick} passed the limit")
+            if tick >= next_sweep:
+                # no later event is earlier than tick, and every node already
+                # treats state expired at tick as absent
+                for node in self.nodes.values():
+                    node.sweep(tick)
+                next_sweep = tick - tick % SWEEP_TICKS + SWEEP_TICKS
             if kind == "arrive":
-                face, blob = payload
-                packet = decode(blob)
-                node = self.nodes[node_id]
-                if isinstance(packet, Interest):
-                    self.log(tick, node_id, "recv_interest", packet.name, face, packet.nonce)
-                    emissions = node.process_interest(face, packet, tick)
-                else:
-                    self.log(tick, node_id, "recv_data", packet.name, face)
-                    emissions = node.process_data(face, packet, tick)
-                self.route_emissions(node_id, emissions, tick)
+                self.arrive(node_id, *payload, tick)
             elif kind == "request":
                 spec, result = payload
                 self.issue(spec, result, tick)

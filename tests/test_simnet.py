@@ -1,5 +1,7 @@
+import hashlib
 import json
 import random
+from collections import Counter
 
 import pytest
 
@@ -16,6 +18,7 @@ from ndnkit.simnet import (
     producer_payload,
     run,
 )
+from ndnkit.wire import CodecError, Interest, encode
 
 CONTENT_NAME = "/snnu/images/a.jpg/v1/s1"
 
@@ -433,7 +436,167 @@ def test_bookkeeping_formats_each_name_a_bounded_number_of_times(monkeypatch):
     assert all(r.delivered is not None for r in trace.requests)
     # every scheduled name and the producer prefix; a per-request or
     # per-record rescan would format names thousands of times here
-    assert calls <= 4 * (len(names) + 1)
+    assert calls <= 2 * (len(names) + 1)
+
+
+# --- the benchmark's tree: codec memos, sweeps and pinned digests ------------
+
+
+TREE_DEPTH = 5
+REQUEST_GAP_TICKS = 8
+ZIPF_NAMES = tuple(f"/snnu/obj{k}/v1/s1" for k in range(50))
+CHURN_NAMES = tuple(
+    f"/snnu/site{k % 8}/dept{k % 5}/videos/clip{k}/v1/res720/s{k % 3}" for k in range(4096)
+)
+
+
+def _bench_tree(scheme: str, verify: bool, names, zipf: bool, seed: int, requests: int) -> str:
+    """The benchmark's sim layout: a binary router tree of depth 5 under one
+    producer, two consumers per leaf router, and one request about every
+    8 ticks, names uniform or Zipf(1)."""
+    nodes, links = [{"id": "p0", "role": "producer"}], []
+    next_face: dict[str, int] = {}
+
+    def link(a: str, b: str) -> None:
+        fa = next_face[a] = next_face.get(a, 0) + 1
+        fb = next_face[b] = next_face.get(b, 0) + 1
+        links.append({"a": a, "a_face": fa, "b": b, "b_face": fb, "latency": 1})
+
+    routers = 2**TREE_DEPTH - 1
+    nodes += [{"id": f"r{i}", "role": "router"} for i in range(routers)]
+    link("r0", "p0")
+    for i in range(1, routers):
+        link(f"r{(i - 1) // 2}", f"r{i}")
+    consumers = []
+    for j in range((routers - routers // 2) * 2):
+        consumers.append(f"c{j}")
+        nodes.append({"id": f"c{j}", "role": "consumer", "verify": verify})
+        link(f"r{routers // 2 + j // 2}", f"c{j}")
+    rng = random.Random(f"ndnkit-perfbench/schedule/{seed}")
+    if zipf:
+        picks = rng.choices(names, weights=[1.0 / (k + 1) for k in range(len(names))],
+                            k=requests)
+    else:
+        picks = [rng.choice(names) for _ in range(requests)]
+    schedule = [
+        {"tick": i * REQUEST_GAP_TICKS + rng.randrange(REQUEST_GAP_TICKS),
+         "consumer": rng.choice(consumers), "name": name}
+        for i, name in enumerate(picks)
+    ]
+    return json.dumps({
+        "seed": seed, "nodes": nodes, "links": links, "schedule": schedule,
+        "producers": [{"prefix": "/snnu", "node": "p0", "scheme": scheme}],
+    })
+
+
+@pytest.mark.parametrize("shape, expected", [
+    (("bls", True, ZIPF_NAMES, True), (
+        "ae2b85dde2ce1bb7296a41029121e8cf8a38930fc4260dcd1403812f6c1ec639",
+        "87cfb8bdc9318ebd32375cbf3e7db0783f9d4ada213ae2f829adb14efd4d8ac0",
+    )),
+    (("ecdsa", False, CHURN_NAMES, False), (
+        "81439cf0af31eb2b6b8e6bb17b6662245d42155a45818e3552241b7f54a5bdc4",
+        "5be490755788e2464a3dde1cf19f2f8a89e66eb72722550f6acf8676788008fa",
+    )),
+])
+def test_benchmark_shaped_runs_replay_to_pinned_digests(shape, expected):
+    # taken before the codec memos and the sweep existed: neither may move a byte
+    trace = run(*load_config(_bench_tree(*shape, seed=7, requests=100)))
+    assert all(r.delivered is not None for r in trace.requests)
+    assert (
+        hashlib.sha256(trace.to_jsonl().encode()).hexdigest(),
+        hashlib.sha256(json.dumps(trace.counters, sort_keys=True).encode()).hexdigest(),
+    ) == expected
+
+
+def test_each_packet_is_encoded_once_and_each_blob_decoded_once(monkeypatch):
+    encoded, decoded = Counter(), Counter()
+    decode = simnet.decode
+
+    def counting_encode(packet):
+        encoded[packet] += 1
+        return encode(packet)
+
+    def counting_decode(blob):
+        decoded[blob] += 1
+        return decode(blob)
+
+    monkeypatch.setattr(simnet, "encode", counting_encode)
+    monkeypatch.setattr(simnet, "decode", counting_decode)
+    trace = run(*load_config(_bench_tree("ecdsa", False, CHURN_NAMES, False, 7, 100)))
+    assert all(r.delivered is not None for r in trace.requests)
+    assert set(encoded.values()) == {1}
+    assert set(decoded.values()) == {1}
+    # every blob that arrived is the encoding of one of those packets
+    assert set(decoded) == {encode(packet) for packet in encoded}
+    emits = sum(r["event"] in ("emit_interest", "emit_data") for r in trace.records)
+    assert emits > 4 * len(encoded)
+
+
+def test_a_malformed_blob_is_decoded_afresh_each_time(monkeypatch):
+    calls = 0
+    decode = simnet.decode
+
+    def counting_decode(blob):
+        nonlocal calls
+        calls += 1
+        return decode(blob)
+
+    monkeypatch.setattr(simnet, "decode", counting_decode)
+    runner = simnet._Runner(*load_config(config()))
+    blob = encode(Interest(parse_name(CONTENT_NAME), nonce=5))[:-1]
+    for _ in range(2):
+        with pytest.raises(CodecError):
+            runner.arrive("r1", 1, blob, 0)
+    assert calls == 2
+    assert not runner.packets and not runner.blobs
+
+
+def _peak_state(requests: int) -> tuple[int, int]:
+    """Run a churn-shaped schedule; return the peak over the run of the
+    summed PIT and duplicate-nonce entries of all nodes plus the runner's
+    memo entries, and the number of Interests the nodes admitted."""
+    runner = simnet._Runner(
+        *load_config(_bench_tree("ecdsa", False, CHURN_NAMES, False, 5, requests))
+    )
+    size = {"state": 0, "peak": 0}
+
+    def tracked(method, of_owner):
+        def wrapper(owner, *args):
+            before = of_owner(owner)
+            out = method(owner, *args)
+            size["state"] += of_owner(owner) - before
+            size["peak"] = max(size["peak"], size["state"])
+            return out
+        return wrapper
+
+    with pytest.MonkeyPatch.context() as mp:
+        # the only methods that add or drop PIT, nonce or memo entries
+        for attr in ("process_interest", "process_data", "sweep"):
+            mp.setattr(simnet.Node, attr, tracked(
+                getattr(simnet.Node, attr), lambda n: len(n.pit) + len(n._seen)))
+        for attr in ("to_wire", "from_wire"):
+            mp.setattr(simnet._Runner, attr, tracked(
+                getattr(simnet._Runner, attr), lambda r: len(r.blobs) + len(r.packets)))
+        trace = runner.run()
+    assert all(r.delivered is not None for r in trace.requests)
+    admitted = sum(c["cs_hits"] + c["cs_misses"] for c in trace.counters.values())
+    return size["peak"], admitted
+
+
+def test_runner_state_stays_under_a_bound_independent_of_run_length():
+    # an Interest leaves a nonce record, and at most a PIT entry, on each of
+    # the TREE_DEPTH + 2 nodes of its path; each is gone by the first sweep
+    # after its lifetime ends, so no more than the requests of one
+    # lifetime-plus-sweep window hold any
+    window = simnet.DEFAULT_LIFETIME_MS + simnet.SWEEP_TICKS
+    bound = (2 * (TREE_DEPTH + 2) * (window // REQUEST_GAP_TICKS + 1)
+             + 2 * simnet.CODEC_MEMO_ENTRIES)
+    short, _ = _peak_state(2_000)
+    long, admitted = _peak_state(8_000)
+    assert short <= bound and long <= bound
+    # without the sweep and the memo bound the long run would pass it
+    assert admitted > bound
 
 
 # --- cache poisoning ---------------------------------------------------------
