@@ -1,10 +1,12 @@
-"""Integer and modular-arithmetic helpers shared by the crypto modules."""
+"""Integer and group-arithmetic helpers shared by the crypto modules: the
+primality test, the signed-digit recoder wnaf, the curve group record
+CurveOps and the fixed-base comb Comb."""
 
 import hashlib
 import random
 from typing import Callable, NamedTuple
 
-_SMALL_PRIMES = [p for p in range(3, 2000) if all(p % d for d in range(2, p))]
+_SMALL_PRIMES = [p for p in range(2, 2000) if all(p % d for d in range(2, p))]
 
 _sysrand = random.SystemRandom()
 MILLER_RABIN_ROUNDS = 40
@@ -56,6 +58,27 @@ def os2ip(data: bytes) -> int:
     return int.from_bytes(data, "big")
 
 
+def wnaf(k: int, w: int) -> list[tuple[int, int]]:
+    """The width-w non-adjacent form of k >= 0, sparse: its nonzero digits as
+    (position, digit) pairs, least significant first, with k = sum of
+    digit * 2^position.  Every digit is odd with |digit| < 2^(w-1), and
+    positions are at least w apart; w = 2 is the plain NAF."""
+    mask = (1 << w) - 1
+    half = 1 << (w - 1)
+    pairs = []
+    j = 0
+    while k:
+        z = (k & -k).bit_length() - 1
+        k >>= z
+        j += z
+        d = k & mask
+        if d & half:
+            d -= mask + 1
+        pairs.append((j, d))
+        k -= d
+    return pairs
+
+
 def mgf1(seed: bytes, length: int) -> bytes:
     """PKCS#1's mask generation function over SHA-256: counter-mode hashing."""
     blocks = range((length + 31) // 32)
@@ -86,11 +109,25 @@ class CurveOps(NamedTuple):
 
     def add(self, a, b):
         """a + b on affine points."""
-        if a is None:
-            return b
-        if b is None:
-            return a
-        return self.to_affine(*self.add_mixed(a[0], a[1], self.identity[0], b[0], b[1]))
+        return self.fold([pt for pt in (a, b) if pt is not None])
+
+    def fold(self, points):
+        """The sum of a list of affine points, none the identity: a Jacobian
+        sum of mixed additions and one conversion back to affine."""
+        add = self.add_mixed
+        X, Y, Z = self.identity
+        for x, y in points:
+            X, Y, Z = add(X, Y, Z, x, y)
+        return self.to_affine(X, Y, Z)
+
+    def multiples(self, base, count: int):
+        """base, 2 base, .., count * base, affine, with one inversion; none of
+        them may be the identity."""
+        add, (x, y) = self.add_mixed, base
+        jac = [(x, y, self.identity[0])]
+        for _ in range(count - 1):
+            jac.append(add(*jac[-1], x, y))
+        return self.normalize(jac)
 
     def negate(self, pt):
         return None if pt is None else (pt[0], self.neg(pt[1]))
@@ -172,73 +209,37 @@ def jacobian_ops(p: int, a: int) -> CurveOps:
     return CurveOps(dbl, add_mixed, normalize, lambda y: -y % p, (1, 1, 0))
 
 
-class CombTable:
-    """Fixed-base modular exponentiation via a radix-16 precomputed table.
-
-    Stores g^(d * 16^j) mod m for every window position j and digit d, so an
-    e-bit exponent costs about e/4 multiplications and no squarings.  Only
+class Comb:
+    """Fixed-base multiplication by a radix-16 comb (Brickell-Gordon-
+    McCurley-Wilson): row j holds d * 16^j * base for d = 1..15, so a scalar
+    costs one group operation per nonzero nibble and no doublings.  Only
     worth building for long-lived bases: generators and verification keys.
+
+    The group record gives multiples(b, m), the list b, 2b, .., m*b as rows
+    store it, and fold(entries), the sum of a list of entries: a CurveOps,
+    or dlgroup's record for Z_p*, where multiples are powers and the fold a
+    product.
     """
 
-    def __init__(self, base: int, modulus: int, max_bits: int):
-        self.modulus = modulus
-        self.max_bits = max_bits
-        windows = (max_bits + 3) // 4
-        table = []
-        cur = base % modulus
-        for _ in range(windows):
-            row = [1] * 16
-            for d in range(1, 16):
-                row[d] = row[d - 1] * cur % modulus
-            table.append(row)
-            cur = row[15] * cur % modulus  # cur^16
-        self.table = table
-
-    def pow(self, exponent: int) -> int:
-        if exponent < 0:
-            raise ValueError("negative exponent")
-        m = self.modulus
-        acc = 1
-        j = 0
-        while exponent:
-            d = exponent & 15
-            if d:
-                acc = acc * self.table[j][d] % m
-            exponent >>= 4
-            j += 1
-        return acc
-
-
-class PointComb:
-    """CombTable's radix-16 comb over an elliptic-curve group (a CurveOps).
-
-    Row j holds d * 16^j * base for d = 1..15; each row, with 16 * 16^j *
-    base appended to start the next, is built in Jacobian coordinates and
-    normalized with one inversion.
-    """
-
-    def __init__(self, ops: CurveOps, base, windows: int):
-        self.ops = ops
+    def __init__(self, group, base, windows: int):
+        self.group = group
         self.rows = []
-        add, one = ops.add_mixed, ops.identity[0]
-        x, y = base
         for _ in range(windows):
-            jac = [(x, y, one)]
-            for _ in range(15):
-                jac.append(add(*jac[-1], x, y))
-            *row, (x, y) = ops.normalize(jac)
+            *row, base = group.multiples(base, 16)
             self.rows.append(row)
 
     def mul(self, k: int):
-        """k * base for 0 <= k < 16^windows."""
-        add, rows = self.ops.add_mixed, self.rows
-        X, Y, Z = self.ops.identity
+        """k * base for 0 <= k < 16^windows: one pass over k's nibbles
+        collects an entry per nonzero nibble, and the record folds them."""
+        if k < 0:
+            raise ValueError("negative scalar")
+        rows = self.rows
+        picked = []
         j = 0
         while k:
             d = k & 15
             if d:
-                px, py = rows[j][d - 1]
-                X, Y, Z = add(X, Y, Z, px, py)
+                picked.append(rows[j][d - 1])
             k >>= 4
             j += 1
-        return self.ops.to_affine(X, Y, Z)
+        return self.group.fold(picked)

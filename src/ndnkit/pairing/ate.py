@@ -1,6 +1,7 @@
 """Optimal ate pairing over the BN-160 tower.
 
-The Miller loop runs over NAF(6x+2) with two Frobenius correction steps.
+The Miller loop runs over NAF(6x+2) (intmath.wnaf at w = 2, written out
+one digit per bit once at import) with two Frobenius correction steps.
 Lines are carried in sparse form l = a + b*w + c*w^3 with a in Fp and
 b, c in Fp2, so a line-multiply costs 12 Fp2 products instead of a full
 54-product Fp12 multiply.  The slope scaling b = lam * (-x_P) is folded
@@ -19,14 +20,14 @@ from __future__ import annotations
 
 from functools import lru_cache
 
+from ..intmath import wnaf
 from .curve import G1Point, G2Point, g1_generator, g2_generator, g2_psi
 from .fields import (
     F12_ONE,
     GT_ONE,
     P,
     X_PARAM,
-    _naf,
-    cyc_exp_x,
+    cyc_exp,
     f2_inv,
     f2_mul,
     f2_neg,
@@ -45,8 +46,10 @@ from .fields import (
 
 _ATE_LOOP = 6 * X_PARAM + 2
 
-# MSB-first with the leading digit dropped (the accumulator starts at Q)
-_LOOP_DIGITS = tuple(_naf(_ATE_LOOP)[1:])
+# the NAF (wnaf at w = 2) written out MSB-first, with the leading digit
+# dropped (the accumulator starts at Q)
+_NAF_DIGITS = dict(wnaf(_ATE_LOOP, 2))
+_LOOP_DIGITS = tuple(_NAF_DIGITS.get(j, 0) for j in range(max(_NAF_DIGITS) - 1, -1, -1))
 
 _pairing_calls = 0
 
@@ -233,9 +236,9 @@ def final_exponentiation(f):
     t = f12_mul(f12_conj(f), f12_inv(f))
     f = f12_mul(f12_frob2(t), t)
     # hard: f^((p^4 - p^2 + 1)/n), x-power chain with free cyclotomic inverses
-    fx = cyc_exp_x(f)
-    fx2 = cyc_exp_x(fx)
-    fx3 = cyc_exp_x(fx2)
+    fx = cyc_exp(f, X_PARAM)
+    fx2 = cyc_exp(fx, X_PARAM)
+    fx3 = cyc_exp(fx2, X_PARAM)
     fp = f12_frob(f)
     y0 = f12_mul(f12_mul(fp, f12_frob2(f)), f12_frob3(f))
     y1 = f12_conj(f)

@@ -7,13 +7,14 @@ G2: order-n subgroup of the D-type sextic twist E'(Fp2): y^2 = x^3 + 2/xi,
 Affine points are coordinate tuples (None is the identity); scalar
 multiplication runs in Jacobian coordinates.  Each group is one
 intmath.CurveOps record, G1 and G2, and the engines below take the record.
-The fixed generators carry radix-16 comb tables so generator
+The fixed generators carry radix-16 comb tables (intmath.Comb) so generator
 exponentiations (key generation, signing bases) cost ~40 mixed additions.
 
-Sums k_1 B_1 + ... + k_n B_n run on one engine: width-w NAF digits (odd,
-within +-2^(w-1)) pick entries of per-base affine tables of odd multiples,
-over one run of doublings shared by all bases.  g1_multi_exp uses its
-tables once and takes w = 4; G1MultiExp keeps them and takes w = 8.
+Sums k_1 B_1 + ... + k_n B_n run on one engine: width-w NAF digits
+(intmath.wnaf: odd, within +-2^(w-1)) pick entries of per-base affine
+tables of odd multiples, over one run of doublings shared by all bases.
+g1_multi_exp uses its tables once and takes w = 4; G1MultiExp keeps them
+and takes w = 8.
 Variable-base g1_mul (BLS signing, nc_sign, SAV blinding) is a two-base sum
 on the same engine: the GLV endomorphism phi(x, y) = (beta x, y) = [lambda]P
 splits the scalar into two halves below 2^80, halving the doublings.
@@ -31,9 +32,10 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
-from ..intmath import CurveOps, PointComb, jacobian_ops
+from ..intmath import Comb, CurveOps, jacobian_ops, wnaf
 from .fields import (
     F2_ONE,
     F2_ZERO,
@@ -84,16 +86,16 @@ def g1_on_curve(pt) -> bool:
 
 G1 = jacobian_ops(P, 0)
 
-_COMB_WINDOWS = (N.bit_length() + 3) // 4
-_g1_comb: Optional[PointComb] = None
+
+@lru_cache(maxsize=2)
+def _gen_comb(ops: CurveOps, base) -> Comb:
+    """The table of a fixed generator, g1 or g2, built on first use."""
+    return Comb(ops, base, (N.bit_length() + 3) // 4)
 
 
 def g1_mul_gen(k: int):
     """k * g1 through the fixed-base table."""
-    global _g1_comb
-    if _g1_comb is None:
-        _g1_comb = PointComb(G1, (G1_X, G1_Y), _COMB_WINDOWS)
-    return _g1_comb.mul(k % N)
+    return _gen_comb(G1, (G1_X, G1_Y)).mul(k % N)
 
 
 def _g1_lift(x: int, parity: int):
@@ -149,23 +151,12 @@ def _multi_exp(ops: CurveOps, rows, scalars, w):
     if len(scalars) != len(rows):
         raise ValueError("scalar count does not match base count")
     scalars = [s % N for s in scalars]
-    mask = (1 << w) - 1
-    half = 1 << (w - 1)
     # adds[j]: the table entries added after the doubling for bit j
     adds = [[] for _ in range(max(scalars, default=0).bit_length() + 1)]
     for row, k in zip(rows, scalars):
-        if row is None:
-            continue
-        j = 0
-        while k:
-            z = (k & -k).bit_length() - 1
-            k >>= z
-            j += z
-            d = k & mask
-            if d & half:
-                d -= mask + 1
-            adds[j].append(row[d >> 1])
-            k -= d
+        if row is not None:
+            for j, d in wnaf(k, w):
+                adds[j].append(row[d >> 1])
     dbl, add = ops.dbl, ops.add_mixed
     X, Y, Z = ops.identity
     for entries in reversed(adds):
@@ -373,14 +364,9 @@ def g2_in_subgroup(pt) -> bool:
     return g2_psi(pt) == g2_mul(pt, PSI_EIGENVALUE)
 
 
-_g2_comb: Optional[PointComb] = None
-
-
 def g2_mul_gen(k: int):
-    global _g2_comb
-    if _g2_comb is None:
-        _g2_comb = PointComb(G2, (G2_X, G2_Y), _COMB_WINDOWS)
-    return _g2_comb.mul(k % N)
+    """k * g2 through the fixed-base table."""
+    return _gen_comb(G2, (G2_X, G2_Y)).mul(k % N)
 
 
 # --- wrapper value types -----------------------------------------------------

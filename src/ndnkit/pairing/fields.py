@@ -5,13 +5,17 @@
     Fp12 = Fp6[w]/(w^2 - v)         elements (d0, d1), so w^6 = xi
 
 The curve parameter x is positive with NAF weight 5, which the cyclotomic
-exponentiation exploits (inversion is conjugation there, so negative NAF
-digits are free).  The hot-path kernels are written out over plain ints:
-f6_mul, f12_mul and f12_sqr (the Miller loop's squarings and the final
-exponentiation's products, with the Fp6 sums, the multiply by v and the
-recombination inlined around f6_mul) and gs_sqr (the cyclotomic squarings).
-The readable Fp2-level helpers serve setup code and tests.
+exponentiation cyc_exp exploits: it walks the sparse NAF digits (inversion
+is conjugation there, so negative digits are free), and each of the final
+exponentiation's three powers by x takes 39 squarings and 4 products.  The
+hot-path kernels are written out over plain ints: f6_mul, f12_mul and
+f12_sqr (the Miller loop's squarings and the final exponentiation's
+products, with the Fp6 sums, the multiply by v and the recombination
+inlined around f6_mul) and gs_sqr (the cyclotomic squarings).  The
+readable Fp2-level helpers serve setup code and tests.
 """
+
+from ..intmath import wnaf
 
 # BN parameter and derived primes.  p = 36x^4+36x^3+24x^2+6x+1, n = p - 6x^2.
 X_PARAM = 0x5FFDFFFFEF
@@ -372,49 +376,22 @@ def gs_sqr(x):
     return ((h0, h2, h4), (h1, h3, h5))
 
 
-def _naf(k):
-    out = []
-    while k:
-        if k & 1:
-            d = 2 - (k & 3)
-            out.append(d)
-            k -= d
-        else:
-            out.append(0)
-        k >>= 1
-    out.reverse()
-    return out
-
-
-# the top NAF digit is always 1: exponentiations start at r = f and walk the rest
-_NAF_X_TAIL = tuple(_naf(X_PARAM))[1:]
-
-
-def cyc_exp_x(f):
-    """f^x for unitary f, NAF digits with free inversion by conjugation."""
-    fc = f12_conj(f)
-    r = f
-    for d in _NAF_X_TAIL:
-        r = gs_sqr(r)
-        if d == 1:
-            r = f12_mul(r, f)
-        elif d == -1:
-            r = f12_mul(r, fc)
-    return r
-
-
 def cyc_exp(f, e):
-    """f^e for unitary f and e >= 0, NAF + Granger-Scott squarings."""
+    """f^e for unitary f and e >= 0: the NAF digits of e (intmath.wnaf at
+    w = 2) from the top, a run of Granger-Scott squarings up to each, and a
+    multiplication by f or by its inverse, which is its conjugate."""
     if e == 0:
         return F12_ONE
     fc = f12_conj(f)
+    *rest, (top, _) = wnaf(e, 2)  # a positive NAF leads with a 1: r starts at f
     r = f
-    for d in _naf(e)[1:]:
+    for j, d in reversed(rest):
+        for _ in range(top - j):
+            r = gs_sqr(r)
+        r = f12_mul(r, f if d == 1 else fc)
+        top = j
+    for _ in range(top):
         r = gs_sqr(r)
-        if d == 1:
-            r = f12_mul(r, f)
-        elif d == -1:
-            r = f12_mul(r, fc)
     return r
 
 

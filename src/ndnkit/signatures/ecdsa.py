@@ -1,15 +1,15 @@
 """ECDSA over the registered prime-field curves (a = -3, cofactor 1).
 
 Scalar multiplication walks a radix-16 comb table with additions only.
-Each point it multiplies gets its table (intmath.PointComb) on first use,
-held in a bounded LRU keyed by (curve, point) value.  The base point's
-table serves signing, and a public key's serves every verify under that
-key, so a verify is two table walks of about |n|/4 mixed additions each;
-the first verify under a new key also pays for its table (~5 ms on
-secp160r1).  Verify checks that the key lies on the curve before a table
-is built for it.  Signature integers are emitted at the curve's fixed
-width, with the nonce resampled in the (astronomically rare) case an
-integer does not fit.
+Each point it multiplies gets its table (intmath.Comb over the curve's
+CurveOps record) on first use, held in a bounded LRU keyed by (curve,
+point) value.  The base point's table serves signing, and a public key's
+serves every verify under that key, so a verify is two table walks of
+about |n|/4 mixed additions each; the first verify under a new key also
+pays for its table (~5 ms on secp160r1).  Verify checks that the key
+lies on the curve before a table is built for it.  Signature integers are
+emitted at the curve's fixed width, with the nonce resampled in the
+(astronomically rare) case an integer does not fit.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ..intmath import CurveOps, PointComb, i2osp, jacobian_ops, os2ip
+from ..intmath import Comb, CurveOps, i2osp, jacobian_ops, os2ip
 from .params import CURVES, CurveSpec, SCHEME_ECDSA, SchemeParams
 
 
@@ -67,10 +67,10 @@ def point_mul(spec: CurveSpec, pt, k: int):
 
 
 @lru_cache(maxsize=128)
-def _comb(spec: CurveSpec, x: int, y: int) -> PointComb:
+def _comb(spec: CurveSpec, x: int, y: int) -> Comb:
     """The table for one curve point, kept per (curve, point) value: the base
     point's serves signing, a public key's serves every verify under it."""
-    return PointComb(_ops(spec), (x, y), (spec.n.bit_length() + 3) // 4)
+    return Comb(_ops(spec), (x, y), (spec.n.bit_length() + 3) // 4)
 
 
 def base_mul(spec: CurveSpec, k: int):

@@ -171,6 +171,14 @@ def _as_dict(config) -> dict:
     return parsed
 
 
+def _section(cfg: dict, key: str) -> list[dict]:
+    """cfg[key] as a list of objects, empty when absent."""
+    entries = cfg.get(key, [])
+    if not isinstance(entries, list) or not all(isinstance(e, dict) for e in entries):
+        raise ConfigError(f"{key} must be a list of objects")
+    return entries
+
+
 def _parse_config_name(text, what: str) -> Name:
     if not isinstance(text, str):
         raise ConfigError(f"{what} must be a name string")
@@ -190,7 +198,7 @@ def _int_field(record: dict, key: str, default: int, what: str, minimum: int = 0
 def build_topology(config) -> Topology:
     cfg = _as_dict(config)
     specs: dict[str, NodeSpec] = {}
-    for entry in cfg.get("nodes", []):
+    for entry in _section(cfg, "nodes"):
         node_id = entry.get("id")
         if not isinstance(node_id, str) or not node_id:
             raise ConfigError("every node needs a non-empty string id")
@@ -214,7 +222,7 @@ def build_topology(config) -> Topology:
         raise ConfigError("config declares no nodes")
 
     faces: dict[str, dict[int, tuple[str, int, int]]] = {nid: {} for nid in specs}
-    for link in cfg.get("links", []):
+    for link in _section(cfg, "links"):
         a, b = link.get("a"), link.get("b")
         for end in (a, b):
             if end not in specs:
@@ -231,7 +239,7 @@ def build_topology(config) -> Topology:
         faces[b][b_face] = (a, a_face, latency)
 
     bindings: list[Binding] = []
-    for entry in cfg.get("producers", []):
+    for entry in _section(cfg, "producers"):
         node = entry.get("node")
         if node not in specs:
             raise ConfigError(f"producer binding references undeclared node {node!r}")
@@ -310,16 +318,15 @@ def _shortest_distances(faces, origin: str) -> dict[str, int]:
 
 def build_scenario(config) -> Scenario:
     cfg = _as_dict(config)
-    known = frozenset(
-        entry.get("id") for entry in cfg.get("nodes", []) if isinstance(entry.get("id"), str)
-    )
+    nodes = _section(cfg, "nodes")
+    known = frozenset(entry.get("id") for entry in nodes if isinstance(entry.get("id"), str))
     consumers = frozenset(
         entry["id"]
-        for entry in cfg.get("nodes", [])
+        for entry in nodes
         if entry.get("role") == "consumer" and isinstance(entry.get("id"), str)
     )
     schedule = []
-    for entry in cfg.get("schedule", []):
+    for entry in _section(cfg, "schedule"):
         consumer = entry.get("consumer")
         if consumer not in consumers:
             raise ConfigError(f"schedule references non-consumer {consumer!r}")
@@ -334,7 +341,7 @@ def build_scenario(config) -> Scenario:
             )
         )
     attacks = []
-    for entry in cfg.get("attacks", []):
+    for entry in _section(cfg, "attacks"):
         node = entry.get("node")
         if node not in known:
             raise UnknownNode(f"attack references undeclared node {node!r}")

@@ -232,6 +232,12 @@ def test_sim_config_error_exits_2(tmp_path):
     assert cli.main(["sim", "--topology", str(topo), "--out", str(tmp_path / "o")]) == 2
 
 
+def test_sim_malformed_section_exits_2(tmp_path, capsys):
+    topo = write_topology(tmp_path, dict(LINE, nodes=["c1"]))
+    assert cli.main(["sim", "--topology", str(topo), "--out", str(tmp_path / "o")]) == 2
+    assert "nodes must be a list of objects" in capsys.readouterr().err
+
+
 def test_sim_tick_limit_exits_3(tmp_path):
     topo = write_topology(tmp_path, dict(LINE, tick_limit=0))
     assert cli.main(["sim", "--topology", str(topo), "--out", str(tmp_path / "o")]) == 3

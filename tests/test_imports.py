@@ -1,5 +1,5 @@
-"""Every module-level import in src/ndnkit is used by its module, and every
-module-level definition is used somewhere.
+"""Every module-level import in src/ndnkit and tools/ is used by its module,
+and every module-level definition of src/ndnkit is used somewhere.
 
 The import check walks each module's syntax tree with the stdlib ast module.
 A name counts as used when it appears as a Name node anywhere in the module,
@@ -81,10 +81,10 @@ def test_checker_flags_unused_and_skips_reexports():
 
 def test_no_unused_imports_in_src():
     found = {}
-    for path in sorted(SRC.rglob("*.py")):
+    for path in sorted(SRC.rglob("*.py")) + sorted((ROOT / "tools").glob("*.py")):
         names = unused_imports(path.read_text(), is_package=path.name == "__init__.py")
         if names:
-            found[str(path.relative_to(SRC))] = names
+            found[str(path.relative_to(ROOT))] = names
     assert found == {}
 
 

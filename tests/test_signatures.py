@@ -114,7 +114,7 @@ def test_gen_pow_matches_plain_pow():
 def test_key_pow_matches_plain_pow(dsa_key):
     # DL_P - 1 lies outside the order-q subgroup: the table must still agree
     for y in (dsa_key.y, gen_pow(777), DL_P - 1):
-        for e in (0, 1, DL_Q - 1, DL_Q):
+        for e in (0, 1, DL_Q - 1, DL_Q, 2**164 - 1):
             assert key_pow(y, e) == pow(y, e, DL_P)
 
 

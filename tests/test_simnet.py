@@ -149,6 +149,24 @@ def test_oversize_seed_rejected():
         load_config(config(seed=2**64))
 
 
+@pytest.mark.parametrize(
+    "section",
+    [
+        {"nodes": ["a"]},
+        {"nodes": 5},
+        {"nodes": None},
+        {"links": ["c1-r1"]},
+        {"producers": [7]},
+        {"schedule": [7]},
+        {"schedule": {"tick": 0}},
+        {"attacks": [7]},
+    ],
+)
+def test_section_of_the_wrong_shape_rejected(section):
+    with pytest.raises(ConfigError, match=f"{next(iter(section))} must be a list of objects"):
+        load_config(config(**section))
+
+
 # --- the two-request line scenario -------------------------------------------
 
 

@@ -8,35 +8,10 @@ installs.  Regenerating changes every DSA/group/ring key, so don't.
 
 import random
 import sys
+from pathlib import Path
 
-SMALL_PRIMES = [p for p in range(3, 1000) if all(p % d for d in range(2, p))]
-
-
-def is_probable_prime(n, rounds=40, rng=random.SystemRandom()):
-    if n < 2:
-        return False
-    for sp in SMALL_PRIMES:
-        if n == sp:
-            return True
-        if n % sp == 0:
-            return False
-    d = n - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for _ in range(rounds):
-        a = rng.randrange(2, n - 1)
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+from ndnkit.intmath import is_probable_prime  # noqa: E402
 
 
 def main():
