@@ -9,9 +9,12 @@ face, cached, and the entry erased. Nodes can additionally verify signatures
 on path against a prefix-keyed trust store, in which case failing Data is
 dropped while the PIT entry stays alive to admit the authentic copy.
 
-All state lives in plain dictionaries mutated only by process_interest and
-process_data, so a node is a deterministic single-threaded state machine;
-times are integer milliseconds supplied by the caller.
+All state lives in plain dictionaries keyed by name: the FIB maps a prefix
+to its outgoing faces, the trust store a key-name prefix to its scheme id and
+verifier. Once routes and anchors are installed, only process_interest and
+process_data change that state, and sweep drops what has expired, so a node
+is a deterministic single-threaded state machine; times are integer
+milliseconds supplied by the caller.
 """
 
 from __future__ import annotations
@@ -104,40 +107,23 @@ class PitEntry:
     expiry: int
 
 
-@dataclass(frozen=True)
-class FibEntry:
-    prefix: Name
-    faces: tuple[int, ...]
-
-
-@dataclass(frozen=True)
-class TrustAnchor:
-    prefix: Name
-    scheme_id: int
-    verifier: Callable[[bytes, bytes], bool]
-
-
 class TrustStore:
     """Trust anchors keyed by the longest prefix of a Data's key locator."""
 
     def __init__(self):
-        self._anchors: dict[Name, TrustAnchor] = {}
+        # key-name prefix -> (scheme id, verifier)
+        self._anchors: dict[Name, tuple[int, Callable[[bytes, bytes], bool]]] = {}
 
     def add(self, prefix: Name, scheme_id: int, context) -> None:
         """Anchor a public key (or ring key list) under a key-name prefix."""
-        self._anchors[prefix] = TrustAnchor(
-            prefix=prefix, scheme_id=scheme_id, verifier=verifier_for(context)
-        )
-
-    def lookup(self, key_locator: Name) -> Optional[TrustAnchor]:
-        best = longest_prefix_match(self._anchors.keys(), key_locator)
-        return None if best is None else self._anchors[best]
+        self._anchors[prefix] = (scheme_id, verifier_for(context))
 
     def verify_data(self, data: Data) -> bool:
-        anchor = self.lookup(data.key_locator)
-        if anchor is None or anchor.scheme_id != data.scheme_id:
+        prefix = longest_prefix_match(self._anchors.keys(), data.key_locator)
+        if prefix is None:
             return False
-        return anchor.verifier(signed_portion(data), data.signature)
+        scheme_id, verifier = self._anchors[prefix]
+        return scheme_id == data.scheme_id and verifier(signed_portion(data), data.signature)
 
 
 class Node:
@@ -153,7 +139,8 @@ class Node:
         self.node_id = node_id
         self.cs = ContentStore(cs_capacity, freshness_ms)
         self.pit: dict[Name, PitEntry] = {}
-        self.fib: dict[Name, FibEntry] = {}
+        # prefix -> outgoing faces
+        self.fib: dict[Name, tuple[int, ...]] = {}
         self.trust = TrustStore()
         self.verify_on_path = verify_on_path
         self.counters = dict.fromkeys(COUNTER_NAMES, 0)
@@ -162,11 +149,9 @@ class Node:
     # --- routing and maintenance ---------------------------------------------
 
     def fib_add_route(self, prefix: Name, face: int) -> None:
-        entry = self.fib.get(prefix)
-        if entry is None:
-            self.fib[prefix] = FibEntry(prefix=prefix, faces=(face,))
-        elif face not in entry.faces:
-            self.fib[prefix] = FibEntry(prefix=prefix, faces=entry.faces + (face,))
+        faces = self.fib.get(prefix, ())
+        if face not in faces:
+            self.fib[prefix] = faces + (face,)
 
     def sweep(self, now: int) -> None:
         """Garbage-collect expired PIT entries, dedup records, and CS entries."""
@@ -208,7 +193,7 @@ class Node:
         if prefix is None:
             self.counters["no_route"] += 1
             return []
-        out = [f for f in self.fib[prefix].faces if f != face]
+        out = [f for f in self.fib[prefix] if f != face]
         if not out:
             self.counters["no_route"] += 1
             return []

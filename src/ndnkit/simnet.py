@@ -12,9 +12,13 @@ codec canonical, so a run encodes each distinct packet once and decodes each
 distinct blob once: a Data forwarded unchanged, or answered from a cache,
 reuses its bytes, and every hop that receives those bytes shares one decoded
 object. The two memos hold at most CODEC_MEMO_ENTRIES packets and start over
-when full, and every SWEEP_TICKS ticks each node drops its expired PIT,
-duplicate-nonce and CS entries, so a run's state does not grow with its
-length. Neither changes a trace: expired entries already count as absent.
+when full, together with the memo of name texts, and every SWEEP_TICKS ticks
+each node drops its expired PIT, duplicate-nonce and CS entries. The ledger
+of requests holds only the outstanding ones: a request joins it on its first
+attempt and leaves once delivered or given up. So, apart from the signed
+Data kept per published name, a run's state does not grow with its length.
+None of this changes a trace: expired entries already count as absent. Each event on the heap carries its handler, and a request's
+hop count is read off the trace's emit records once the run ends.
 
 Everything is derived from the config and its 64-bit seed: producer keys,
 packet payloads, nonces, and forged attack keys all come from seeded
@@ -39,13 +43,12 @@ from typing import Optional
 
 from . import signatures as sigs
 from .naming import Name, longest_prefix_match, parse_name
-from .node import Node
-from .wire import Data, Interest, Packet, decode, encode, signed_portion
+from .node import DEFAULT_CS_CAPACITY, DEFAULT_FRESHNESS_MS, Node
+from .wire import DEFAULT_LIFETIME_MS, Data, Interest, Packet, decode, encode, signed_portion
 
 APP_FACE = 0
 MAX_ATTEMPTS = 3
 DEFAULT_TICK_LIMIT = 100_000
-DEFAULT_LIFETIME_MS = 4_000
 PAYLOAD_BYTES = 64
 # distinct packets the codec memos hold before they start over
 CODEC_MEMO_ENTRIES = 4096
@@ -179,19 +182,26 @@ def _section(cfg: dict, key: str) -> list[dict]:
     return entries
 
 
-def _parse_config_name(text, what: str) -> Name:
+def _parse_config_name(text, what: str, packet: bool = False) -> Name:
+    """A name from the config; a packet's name must not be the root."""
     if not isinstance(text, str):
         raise ConfigError(f"{what} must be a name string")
     try:
-        return parse_name(text)
+        name = parse_name(text)
     except ValueError as exc:
         raise ConfigError(f"bad {what} {text!r}: {exc}") from exc
+    if packet and len(name) == 0:
+        raise ConfigError(f"{what} must not be the root name")
+    return name
 
 
-def _int_field(record: dict, key: str, default: int, what: str, minimum: int = 0) -> int:
+def _int_field(record: dict, key: str, default: int, what: str, minimum: int = 0,
+               bits: Optional[int] = None) -> int:
     value = record.get(key, default)
     if not isinstance(value, int) or isinstance(value, bool) or value < minimum:
         raise ConfigError(f"{what}.{key} must be an integer >= {minimum}")
+    if bits is not None and value >= 2**bits:
+        raise ConfigError(f"{what}.{key} must fit in {bits} bits")
     return value
 
 
@@ -211,11 +221,12 @@ def build_topology(config) -> Topology:
             node_id=node_id,
             role=role,
             cs_capacity=_int_field(
-                entry, "cs_capacity", 0 if role == "consumer" else 64, f"node {node_id!r}"
+                entry, "cs_capacity", 0 if role == "consumer" else DEFAULT_CS_CAPACITY,
+                f"node {node_id!r}",
             ),
             verify=bool(entry.get("verify", role == "consumer")),
             freshness_ms=_int_field(
-                entry, "freshness_ms", 10_000, f"node {node_id!r}", minimum=1
+                entry, "freshness_ms", DEFAULT_FRESHNESS_MS, f"node {node_id!r}", minimum=1
             ),
         )
     if not specs:
@@ -316,57 +327,48 @@ def _shortest_distances(faces, origin: str) -> dict[str, int]:
     return dist
 
 
-def build_scenario(config) -> Scenario:
-    cfg = _as_dict(config)
-    nodes = _section(cfg, "nodes")
-    known = frozenset(entry.get("id") for entry in nodes if isinstance(entry.get("id"), str))
-    consumers = frozenset(
-        entry["id"]
-        for entry in nodes
-        if entry.get("role") == "consumer" and isinstance(entry.get("id"), str)
-    )
+def build_scenario(cfg: dict, specs: dict[str, NodeSpec]) -> Scenario:
+    """The schedule, attacks and run settings of cfg, against its parsed nodes."""
     schedule = []
     for entry in _section(cfg, "schedule"):
         consumer = entry.get("consumer")
-        if consumer not in consumers:
+        spec = specs.get(consumer)
+        if spec is None or spec.role != "consumer":
             raise ConfigError(f"schedule references non-consumer {consumer!r}")
         schedule.append(
             RequestSpec(
                 tick=_int_field(entry, "tick", 0, "schedule entry"),
                 consumer=consumer,
-                name=_parse_config_name(entry.get("name"), "scheduled name"),
-                lifetime_ms=_int_field(
-                    entry, "lifetime_ms", DEFAULT_LIFETIME_MS, "schedule entry", minimum=1
-                ),
+                name=_parse_config_name(entry.get("name"), "scheduled name", packet=True),
+                lifetime_ms=_int_field(entry, "lifetime_ms", DEFAULT_LIFETIME_MS,
+                                       "schedule entry", minimum=1, bits=32),
             )
         )
     attacks = []
     for entry in _section(cfg, "attacks"):
         node = entry.get("node")
-        if node not in known:
+        if node not in specs:
             raise UnknownNode(f"attack references undeclared node {node!r}")
         attacks.append(
             AttackSpec(
                 tick=_int_field(entry, "tick", 0, "attack entry"),
                 node=node,
-                name=_parse_config_name(entry.get("name"), "attack name"),
+                name=_parse_config_name(entry.get("name"), "attack name", packet=True),
             )
         )
-    seed = _int_field(cfg, "seed", 0, "config")
-    if seed >= 2**64:
-        raise ConfigError("seed must fit in 64 bits")
     return Scenario(
         schedule=tuple(schedule),
         attacks=tuple(attacks),
-        seed=seed,
+        seed=_int_field(cfg, "seed", 0, "config", bits=64),
         tick_limit=_int_field(cfg, "tick_limit", DEFAULT_TICK_LIMIT, "config", minimum=0),
-        known_nodes=known,
+        known_nodes=frozenset(specs),
     )
 
 
 def load_config(config) -> tuple[Topology, Scenario]:
     cfg = _as_dict(config)
-    return build_topology(cfg), build_scenario(cfg)
+    topology = build_topology(cfg)
+    return topology, build_scenario(cfg, topology.specs)
 
 
 def inject_poison(scenario: Scenario, tick: int, router: str, name: Name) -> Scenario:
@@ -415,16 +417,15 @@ class _Runner:
         self.scenario = scenario
         self.records: list[dict] = []
         self.requests: list[RequestResult] = []
-        # undelivered requests per (consumer, name) that have not given up,
-        # in issue order
+        # outstanding requests per (consumer, name), in issue order: a request
+        # joins on its first attempt and leaves once delivered or given up
         self.pending: dict[tuple[str, Name], deque[RequestResult]] = {}
         self.texts: dict[Name, str] = {}
-        # name text -> ticks of its emit records; ticks are logged in
-        # non-decreasing order, so each list is sorted
-        self.emit_ticks: dict[str, list[int]] = {}
         # packet -> its encoding, and blob -> its decoded packet; see to_wire
         self.blobs: dict[Packet, bytes] = {}
         self.packets: dict[bytes, Packet] = {}
+        # (tick, node id, seq, handler, args); seq is unique, so the heap
+        # never compares handlers
         self.heap: list[tuple] = []
         self.seq = 0
         self.nonce_rng = _rng_for(scenario.seed, "nonce")
@@ -440,21 +441,23 @@ class _Runner:
         for nid, prefixes in topology.routes.items():
             for prefix, face in prefixes.items():
                 self.nodes[nid].fib_add_route(prefix, face)
-        self.keys = {
-            b.prefix: sigs.keygen(
+        # prefix -> (its binding, the producer's signing key)
+        self.producers = {
+            b.prefix: (b, sigs.keygen(
                 b.scheme_id, rng=_rng_for(scenario.seed, "producer-key", str(b.prefix))
-            )
+            ))
             for b in topology.bindings
         }
         for node in self.nodes.values():
-            for b in topology.bindings:
-                node.trust.add(b.key_name, b.scheme_id, self.keys[b.prefix].public())
+            for b, key in self.producers.values():
+                node.trust.add(b.key_name, b.scheme_id, key.public())
         self.published: dict[Name, Data] = {}
 
     # -- plumbing --
 
-    def push(self, tick: int, node_id: str, kind: str, payload) -> None:
-        heapq.heappush(self.heap, (tick, node_id, self.seq, kind, payload))
+    def push(self, tick: int, node_id: str, handler, *args) -> None:
+        """Schedule handler(*args, tick) at tick on node_id."""
+        heapq.heappush(self.heap, (tick, node_id, self.seq, handler, args))
         self.seq += 1
 
     def text(self, name: Name) -> str:
@@ -483,21 +486,20 @@ class _Runner:
         return packet
 
     def make_room(self) -> None:
-        # every packets entry has its inverse in blobs, so blobs bounds both
+        # every packets entry has its inverse in blobs, so blobs bounds both;
+        # name texts are a memo too and start over with them
         if len(self.blobs) >= CODEC_MEMO_ENTRIES:
             self.blobs.clear()
             self.packets.clear()
+            self.texts.clear()
 
     def log(self, tick: int, node_id: str, event: str, name: Name,
             face: Optional[int], nonce: Optional[int] = None) -> None:
-        text = self.text(name)
         record = {"tick": tick, "node": node_id, "event": event,
-                  "name": text, "face": face}
+                  "name": self.text(name), "face": face}
         if nonce is not None:
             record["nonce"] = nonce
         self.records.append(record)
-        if event in ("emit_interest", "emit_data"):
-            self.emit_ticks.setdefault(text, []).append(tick)
 
     def route_emissions(self, node_id: str, emissions, tick: int) -> None:
         for face, packet in emissions:
@@ -511,11 +513,14 @@ class _Runner:
             self.log(tick, node_id, "emit_interest" if is_interest else "emit_data",
                      packet.name, face, packet.nonce if is_interest else None)
             peer, peer_face, latency = self.topology.faces[node_id][face]
-            self.push(tick + latency, peer, "arrive", (peer_face, self.to_wire(packet)))
+            self.push(tick + latency, peer, self.arrive, peer, peer_face,
+                      self.to_wire(packet))
 
     # -- applications --
 
     def issue(self, spec: RequestSpec, result: RequestResult, tick: int) -> None:
+        if result.attempts == 0:
+            self.pending.setdefault((spec.consumer, spec.name), deque()).append(result)
         result.attempts += 1
         interest = Interest(
             name=spec.name,
@@ -527,33 +532,51 @@ class _Runner:
         self.route_emissions(
             spec.consumer, node.process_interest(APP_FACE, interest, tick), tick
         )
-        self.push(tick + spec.lifetime_ms + 1, spec.consumer, "timeout", (spec, result))
+        self.push(tick + spec.lifetime_ms + 1, spec.consumer, self.expire, spec, result)
+
+    def expire(self, spec: RequestSpec, result: RequestResult, tick: int) -> None:
+        """The request's latest Interest timed out: retransmit, or give up."""
+        if result.delivered is not None:
+            return
+        if result.attempts < MAX_ATTEMPTS:
+            self.log(tick, spec.consumer, "timeout", spec.name, APP_FACE)
+            self.issue(spec, result, tick)
+            return
+        self.log(tick, spec.consumer, "give_up", spec.name, APP_FACE)
+        # later deliveries go to the requests still waiting; RequestResult
+        # compares by value, so remove this one by identity
+        key = (spec.consumer, spec.name)
+        waiting = self.pending[key]
+        del waiting[next(i for i, r in enumerate(waiting) if r is result)]
+        if not waiting:
+            del self.pending[key]
 
     def deliver(self, node_id: str, data: Data, tick: int) -> None:
         self.log(tick, node_id, "deliver", data.name, APP_FACE)
-        # only deliver() fills a result, so after popping the delivered ones
-        # the head is the earliest-issued undelivered request; one not yet
-        # issued is never credited
-        waiting = self.pending.get((node_id, data.name))
-        if waiting and waiting[0].first_tick <= tick:
+        # only issued requests wait, so the head is the earliest-issued
+        # outstanding one
+        key = (node_id, data.name)
+        waiting = self.pending.get(key)
+        if waiting:
             result = waiting.popleft()
             result.delivered = data.content
             result.delivered_tick = tick
+            if not waiting:
+                del self.pending[key]
 
     def answer(self, node_id: str, interest: Interest, tick: int) -> None:
-        mine = [b for b in self.topology.bindings if b.node == node_id]
-        prefix = longest_prefix_match((b.prefix for b in mine), interest.name)
-        if prefix is None:
+        prefix = longest_prefix_match(self.producers.keys(), interest.name)
+        if prefix is None or self.producers[prefix][0].node != node_id:
             self.log(tick, node_id, "no_binding", interest.name, APP_FACE, interest.nonce)
             return
-        binding = next(b for b in mine if b.prefix == prefix)
+        binding, key = self.producers[prefix]
         data = self.published.get(interest.name)
         if data is None:
             data = self.sign_data(
                 binding,
                 interest.name,
                 _stretch(_CONTENT_TAG, self.scenario.seed, self.text(interest.name)),
-                self.keys[binding.prefix],
+                key,
             )
             self.published[interest.name] = data
         self.log(tick, node_id, "publish", data.name, APP_FACE)
@@ -572,11 +595,9 @@ class _Runner:
         return blank.with_signature(sigs.sign(key, signed_portion(blank), rng).data)
 
     def plant_poison(self, spec: AttackSpec, tick: int) -> None:
-        mine = longest_prefix_match(
-            (b.prefix for b in self.topology.bindings), spec.name
-        )
-        if mine is not None:
-            binding = next(b for b in self.topology.bindings if b.prefix == mine)
+        prefix = longest_prefix_match(self.producers.keys(), spec.name)
+        if prefix is not None:
+            binding = self.producers[prefix][0]
         else:
             binding = Binding(
                 prefix=spec.name,
@@ -613,16 +634,13 @@ class _Runner:
                 consumer=spec.consumer, name=spec.name, first_tick=spec.tick
             )
             self.requests.append(result)
-            self.push(spec.tick, spec.consumer, "request", (spec, result))
-        # issue order: by first tick, ties in schedule order (the sort is stable)
-        for result in sorted(self.requests, key=lambda r: r.first_tick):
-            self.pending.setdefault((result.consumer, result.name), deque()).append(result)
+            self.push(spec.tick, spec.consumer, self.issue, spec, result)
         for attack in self.scenario.attacks:
-            self.push(attack.tick, attack.node, "attack", attack)
+            self.push(attack.tick, attack.node, self.plant_poison, attack)
 
         next_sweep = SWEEP_TICKS
         while self.heap:
-            tick, node_id, _, kind, payload = heapq.heappop(self.heap)
+            tick, _, _, handler, args = heapq.heappop(self.heap)
             if tick > self.scenario.tick_limit:
                 raise TickLimitExceeded(f"event at tick {tick} passed the limit")
             if tick >= next_sweep:
@@ -631,28 +649,18 @@ class _Runner:
                 for node in self.nodes.values():
                     node.sweep(tick)
                 next_sweep = tick - tick % SWEEP_TICKS + SWEEP_TICKS
-            if kind == "arrive":
-                self.arrive(node_id, *payload, tick)
-            elif kind == "request":
-                spec, result = payload
-                self.issue(spec, result, tick)
-            elif kind == "timeout":
-                spec, result = payload
-                if result.delivered is not None:
-                    continue
-                if result.attempts >= MAX_ATTEMPTS:
-                    self.log(tick, spec.consumer, "give_up", spec.name, APP_FACE)
-                    # later deliveries go to the requests still waiting
-                    waiting = self.pending[(result.consumer, result.name)]
-                    del waiting[next(i for i, r in enumerate(waiting) if r is result)]
-                    continue
-                self.log(tick, spec.consumer, "timeout", spec.name, APP_FACE)
-                self.issue(spec, result, tick)
-            else:
-                self.plant_poison(payload, tick)
+            handler(*args, tick)
 
+        # name text -> ticks of its emit records, sorted: records are logged
+        # in non-decreasing tick order
+        emit_ticks: dict[str, list[int]] = {}
+        for record in self.records:
+            if record["event"] in ("emit_interest", "emit_data"):
+                emit_ticks.setdefault(record["name"], []).append(record["tick"])
         for result in self.requests:
-            ticks = self.emit_ticks.get(self.text(result.name), [])
+            # read the text memo without filling it, so it stays bounded
+            text = self.texts.get(result.name) or str(result.name)
+            ticks = emit_ticks.get(text, [])
             last = result.delivered_tick
             end = len(ticks) if last is None else bisect_right(ticks, last)
             result.hops = end - bisect_left(ticks, result.first_tick)

@@ -238,6 +238,13 @@ def test_sim_malformed_section_exits_2(tmp_path, capsys):
     assert "nodes must be a list of objects" in capsys.readouterr().err
 
 
+def test_sim_root_request_name_exits_2(tmp_path, capsys):
+    schedule = [dict(LINE["schedule"][0], name="/")]
+    topo = write_topology(tmp_path, dict(LINE, schedule=schedule))
+    assert cli.main(["sim", "--topology", str(topo), "--out", str(tmp_path / "o")]) == 2
+    assert "scheduled name must not be the root name" in capsys.readouterr().err
+
+
 def test_sim_tick_limit_exits_3(tmp_path):
     topo = write_topology(tmp_path, dict(LINE, tick_limit=0))
     assert cli.main(["sim", "--topology", str(topo), "--out", str(tmp_path / "o")]) == 3

@@ -150,6 +150,24 @@ def test_oversize_seed_rejected():
 
 
 @pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"schedule": [dict(LINE["schedule"][0], lifetime_ms=2**32)]},
+         "lifetime_ms must fit in 32 bits"),
+        ({"schedule": [dict(LINE["schedule"][0], name="/")]},
+         "scheduled name must not be the root name"),
+        ({"attacks": [{"tick": 0, "node": "r1", "name": "/"}]},
+         "attack name must not be the root name"),
+    ],
+)
+def test_unencodable_request_or_attack_rejected(overrides, message):
+    with pytest.raises(ConfigError, match=message):
+        load_config(config(**overrides))
+    # the widest lifetime an Interest can carry still loads
+    load_config(config(schedule=[dict(LINE["schedule"][0], lifetime_ms=2**32 - 1)]))
+
+
+@pytest.mark.parametrize(
     "section",
     [
         {"nodes": ["a"]},
@@ -573,31 +591,46 @@ def test_a_malformed_blob_is_decoded_afresh_each_time(monkeypatch):
 def _peak_state(requests: int) -> tuple[int, int]:
     """Run a churn-shaped schedule; return the peak over the run of the
     summed PIT and duplicate-nonce entries of all nodes plus the runner's
-    memo entries, and the number of Interests the nodes admitted."""
+    memo, ledger and name-text entries, and the number of Interests the
+    nodes admitted."""
     runner = simnet._Runner(
         *load_config(_bench_tree("ecdsa", False, CHURN_NAMES, False, 5, requests))
     )
-    size = {"state": 0, "peak": 0}
+    size = {"nodes": 0, "peak": 0}
 
-    def tracked(method, of_owner):
+    def record_peak() -> None:
+        # runner entries are read whole, so nested runner calls count once
+        in_runner = (len(runner.blobs) + len(runner.packets) + len(runner.pending)
+                     + len(runner.texts))
+        size["peak"] = max(size["peak"], size["nodes"] + in_runner)
+
+    def node_tracked(method):
+        def wrapper(node, *args):
+            before = len(node.pit) + len(node._seen)
+            out = method(node, *args)
+            size["nodes"] += len(node.pit) + len(node._seen) - before
+            record_peak()
+            return out
+        return wrapper
+
+    def runner_tracked(method):
         def wrapper(owner, *args):
-            before = of_owner(owner)
             out = method(owner, *args)
-            size["state"] += of_owner(owner) - before
-            size["peak"] = max(size["peak"], size["state"])
+            record_peak()
             return out
         return wrapper
 
     with pytest.MonkeyPatch.context() as mp:
-        # the only methods that add or drop PIT, nonce or memo entries
+        # the only methods that add or drop PIT or nonce entries, and the
+        # only runner methods that add memo, ledger or text entries
         for attr in ("process_interest", "process_data", "sweep"):
-            mp.setattr(simnet.Node, attr, tracked(
-                getattr(simnet.Node, attr), lambda n: len(n.pit) + len(n._seen)))
-        for attr in ("to_wire", "from_wire"):
-            mp.setattr(simnet._Runner, attr, tracked(
-                getattr(simnet._Runner, attr), lambda r: len(r.blobs) + len(r.packets)))
+            mp.setattr(simnet.Node, attr, node_tracked(getattr(simnet.Node, attr)))
+        for attr in ("to_wire", "from_wire", "issue", "text"):
+            mp.setattr(simnet._Runner, attr, runner_tracked(getattr(simnet._Runner, attr)))
         trace = runner.run()
     assert all(r.delivered is not None for r in trace.requests)
+    # every request was delivered, so none is left in the ledger
+    assert not runner.pending
     admitted = sum(c["cs_hits"] + c["cs_misses"] for c in trace.counters.values())
     return size["peak"], admitted
 
@@ -608,12 +641,19 @@ def test_runner_state_stays_under_a_bound_independent_of_run_length():
     # after its lifetime ends, so no more than the requests of one
     # lifetime-plus-sweep window hold any
     window = simnet.DEFAULT_LIFETIME_MS + simnet.SWEEP_TICKS
-    bound = (2 * (TREE_DEPTH + 2) * (window // REQUEST_GAP_TICKS + 1)
-             + 2 * simnet.CODEC_MEMO_ENTRIES)
+    nodes = 2 * (TREE_DEPTH + 2) * (window // REQUEST_GAP_TICKS + 1)
+    # a request stays in the ledger from its first attempt until it is
+    # delivered or gives up, at most MAX_ATTEMPTS lifetimes later
+    ledger = simnet.MAX_ATTEMPTS * (simnet.DEFAULT_LIFETIME_MS + 1) // REQUEST_GAP_TICKS + 1
+    # the name texts start over with the two codec memos, and each new text
+    # comes with the fresh Interest of a request, a new memo entry
+    memos = 3 * simnet.CODEC_MEMO_ENTRIES
+    bound = nodes + ledger + memos
     short, _ = _peak_state(2_000)
     long, admitted = _peak_state(8_000)
     assert short <= bound and long <= bound
-    # without the sweep and the memo bound the long run would pass it
+    # without the sweep, the memo bounds and the ledger's removals the long
+    # run would pass it
     assert admitted > bound
 
 
