@@ -6,7 +6,18 @@ import hashlib
 import random
 from typing import Callable, NamedTuple
 
-_SMALL_PRIMES = [p for p in range(2, 2000) if all(p % d for d in range(2, p))]
+
+def _primes_below(n: int) -> list[int]:
+    """The primes below n, by the sieve of Eratosthenes."""
+    sieve = bytearray([1]) * n
+    sieve[:2] = b"\0\0"
+    for i in range(2, int(n**0.5) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = bytes(len(range(i * i, n, i)))
+    return [i for i, flag in enumerate(sieve) if flag]
+
+
+_SMALL_PRIMES = _primes_below(2000)
 
 _sysrand = random.SystemRandom()
 MILLER_RABIN_ROUNDS = 40
@@ -92,14 +103,16 @@ class CurveOps(NamedTuple):
     (X, Y, Z) with the identity at Z = 0; coordinates are ints for F_p or
     pairs for F_p2.  dbl(X, Y, Z) doubles and add_mixed(X, Y, Z, x, y) adds
     an affine point to a Jacobian one; normalize maps a list of Jacobian
-    points, none the identity, to affine with a single inversion.  neg
-    negates a y-coordinate, and identity is (one, one, zero) of the
-    coordinate field.
+    points, none the identity, to affine with a single inversion, and
+    add_pairs maps a list of pairs (P, Q) of affine points, P != +-Q, to
+    their affine sums, also with a single inversion.  neg negates a
+    y-coordinate, and identity is (one, one, zero) of the coordinate field.
     """
 
     dbl: Callable
     add_mixed: Callable
     normalize: Callable
+    add_pairs: Callable
     neg: Callable
     identity: tuple
 
@@ -120,14 +133,27 @@ class CurveOps(NamedTuple):
             X, Y, Z = add(X, Y, Z, x, y)
         return self.to_affine(X, Y, Z)
 
-    def multiples(self, base, count: int):
-        """base, 2 base, .., count * base, affine, with one inversion; none of
-        them may be the identity."""
-        add, (x, y) = self.add_mixed, base
-        jac = [(x, y, self.identity[0])]
-        for _ in range(count - 1):
-            jac.append(add(*jac[-1], x, y))
-        return self.normalize(jac)
+    def comb_rows(self, base, w: int, count: int, nrows: int):
+        """Row j < nrows holds d * 2^(wj) * base for d = 1..count, affine
+        (count >= 2, and no entry may be the identity).  One run of doublings
+        gives every row's first two entries, normalized together; then each
+        step appends row[0] + row[-1] to every row through add_pairs, so the
+        table costs count - 1 inversions and no Jacobian additions."""
+        dbl = self.dbl
+        X, Y, Z = *base, self.identity[0]
+        jac = []
+        for _ in range(nrows):
+            jac.append((X, Y, Z))
+            X, Y, Z = dbl(X, Y, Z)
+            jac.append((X, Y, Z))
+            for _ in range(w - 1):
+                X, Y, Z = dbl(X, Y, Z)
+        flat = self.normalize(jac)
+        rows = [flat[i : i + 2] for i in range(0, len(flat), 2)]
+        for _ in range(count - 2):
+            for row, pt in zip(rows, self.add_pairs([(row[0], row[-1]) for row in rows])):
+                row.append(pt)
+        return rows
 
     def negate(self, pt):
         return None if pt is None else (pt[0], self.neg(pt[1]))
@@ -137,9 +163,10 @@ def jacobian_ops(p: int, a: int) -> CurveOps:
     """The group y^2 = x^3 + ax + b over F_p, for a = 0 and a = -3.  The
     formulas are from Bernstein-Lange's Explicit-Formulas Database: doubling
     by dbl-2009-l (a = 0) or dbl-2001-b (a = -3), and mixed addition by
-    madd-2004-hmv, falling back to doubling on equal inputs.  normalize is
-    Montgomery's trick: invert the product of the Zs, then peel off one Z at
-    a time.
+    madd-2004-hmv, falling back to doubling on equal inputs.  normalize and
+    add_pairs share Montgomery's trick (invert the product of the values,
+    then peel off one value at a time): normalize inverts the Zs, add_pairs
+    the x-differences of the chord slopes.
     """
     if a % p == 0:
 
@@ -190,56 +217,86 @@ def jacobian_ops(p: int, a: int) -> CurveOps:
         Y3 = (R * (V - X3) - Y1 * HHH) % p
         return (X3, Y3, Z1 * H % p)
 
-    def normalize(points):
+    def invert_all(values):
+        """The inverses of a list of nonzero values, with one inversion."""
         prefix = []
         acc = 1
-        for _, _, Z in points:
+        for v in values:
             prefix.append(acc)
-            acc = acc * Z % p
+            acc = acc * v % p
         inv = pow(acc, -1, p)
-        out = [None] * len(points)
-        for i in range(len(points) - 1, -1, -1):
-            X, Y, Z = points[i]
-            zi = prefix[i] * inv % p
-            inv = inv * Z % p
-            zi2 = zi * zi % p
-            out[i] = (X * zi2 % p, Y * zi2 * zi % p)
+        out = [0] * len(values)
+        for i in range(len(values) - 1, -1, -1):
+            out[i] = prefix[i] * inv % p
+            inv = inv * values[i] % p
         return out
 
-    return CurveOps(dbl, add_mixed, normalize, lambda y: -y % p, (1, 1, 0))
+    def normalize(points):
+        out = []
+        for (X, Y, _), zi in zip(points, invert_all([Z for _, _, Z in points])):
+            zi2 = zi * zi % p
+            out.append((X * zi2 % p, Y * zi2 * zi % p))
+        return out
+
+    def add_pairs(pairs):
+        out = []
+        for ((x1, y1), (x2, y2)), t in zip(pairs, invert_all([q[0] - pt[0] for pt, q in pairs])):
+            lam = (y2 - y1) * t % p
+            x3 = (lam * lam - x1 - x2) % p
+            out.append((x3, (lam * (x1 - x3) - y1) % p))
+        return out
+
+    return CurveOps(dbl, add_mixed, normalize, add_pairs, lambda y: -y % p, (1, 1, 0))
 
 
 class Comb:
-    """Fixed-base multiplication by a radix-16 comb (Brickell-Gordon-
-    McCurley-Wilson): row j holds d * 16^j * base for d = 1..15, so a scalar
-    costs one group operation per nonzero nibble and no doublings.  Only
-    worth building for long-lived bases: generators and verification keys.
+    """Fixed-base multiplication by a radix-2^w comb (Brickell-Gordon-
+    McCurley-Wilson, with Lim-Lee's trade of table size for speed): row j
+    holds d * 2^(wj) * base for d = 1..count, so a scalar costs one group
+    operation per nonzero digit and no doublings.  Only worth building for
+    long-lived bases: generators and verification keys.
 
-    The group record gives multiples(b, m), the list b, 2b, .., m*b as rows
-    store it, and fold(entries), the sum of a list of entries: a CurveOps,
-    or dlgroup's record for Z_p*, where multiples are powers and the fold a
-    product.
+    Unsigned digits run 0..2^w - 1, so count = 2^w - 1.  Signed digits run
+    -2^(w-1) + 1..2^(w-1), so count = 2^(w-1): a negative digit takes its
+    entry from the same row with y negated, and the rows cover one bit more
+    for the carry.  Signed tables need a group record that can negate (a
+    CurveOps); for the same width they hold half the entries and walk about
+    as many digits.
+
+    The group record gives comb_rows(b, w, count, nrows), the rows of d * b
+    for d = 1..count as the table stores them, and fold(entries), the sum of
+    a list of entries: a CurveOps, or dlgroup's record for Z_p*, where
+    multiples are powers and the fold a product.
     """
 
-    def __init__(self, group, base, windows: int):
+    def __init__(self, group, base, bits: int, w: int, signed: bool = False):
         self.group = group
-        self.rows = []
-        for _ in range(windows):
-            *row, base = group.multiples(base, 16)
-            self.rows.append(row)
+        self.w = w
+        self.mask = (1 << w) - 1
+        self.top = 1 << (w - 1) if signed else self.mask  # the largest digit
+        self.neg = group.neg if signed else None
+        self.rows = group.comb_rows(base, w, self.top, -(-(bits + signed) // w))
 
     def mul(self, k: int):
-        """k * base for 0 <= k < 16^windows: one pass over k's nibbles
-        collects an entry per nonzero nibble, and the record folds them."""
+        """k * base for 0 <= k < 2^bits: one pass over k's digits collects an
+        entry per nonzero digit, and the record folds them."""
         if k < 0:
             raise ValueError("negative scalar")
-        rows = self.rows
+        w, mask, top, neg = self.w, self.mask, self.top, self.neg
         picked = []
-        j = 0
-        while k:
-            d = k & 15
-            if d:
-                picked.append(rows[j][d - 1])
-            k >>= 4
-            j += 1
+        for row in self.rows:
+            if not k:
+                break
+            d = k & mask
+            k >>= w
+            if d > top:  # signed: take d - 2^w and carry one into the next window
+                d -= mask + 1
+                k += 1
+            if d > 0:
+                picked.append(row[d - 1])
+            elif d:
+                x, y = row[-d - 1]
+                picked.append((x, neg(y)))
+        if k:
+            raise ValueError("scalar too large for the table")
         return self.group.fold(picked)

@@ -89,8 +89,8 @@ G1 = jacobian_ops(P, 0)
 
 @lru_cache(maxsize=2)
 def _gen_comb(ops: CurveOps, base) -> Comb:
-    """The table of a fixed generator, g1 or g2, built on first use."""
-    return Comb(ops, base, (N.bit_length() + 3) // 4)
+    """The radix-16 table of a fixed generator, g1 or g2, built on first use."""
+    return Comb(ops, base, N.bit_length(), 4)
 
 
 def g1_mul_gen(k: int):
@@ -327,7 +327,15 @@ def _normalize2(jac):
     return out
 
 
-G2 = CurveOps(_jac2_dbl, _jac2_add_mixed, _normalize2, f2_neg, (F2_ONE, F2_ONE, F2_ZERO))
+def _add_pairs2(pairs):
+    """CurveOps.add_pairs over Fp2, as mixed additions to Z = 1 and one
+    normalization: only the generator's table uses it, built once."""
+    return _normalize2([_jac2_add_mixed(*pt, F2_ONE, *q) for pt, q in pairs])
+
+
+G2 = CurveOps(
+    _jac2_dbl, _jac2_add_mixed, _normalize2, _add_pairs2, f2_neg, (F2_ONE, F2_ONE, F2_ZERO)
+)
 
 
 def g2_mul(pt, k: int):

@@ -1,11 +1,12 @@
 """Operations in the shared 1024/160 discrete-log group.
 
-Exponentiations with a long-lived base run through radix-16 comb tables
-(intmath.Comb over _ZP, this module's record for Z_p*), one per base value
-in a bounded LRU: the generator's serves every signature, a verification
-key's (a DSA public key, the group manager key, a roster pseudonym) every
-verify under that key.  With the table built, y^e costs about forty
-1024-bit multiplications and no squarings.  Ring members and chameleon
+Exponentiations with a long-lived base run through comb tables
+(intmath.Comb over _ZP, this module's record for Z_p*).  The generator's
+table is radix 256 and built once: g^e costs about twenty 1024-bit
+multiplications.  A verification key's table (a DSA public key, the group
+manager key, a roster pseudonym) is radix 16, one per base value in a
+bounded LRU, and serves every verify under that key: y^e costs about forty
+multiplications.  Neither walk squares.  Ring members and chameleon
 trapdoors stay on pow(): rings are assembled ad hoc from unauthenticated
 key lists, and each chameleon key serves one token.
 """
@@ -25,11 +26,18 @@ class _ZP:
     powers, and the fold of a list is its product."""
 
     @staticmethod
-    def multiples(b: int, count: int) -> list[int]:
-        out = [b % DL_P]
-        for _ in range(count - 1):
-            out.append(out[-1] * b % DL_P)
-        return out
+    def comb_rows(b: int, w: int, count: int, nrows: int) -> list[list[int]]:
+        """Row j < nrows holds b^(d 2^(wj)) for d = 1..count: one chain of
+        2^w powers per row, whose last is the next row's base."""
+        rows = []
+        b %= DL_P
+        for _ in range(nrows):
+            powers = [b]
+            for _ in range((1 << w) - 1):
+                powers.append(powers[-1] * b % DL_P)
+            rows.append(powers[:count])
+            b = powers[-1]
+        return rows
 
     @staticmethod
     def fold(values) -> int:
@@ -41,13 +49,21 @@ class _ZP:
 
 @lru_cache(maxsize=128)
 def _table(base: int) -> Comb:
-    """41 rows: exponents up to 2^164 - 1, four bits past q."""
-    return Comb(_ZP, base, DL_Q.bit_length() // 4 + 1)
+    """A key's radix-16 table, 41 rows: exponents up to 2^164 - 1, four bits
+    past q."""
+    return Comb(_ZP, base, DL_Q.bit_length() + 4, 4)
+
+
+@lru_cache(maxsize=1)
+def _gen_table() -> Comb:
+    """The generator's radix-256 table, 20 rows of 255 powers, kept apart
+    from the per-key LRU so that no run of keys evicts it."""
+    return Comb(_ZP, DL_G, DL_Q.bit_length(), 8)
 
 
 def gen_pow(e: int) -> int:
-    """g^e mod p through the fixed-base table."""
-    return _table(DL_G).mul(e % DL_Q)
+    """g^e mod p through the generator's table."""
+    return _gen_table().mul(e % DL_Q)
 
 
 def key_pow(y: int, e: int) -> int:

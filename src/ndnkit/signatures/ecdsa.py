@@ -1,15 +1,16 @@
 """ECDSA over the registered prime-field curves (a = -3, cofactor 1).
 
-Scalar multiplication walks a radix-16 comb table with additions only.
-Each point it multiplies gets its table (intmath.Comb over the curve's
-CurveOps record) on first use, held in a bounded LRU keyed by (curve,
-point) value.  The base point's table serves signing, and a public key's
-serves every verify under that key, so a verify is two table walks of
-about |n|/4 mixed additions each; the first verify under a new key also
-pays for its table (~5 ms on secp160r1).  Verify checks that the key
-lies on the curve before a table is built for it.  Signature integers are
-emitted at the curve's fixed width, with the nonce resampled in the
-(astronomically rare) case an integer does not fit.
+Scalar multiplication walks comb tables (intmath.Comb over the curve's
+CurveOps record) with additions only.  The base point's table serves
+signing: signed digits of radix 2^7, one table per curve built on first
+use, so k * G is about |n|/7 mixed additions.  Every other point gets a
+radix-16 table on first use, held in a bounded LRU keyed by (curve, point)
+value, so a public key's table serves every verify under that key and a
+verify walks it with about |n|/4 mixed additions; the first verify under
+a new key also pays for its table (~3 ms on secp160r1).  Verify checks
+that the key lies on the curve before a table is built for it.  Signature
+integers are emitted at the curve's fixed width, with the nonce resampled
+in the (astronomically rare) case an integer does not fit.
 """
 
 from __future__ import annotations
@@ -68,13 +69,20 @@ def point_mul(spec: CurveSpec, pt, k: int):
 
 @lru_cache(maxsize=128)
 def _comb(spec: CurveSpec, x: int, y: int) -> Comb:
-    """The table for one curve point, kept per (curve, point) value: the base
-    point's serves signing, a public key's serves every verify under it."""
-    return Comb(_ops(spec), (x, y), (spec.n.bit_length() + 3) // 4)
+    """The radix-16 table for one curve point, kept per (curve, point) value:
+    a public key's serves every verify under it."""
+    return Comb(_ops(spec), (x, y), spec.n.bit_length(), 4)
+
+
+@lru_cache(maxsize=len(CURVES))
+def _gen_comb(spec: CurveSpec) -> Comb:
+    """The base point's signed radix-2^7 table, kept apart from the per-key
+    LRU so that no run of keys evicts it."""
+    return Comb(_ops(spec), (spec.gx, spec.gy), spec.n.bit_length(), 7, signed=True)
 
 
 def base_mul(spec: CurveSpec, k: int):
-    return _comb(spec, spec.gx, spec.gy).mul(k % spec.n)
+    return _gen_comb(spec).mul(k % spec.n)
 
 
 def _digest(spec: CurveSpec, msg: bytes) -> int:

@@ -205,6 +205,12 @@ def _int_field(record: dict, key: str, default: int, what: str, minimum: int = 0
     return value
 
 
+def _declared(specs: dict[str, NodeSpec], node_id) -> Optional[NodeSpec]:
+    """The spec of a node id read from the config, None when it names no
+    declared node (a list or object there is not hashable, so look first)."""
+    return specs.get(node_id) if isinstance(node_id, str) else None
+
+
 def build_topology(config) -> Topology:
     cfg = _as_dict(config)
     specs: dict[str, NodeSpec] = {}
@@ -236,7 +242,7 @@ def build_topology(config) -> Topology:
     for link in _section(cfg, "links"):
         a, b = link.get("a"), link.get("b")
         for end in (a, b):
-            if end not in specs:
+            if _declared(specs, end) is None:
                 raise ConfigError(f"link references undeclared node {end!r}")
         if a == b:
             raise ConfigError(f"link endpoints must differ (node {a!r})")
@@ -252,9 +258,10 @@ def build_topology(config) -> Topology:
     bindings: list[Binding] = []
     for entry in _section(cfg, "producers"):
         node = entry.get("node")
-        if node not in specs:
+        spec = _declared(specs, node)
+        if spec is None:
             raise ConfigError(f"producer binding references undeclared node {node!r}")
-        if specs[node].role != "producer":
+        if spec.role != "producer":
             raise ConfigError(f"node {node!r} is not a producer")
         prefix = _parse_config_name(entry.get("prefix"), "producer prefix")
         if any(b.prefix == prefix for b in bindings):
@@ -332,7 +339,7 @@ def build_scenario(cfg: dict, specs: dict[str, NodeSpec]) -> Scenario:
     schedule = []
     for entry in _section(cfg, "schedule"):
         consumer = entry.get("consumer")
-        spec = specs.get(consumer)
+        spec = _declared(specs, consumer)
         if spec is None or spec.role != "consumer":
             raise ConfigError(f"schedule references non-consumer {consumer!r}")
         schedule.append(
@@ -347,7 +354,7 @@ def build_scenario(cfg: dict, specs: dict[str, NodeSpec]) -> Scenario:
     attacks = []
     for entry in _section(cfg, "attacks"):
         node = entry.get("node")
-        if node not in specs:
+        if _declared(specs, node) is None:
             raise UnknownNode(f"attack references undeclared node {node!r}")
         attacks.append(
             AttackSpec(

@@ -245,6 +245,13 @@ def test_sim_root_request_name_exits_2(tmp_path, capsys):
     assert "scheduled name must not be the root name" in capsys.readouterr().err
 
 
+def test_sim_node_reference_that_is_not_a_string_exits_2(tmp_path, capsys):
+    links = [dict(LINE["links"][0], a=["c1"])] + LINE["links"][1:]
+    topo = write_topology(tmp_path, dict(LINE, links=links))
+    assert cli.main(["sim", "--topology", str(topo), "--out", str(tmp_path / "o")]) == 2
+    assert "link references undeclared node ['c1']" in capsys.readouterr().err
+
+
 def test_sim_tick_limit_exits_3(tmp_path):
     topo = write_topology(tmp_path, dict(LINE, tick_limit=0))
     assert cli.main(["sim", "--topology", str(topo), "--out", str(tmp_path / "o")]) == 3

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from ndnkit.intmath import is_probable_prime, wnaf
+from ndnkit.intmath import _SMALL_PRIMES, is_probable_prime, wnaf
 from ndnkit.pairing import ate
 from ndnkit.pairing.fields import N, X_PARAM
 from ndnkit.signatures import dlgroup, ecdsa
@@ -22,6 +22,10 @@ def test_is_probable_prime_edge_cases():
     cases = {0: False, 1: False, 2: True, 3: True, 4: False, 561: False, m61: True,
              2 * m61: False}
     assert {n: is_probable_prime(n) for n in cases} == cases
+
+
+def test_small_primes_match_trial_division():
+    assert _SMALL_PRIMES == [p for p in range(2, 2000) if all(p % d for d in range(2, p))]
 
 
 def test_dl_params_tool_reproduces_the_constants():
@@ -55,6 +59,70 @@ def test_wnaf_at_width_2_gives_the_ate_loop_digits():
 
 
 # --- the fixed-base comb -----------------------------------------------------
+
+
+def _double_and_add(spec, k):
+    """k * G on the curve by affine double-and-add, None for the identity."""
+    p = spec.p
+
+    def add(a, b):
+        if a is None or b is None:
+            return a or b
+        if a[0] == b[0] and (a[1] + b[1]) % p == 0:
+            return None
+        if a == b:
+            lam = (3 * a[0] * a[0] + spec.a) * pow(2 * a[1], -1, p) % p
+        else:
+            lam = (b[1] - a[1]) * pow(b[0] - a[0], -1, p) % p
+        x = (lam * lam - a[0] - b[0]) % p
+        return (x, (lam * (a[0] - x) - a[1]) % p)
+
+    acc = None
+    for bit in bin(k)[2:]:
+        acc = add(acc, acc)
+        if bit == "1":
+            acc = add(acc, (spec.gx, spec.gy))
+    return acc
+
+
+def _generator_table(name):
+    """A generator's table, its group order and a reference k -> k * generator."""
+    if name == "dl":
+        return dlgroup._gen_table(), DL_Q, lambda k: pow(DL_G, k, DL_P)
+    spec = CURVES[name]
+    return ecdsa._gen_comb(spec), spec.n, lambda k: _double_and_add(spec, k)
+
+
+def _edge_digit_scalars(comb, bits):
+    """Scalars below 2^bits whose every radix-2^w digit sits at an edge of the
+    comb's digit range: +-2^(w-1) in seeded signs (the top one positive; all
+    positive for an unsigned comb), and the largest digit everywhere."""
+    w, half, m = comb.w, 1 << (comb.w - 1), bits // comb.w
+    signs = [1, -1] if comb.top == half else [1]
+    out = []
+    for seed in range(3):
+        digits = random.Random(seed).choices(signs, k=m - 1) + [1]
+        out.append(sum(d * half << (w * j) for j, d in enumerate(digits)))
+    out.append(sum(comb.top << (w * j) for j in range(m)))
+    return out
+
+
+@pytest.mark.parametrize("name", ["p256", "secp160r1", "dl"])
+def test_generator_comb_matches_the_reference(name):
+    comb, order, reference = _generator_table(name)
+    bits = order.bit_length()
+    signed = comb.top == 1 << (comb.w - 1)
+    assert len(comb.rows) == -(-(bits + signed) // comb.w)  # signed: a row to carry into
+    rng = random.Random(bits)
+    scalars = [0, 1, order - 1, (1 << bits) - 1] + _edge_digit_scalars(comb, bits)
+    scalars += [rng.randrange(order) for _ in range(50)]
+    for k in scalars:
+        assert 0 <= k < 1 << bits
+        assert comb.mul(k) == reference(k), k
+    with pytest.raises(ValueError, match="negative scalar"):
+        comb.mul(-1)
+    with pytest.raises(ValueError, match="too large"):
+        comb.mul(1 << (len(comb.rows) * comb.w))
 
 
 def test_comb_rejects_a_negative_scalar():

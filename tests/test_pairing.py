@@ -215,6 +215,8 @@ def test_group_record_laws(name):
     jac = [ops.dbl(*pt, one) for pt in pts]
     jac += [ops.add_mixed(*j, *pt) for j, pt in zip(jac, pts[1:])]
     assert ops.normalize(jac) == [ops.to_affine(*j) for j in jac]
+    pairs = list(zip(pts, pts[1:]))
+    assert ops.add_pairs(pairs) == [ops.add(a, b) for a, b in pairs]
 
 
 def test_fixed_base_combs_match_generic_mul():

@@ -123,9 +123,12 @@ def test_dl_tables_are_shared_by_value_and_bounded(dsa_key):
     assert y is not dsa_key.y
     assert dlgroup._table(y) is dlgroup._table(dsa_key.y)
     bound = dlgroup._table.cache_info().maxsize
+    generator = dlgroup._gen_table()
     for i in range(bound + 2):
         key_pow(gen_pow(1000 + i), 1)
     assert dlgroup._table.cache_info().currsize == bound
+    # the generator's table lives outside the per-key LRU: no run of keys evicts it
+    assert dlgroup._gen_table() is generator
 
 
 def test_element_valid_boundaries():
@@ -394,9 +397,12 @@ def test_ecdsa_tables_are_shared_by_value_and_bounded(ecdsa_key):
     assert ecdsa._comb(spec, twin.qx, twin.qy) is ecdsa._comb(spec, ecdsa_key.qx, ecdsa_key.qy)
     small = CURVES["secp160r1"]
     bound = ecdsa._comb.cache_info().maxsize
+    generator = ecdsa._gen_comb(small)
     for i in range(bound + 2):
         ecdsa.point_mul(small, ecdsa.base_mul(small, 1000 + i), 1)
     assert ecdsa._comb.cache_info().currsize == bound
+    # the base point's table lives outside the per-key LRU: no run of keys evicts it
+    assert ecdsa._gen_comb(small) is generator
 
 
 def test_ecdsa_off_curve_key_builds_no_table(ecdsa_key):
@@ -921,8 +927,8 @@ def test_jacobian_ops_cover_a_zero_and_minus_three_only():
     p = CURVES["secp160r1"].p
     for a in (0, -3, p - 3):
         ops = jacobian_ops(p, a)
-        assert ops._fields == ("dbl", "add_mixed", "normalize", "neg", "identity")
-        assert all(callable(f) for f in ops[:4]) and ops.identity == (1, 1, 0)
+        assert ops._fields == ("dbl", "add_mixed", "normalize", "add_pairs", "neg", "identity")
+        assert all(callable(f) for f in ops[:5]) and ops.identity == (1, 1, 0)
     with pytest.raises(ValueError):
         jacobian_ops(p, 7)
 

@@ -139,6 +139,25 @@ def test_schedule_requires_consumer_role():
         load_config(config(schedule=bad))
 
 
+@pytest.mark.parametrize(
+    "overrides, message",
+    [
+        ({"links": [{"a": ["c1"], "b": "r1", "a_face": 1, "b_face": 1}]},
+         r"link references undeclared node \['c1'\]"),
+        ({"producers": [dict(LINE["producers"][0], node=["p1"])]},
+         r"producer binding references undeclared node \['p1'\]"),
+        ({"schedule": [dict(LINE["schedule"][0], consumer={"id": "c1"})]},
+         r"schedule references non-consumer \{'id': 'c1'\}"),
+        ({"attacks": [{"tick": 0, "node": {}, "name": CONTENT_NAME}]},
+         r"attack references undeclared node \{\}"),
+    ],
+    ids=["link_end", "producer_node", "schedule_consumer", "attack_node"],
+)
+def test_node_reference_that_is_not_a_string_rejected(overrides, message):
+    with pytest.raises(ConfigError, match=message):
+        load_config(config(**overrides))
+
+
 def test_malformed_json_rejected():
     with pytest.raises(ConfigError, match="not valid JSON"):
         build_topology("{nodes: []")
