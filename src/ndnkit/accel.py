@@ -8,7 +8,9 @@ strength, which bounds a cheater's escape probability by 2^-80
 checks e(sum t_i sigma_i, g2) against the product over signers of
 e(sum t_i H(m_i), pk): one multi-exponentiation over all the signatures,
 one per signer over its message hashes, and 1 + #signers pairings under a
-single final exponentiation.  Online/offline signing moves the expensive
+single final exponentiation.  Aggregation sums the signatures, and its
+verification each signer's message hashes, with one G1.fold per sum: a
+Jacobian sum and one inversion.  Online/offline signing moves the expensive
 base-scheme signature into a preparation phase by signing a chameleon
 hash, whose trapdoor later bends to the real message with two modular
 multiplications.  Server-aided verification ships both pairings of a BLS
@@ -28,6 +30,7 @@ from .pairing import (
     G1Point,
     G2Point,
     GT_ONE,
+    g1_generator,
     g2_generator,
     gt_deserialize,
     gt_exp,
@@ -39,7 +42,7 @@ from .pairing import (
     pairing_product,
     prepare_g2,
 )
-from .pairing.curve import g1_mul_gen, g1_multi_exp
+from .pairing.curve import G1, g1_multi_exp
 from .signatures import (
     SCHEME_BLS,
     SCHEME_NAMES,
@@ -179,21 +182,22 @@ def aggregate(
         raise ParameterError("one (pk, msg) pair per signature required")
     if not sigs:
         raise ParameterError("nothing to aggregate")
-    total = None
-    for sig in sigs:
-        pt = G1Point.from_bytes(signature_data(sig, SCHEME_BLS, MixedScheme))
-        total = pt if total is None else total.add(pt)
+    points = [
+        G1Point.from_bytes(signature_data(sig, SCHEME_BLS, MixedScheme)).point for sig in sigs
+    ]
+    total = G1Point(G1.fold([pt for pt in points if pt is not None]))
     return AggregateSignature(element=total, covers=tuple(covers))
 
 
 def verify_aggregate(agg: AggregateSignature) -> bool:
-    per_key: dict[BlsPublicKey, G1Point] = {}
+    # per signer, its message hashes: one sum each
+    per_key: dict[BlsPublicKey, list] = {}
     for pk, msg in agg.covers:
-        h = G1Point(hash_to_g1(msg))
-        acc = per_key.get(pk)
-        per_key[pk] = h if acc is None else acc.add(h)
+        per_key.setdefault(pk, []).append(hash_to_g1(msg))
     pairs = [(agg.element, prepare_g2(g2_generator()))]
-    pairs += [(acc.neg(), prepare_g2(pk.point)) for pk, acc in per_key.items()]
+    pairs += [
+        (G1Point(G1.fold(hashes)).neg(), prepare_g2(pk.point)) for pk, hashes in per_key.items()
+    ]
     return pairing_product(pairs) == GT_ONE
 
 
@@ -333,10 +337,11 @@ def sav_verify(
 ) -> bool:
     """BLS verification with both pairings delegated to an untrusted server.
 
-    The signature is blinded as sigma~ = delta*sigma + r*g1 before leaving
-    the verifier, and the answers must satisfy A == B^delta * gt^r.  A server
-    that cannot solve discrete logs learns nothing about (delta, r), so even
-    one colluding with a forger hits the relation with probability 2^-ELL.
+    The signature is blinded as sigma~ = delta*sigma + r*g1, one two-base
+    multi-exponentiation of 80-bit scalars, before leaving the verifier, and
+    the answers must satisfy A == B^delta * gt^r.  A server that cannot
+    solve discrete logs learns nothing about (delta, r), so even one
+    colluding with a forger hits the relation with probability 2^-ELL.
     Locally this costs group arithmetic only - zero pairings.
     """
     rng = rng or random.SystemRandom()
@@ -348,7 +353,7 @@ def sav_verify(
     h = hash_to_g1(msg)
     delta = rng.randrange(1, 1 << ELL)
     r = rng.randrange(1, 1 << ELL)
-    blinded = sigma.mul(delta).add(G1Point(g1_mul_gen(r)))
+    blinded = G1Point(g1_multi_exp([sigma.point, g1_generator().point], [delta, r]))
     a_blob = server.query(blinded.to_bytes(), g2_generator().to_bytes())
     b_blob = server.query(G1Point(h).to_bytes(), pk.point.to_bytes())
     try:

@@ -276,6 +276,22 @@ def cmd_keygen(args) -> int:
 # --- argument parsing --------------------------------------------------------
 
 
+def _int_at_least(least: int):
+    """An argparse type: an integer no smaller than least, so that a count
+    the benchmark cannot use exits 2 with a message before any work runs."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {value}")
+        return value
+
+    return parse
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ndnkit",
@@ -286,10 +302,10 @@ def _build_parser() -> argparse.ArgumentParser:
     bench = sub.add_parser("bench", help="time signature scheme operations")
     bench.add_argument("--schemes", nargs="+", metavar="SCHEME",
                        help=f"subset of: {', '.join(BENCH_SCHEMES)} (default all)")
-    bench.add_argument("--iterations", type=int, default=1000)
-    bench.add_argument("--msg-size", type=int, default=DEFAULT_MSG_SIZE,
+    bench.add_argument("--iterations", type=_int_at_least(1), default=1000)
+    bench.add_argument("--msg-size", type=_int_at_least(0), default=DEFAULT_MSG_SIZE,
                        help="signed message size in bytes (default 1024)")
-    bench.add_argument("--keygen-iterations", type=int, default=None,
+    bench.add_argument("--keygen-iterations", type=_int_at_least(1), default=None,
                        help="samples for the keygen rows (default min(iterations, 25); "
                             "RSA key generation is orders slower than signing)")
     bench.add_argument("--seed", type=int, default=0)

@@ -13,7 +13,11 @@ so it is computed once per key by prepare_g2() and replayed against any
 number of G1 arguments.  pairing_product() shares the per-step squarings
 across pairs and performs a single final exponentiation, which is what
 signature verification actually needs: e(a, b) == e(c, d) is checked as
-e(a, b) * e(-c, d) == 1.
+e(a, b) * e(-c, d) == 1.  It is the one entry: pairing(p, q) is the
+product of one pair.  Pairs are (G1Point, G2Point | PreparedG2).
+
+The final exponentiation's easy part and hard-part chain take their
+p-, p^2- and p^3-power maps from the one fields.f12_frob(x, j).
 """
 
 from __future__ import annotations
@@ -24,7 +28,6 @@ from ..intmath import wnaf
 from .curve import G1Point, G2Point, g1_generator, g2_generator, g2_psi
 from .fields import (
     F12_ONE,
-    GT_ONE,
     P,
     X_PARAM,
     cyc_exp,
@@ -36,8 +39,6 @@ from .fields import (
     f2_sub,
     f12_conj,
     f12_frob,
-    f12_frob2,
-    f12_frob3,
     f12_inv,
     f12_mul,
     f12_sqr,
@@ -86,14 +87,10 @@ def _line_tangent(t):
 
 
 @lru_cache(maxsize=128)
-def prepare_g2(q) -> PreparedG2:
-    """Precompute the Miller-loop line coefficients for a G2 point.
-
-    Accepts a G2Point (the usual case; hashable, so results are memoized
-    per public key) or a raw affine tuple.
-    """
-    if isinstance(q, G2Point):
-        q = q.point
+def prepare_g2(point: G2Point) -> PreparedG2:
+    """Precompute the Miller-loop line coefficients for a G2 point, memoized
+    per point (per public key, and the generator)."""
+    q = point.point
     if q is None:
         return PreparedG2(None)
     coeffs = []
@@ -189,13 +186,10 @@ def _mul_line(f, a, lam, nxp, c):
     )
 
 
-def _normalize_pair(p, q):
-    """Reduce a pair to (affine G1 tuple | None, PreparedG2)."""
-    if isinstance(p, G1Point):
-        p = p.point
-    if not isinstance(q, PreparedG2):
-        q = prepare_g2(q)
-    return p, q
+def _normalize_pair(p: G1Point, q):
+    """Reduce a (G1Point, G2Point | PreparedG2) pair to (affine G1 tuple |
+    None, PreparedG2)."""
+    return p.point, q if isinstance(q, PreparedG2) else prepare_g2(q)
 
 
 def _miller_many(pairs):
@@ -234,19 +228,18 @@ def final_exponentiation(f):
     """f^((p^12 - 1)/n): the easy quotient then the hard-part addition chain."""
     # easy: f^((p^6 - 1)(p^2 + 1)) lands in the cyclotomic subgroup
     t = f12_mul(f12_conj(f), f12_inv(f))
-    f = f12_mul(f12_frob2(t), t)
+    f = f12_mul(f12_frob(t, 2), t)
     # hard: f^((p^4 - p^2 + 1)/n), x-power chain with free cyclotomic inverses
     fx = cyc_exp(f, X_PARAM)
     fx2 = cyc_exp(fx, X_PARAM)
     fx3 = cyc_exp(fx2, X_PARAM)
-    fp = f12_frob(f)
-    y0 = f12_mul(f12_mul(fp, f12_frob2(f)), f12_frob3(f))
+    y0 = f12_mul(f12_mul(f12_frob(f, 1), f12_frob(f, 2)), f12_frob(f, 3))
     y1 = f12_conj(f)
-    y2 = f12_frob2(fx2)
-    y3 = f12_conj(f12_frob(fx))
-    y4 = f12_conj(f12_mul(fx, f12_frob(fx2)))
+    y2 = f12_frob(fx2, 2)
+    y3 = f12_conj(f12_frob(fx, 1))
+    y4 = f12_conj(f12_mul(fx, f12_frob(fx2, 1)))
     y5 = f12_conj(fx2)
-    y6 = f12_conj(f12_mul(fx3, f12_frob(fx3)))
+    y6 = f12_conj(f12_mul(fx3, f12_frob(fx3, 1)))
     t0 = f12_mul(f12_mul(gs_sqr(y6), y4), y5)
     t1 = f12_mul(f12_mul(y3, y5), t0)
     t0 = f12_mul(t0, y2)
@@ -257,16 +250,6 @@ def final_exponentiation(f):
     return f12_mul(gs_sqr(t0), t1)
 
 
-def pairing(p, q):
-    """e(p, q) for p in G1 and q in G2 (or a PreparedG2)."""
-    global _pairing_calls
-    _pairing_calls += 1
-    p, q = _normalize_pair(p, q)
-    if p is None or q.coeffs is None:
-        return GT_ONE
-    return final_exponentiation(_miller_many([(p, q)]))
-
-
 def pairing_product(pairs):
     """prod e(p_i, q_i) with shared squarings and one final exponentiation."""
     global _pairing_calls
@@ -275,15 +258,15 @@ def pairing_product(pairs):
     return final_exponentiation(_miller_many(norm))
 
 
-_gt_gen = None
+def pairing(p, q):
+    """e(p, q) for a G1Point p and a G2Point or PreparedG2 q."""
+    return pairing_product([(p, q)])
 
 
+@lru_cache(maxsize=1)
 def gt_generator():
-    """e(g1, g2), computed once and cached."""
-    global _gt_gen
-    if _gt_gen is None:
-        f = final_exponentiation(
-            _miller_many([(g1_generator().point, prepare_g2(g2_generator()))])
-        )
-        _gt_gen = f
-    return _gt_gen
+    """e(g1, g2), computed once; it counts as no pairing, so verifiers that
+    only exponentiate it (server-aided verification) run none."""
+    return final_exponentiation(
+        _miller_many([(g1_generator().point, prepare_g2(g2_generator()))])
+    )

@@ -7,15 +7,17 @@ G2: order-n subgroup of the D-type sextic twist E'(Fp2): y^2 = x^3 + 2/xi,
 Affine points are coordinate tuples (None is the identity); scalar
 multiplication runs in Jacobian coordinates.  Each group is one
 intmath.CurveOps record, G1 and G2, and the engines below take the record.
-The fixed generators carry radix-16 comb tables (intmath.Comb) so generator
-exponentiations (key generation, signing bases) cost ~40 mixed additions.
+The G2 generator carries a radix-16 comb table (intmath.Comb), so BLS and
+network-coding key generation costs ~40 mixed additions.  No G1 product
+has a fixed base worth a table: server-aided verification blinds with
+delta sigma + r g1, one two-base g1_multi_exp of 80-bit scalars.
 
 Sums k_1 B_1 + ... + k_n B_n run on one engine: width-w NAF digits
 (intmath.wnaf: odd, within +-2^(w-1)) pick entries of per-base affine
 tables of odd multiples, over one run of doublings shared by all bases.
 g1_multi_exp uses its tables once and takes w = 4; G1MultiExp keeps them
 and takes w = 8.
-Variable-base g1_mul (BLS signing, nc_sign, SAV blinding) is a two-base sum
+Variable-base g1_mul (BLS signing, nc_sign) is a two-base sum
 on the same engine: the GLV endomorphism phi(x, y) = (beta x, y) = [lambda]P
 splits the scalar into two halves below 2^80, halving the doublings.
 
@@ -85,17 +87,6 @@ def g1_on_curve(pt) -> bool:
 
 
 G1 = jacobian_ops(P, 0)
-
-
-@lru_cache(maxsize=2)
-def _gen_comb(ops: CurveOps, base) -> Comb:
-    """The radix-16 table of a fixed generator, g1 or g2, built on first use."""
-    return Comb(ops, base, N.bit_length(), 4)
-
-
-def g1_mul_gen(k: int):
-    """k * g1 through the fixed-base table."""
-    return _gen_comb(G1, (G1_X, G1_Y)).mul(k % N)
 
 
 def _g1_lift(x: int, parity: int):
@@ -372,9 +363,15 @@ def g2_in_subgroup(pt) -> bool:
     return g2_psi(pt) == g2_mul(pt, PSI_EIGENVALUE)
 
 
+@lru_cache(maxsize=1)
+def _gen_comb() -> Comb:
+    """The radix-16 table of g2, built on first use."""
+    return Comb(G2, (G2_X, G2_Y), N.bit_length(), 4)
+
+
 def g2_mul_gen(k: int):
     """k * g2 through the fixed-base table."""
-    return _gen_comb(G2, (G2_X, G2_Y)).mul(k % N)
+    return _gen_comb().mul(k % N)
 
 
 # --- wrapper value types -----------------------------------------------------
@@ -438,9 +435,6 @@ class G2Point:
 
     def is_identity(self) -> bool:
         return self.point is None
-
-    def add(self, other: "G2Point") -> "G2Point":
-        return G2Point(G2.add(self.point, other.point))
 
     def mul(self, k: int) -> "G2Point":
         return G2Point(g2_mul(self.point, k))

@@ -11,8 +11,9 @@ exponentiation's three powers by x takes 39 squarings and 4 products.  The
 hot-path kernels are written out over plain ints: f6_mul, f12_mul and
 f12_sqr (the Miller loop's squarings and the final exponentiation's
 products, with the Fp6 sums, the multiply by v and the recombination
-inlined around f6_mul) and gs_sqr (the cyclotomic squarings).  The
-readable Fp2-level helpers serve setup code and tests.
+inlined around f6_mul) and gs_sqr (the cyclotomic squarings).  One
+Frobenius, f12_frob(x, j), raises to p^j for j = 1, 2, 3.  The readable
+Fp2-level helpers serve setup code and tests.
 """
 
 from ..intmath import wnaf
@@ -298,28 +299,21 @@ def f12_from_coeffs(g):
     return ((g[0], g[2], g[4]), (g[1], g[3], g[5]))
 
 
-# Frobenius constants gamma1[k] = xi^(k (p-1)/6)
+# Frobenius constants: the p^j-power map scales coefficient g_k by
+# gamma_j[k] = xi^(k (p^j - 1)/6).  gamma_2[k] = gamma_1[k]^(p + 1) is
+# conj(gamma_1[k]) gamma_1[k], an element of Fp, and gamma_3 = gamma_2 gamma_1.
 GAMMA1 = tuple(f2_pow(XI, k * (P - 1) // 6) for k in range(6))
-GAMMA2 = tuple(f2_mul(f2_conj(GAMMA1[k]), GAMMA1[k]) for k in range(6))
-GAMMA3 = tuple(f2_mul(GAMMA2[k], GAMMA1[k]) for k in range(6))
+_GAMMA2 = tuple(f2_mul(f2_conj(g), g) for g in GAMMA1)
+_FROB_GAMMA = {1: GAMMA1, 2: _GAMMA2, 3: tuple(f2_mul(a, b) for a, b in zip(_GAMMA2, GAMMA1))}
 
 
-def f12_frob(x):
+def f12_frob(x, j):
+    """x^(p^j) for j = 1, 2, 3: conjugate each coefficient when j is odd
+    (the p-power map of Fp2), then scale g_k by xi^(k (p^j - 1)/6)."""
     g = f12_to_coeffs(x)
-    out = tuple(f2_mul(f2_conj(g[k]), GAMMA1[k]) for k in range(6))
-    return f12_from_coeffs(out)
-
-
-def f12_frob2(x):
-    g = f12_to_coeffs(x)
-    out = tuple(f2_mul(g[k], GAMMA2[k]) for k in range(6))
-    return f12_from_coeffs(out)
-
-
-def f12_frob3(x):
-    g = f12_to_coeffs(x)
-    out = tuple(f2_mul(f2_conj(g[k]), GAMMA3[k]) for k in range(6))
-    return f12_from_coeffs(out)
+    if j & 1:
+        g = map(f2_conj, g)
+    return f12_from_coeffs([f2_mul(c, gamma) for c, gamma in zip(g, _FROB_GAMMA[j])])
 
 
 # --- cyclotomic subgroup ops -------------------------------------------------

@@ -45,10 +45,6 @@ def keygen(params: SchemeParams, rng: random.Random | None = None) -> BlsPrivate
     return BlsPrivateKey(x=x, point=G2Point(g2_mul_gen(x)))
 
 
-def hash_point(msg: bytes) -> G1Point:
-    return G1Point(hash_to_g1(msg))
-
-
 def sign(key: BlsPrivateKey, msg: bytes) -> bytes:
     sigma = g1_mul(hash_to_g1(msg), key.x)
     return G1Point(sigma).to_bytes()
@@ -59,7 +55,7 @@ def verify(key: BlsPublicKey, msg: bytes, sig: bytes) -> bool:
         sigma = G1Point.from_bytes(sig)
     except ValueError:
         return False
-    h = hash_point(msg)
+    h = G1Point(hash_to_g1(msg))
     # e(sigma, g2) == e(H(m), pk), checked as a product with one final exp
     return (
         pairing_product(

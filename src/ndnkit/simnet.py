@@ -13,10 +13,12 @@ distinct blob once: a Data forwarded unchanged, or answered from a cache,
 reuses its bytes, and every hop that receives those bytes shares one decoded
 object. The two memos hold at most CODEC_MEMO_ENTRIES packets and start over
 when full, together with the memo of name texts, and every SWEEP_TICKS ticks
-each node drops its expired PIT, duplicate-nonce and CS entries. The ledger
-of requests holds only the outstanding ones: a request joins it on its first
-attempt and leaves once delivered or given up. So, apart from the signed
-Data kept per published name, a run's state does not grow with its length.
+each node drops its expired PIT, duplicate-nonce and CS entries. Producers
+keep at most CODEC_MEMO_ENTRIES signed Data and drop the least recently
+served; signing is deterministic per name, so a re-signed Data is the same
+bytes. The ledger of requests holds only the outstanding ones: a request
+joins it on its first attempt and leaves once delivered or given up. So a
+run's state does not grow with its length.
 None of this changes a trace: expired entries already count as absent. Each event on the heap carries its handler, and a request's
 hop count is read off the trace's emit records once the run ends.
 
@@ -50,7 +52,8 @@ APP_FACE = 0
 MAX_ATTEMPTS = 3
 DEFAULT_TICK_LIMIT = 100_000
 PAYLOAD_BYTES = 64
-# distinct packets the codec memos hold before they start over
+# distinct packets the codec memos hold before they start over, and signed
+# Data the producers keep
 CODEC_MEMO_ENTRIES = 4096
 # ticks between two sweeps of every node's expired state
 SWEEP_TICKS = 1000
@@ -458,6 +461,7 @@ class _Runner:
         for node in self.nodes.values():
             for b, key in self.producers.values():
                 node.trust.add(b.key_name, b.scheme_id, key.public())
+        # name -> its signed Data, least recently served first
         self.published: dict[Name, Data] = {}
 
     # -- plumbing --
@@ -577,7 +581,7 @@ class _Runner:
             self.log(tick, node_id, "no_binding", interest.name, APP_FACE, interest.nonce)
             return
         binding, key = self.producers[prefix]
-        data = self.published.get(interest.name)
+        data = self.published.pop(interest.name, None)
         if data is None:
             data = self.sign_data(
                 binding,
@@ -585,7 +589,9 @@ class _Runner:
                 _stretch(_CONTENT_TAG, self.scenario.seed, self.text(interest.name)),
                 key,
             )
-            self.published[interest.name] = data
+            if len(self.published) >= CODEC_MEMO_ENTRIES:
+                del self.published[next(iter(self.published))]
+        self.published[interest.name] = data
         self.log(tick, node_id, "publish", data.name, APP_FACE)
         node = self.nodes[node_id]
         self.route_emissions(node_id, node.process_data(APP_FACE, data, tick), tick)

@@ -118,6 +118,20 @@ def test_bench_command_rejects_unknown_scheme(capsys):
     assert "unknown scheme" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--iterations", "0", "--iterations: must be at least 1, got 0"),
+    ("--keygen-iterations", "0", "--keygen-iterations: must be at least 1, got 0"),
+    ("--msg-size", "-1", "--msg-size: must be at least 0, got -1"),
+    ("--iterations", "ten", "--iterations: 'ten' is not an integer"),
+])
+def test_bench_command_rejects_unusable_counts(flag, value, message, capsys):
+    with pytest.raises(SystemExit) as exit_:
+        cli.main(["bench", "--schemes", "ecdsa", "--iterations", "1", f"{flag}={value}"])
+    assert exit_.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err
+
+
 # --- keygen ------------------------------------------------------------------
 
 

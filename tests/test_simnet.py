@@ -564,6 +564,29 @@ def test_benchmark_shaped_runs_replay_to_pinned_digests(shape, expected):
     ) == expected
 
 
+def test_a_producer_re_signs_evicted_data_to_the_same_bytes(monkeypatch):
+    signed = Counter()
+    sign = simnet.sigs.sign
+
+    def counting_sign(key, portion, rng):
+        signed[portion] += 1
+        return sign(key, portion, rng)
+
+    monkeypatch.setattr(simnet.sigs, "sign", counting_sign)
+    config = json.loads(_bench_tree("ecdsa", False, ZIPF_NAMES, True, 7, 100))
+    # one-entry caches send repeated names back to the producer
+    for node in config["nodes"]:
+        node["cs_capacity"] = 1
+    kept = run(*load_config(config))
+    assert set(signed.values()) == {1}
+    signed.clear()
+    monkeypatch.setattr(simnet, "CODEC_MEMO_ENTRIES", 2)
+    evicted = run(*load_config(config))
+    assert max(signed.values()) > 1
+    assert evicted.to_jsonl() == kept.to_jsonl()
+    assert evicted.counters == kept.counters
+
+
 def test_each_packet_is_encoded_once_and_each_blob_decoded_once(monkeypatch):
     encoded, decoded = Counter(), Counter()
     decode = simnet.decode
@@ -608,19 +631,21 @@ def test_a_malformed_blob_is_decoded_afresh_each_time(monkeypatch):
 
 
 def _peak_state(requests: int) -> tuple[int, int]:
-    """Run a churn-shaped schedule; return the peak over the run of the
-    summed PIT and duplicate-nonce entries of all nodes plus the runner's
-    memo, ledger and name-text entries, and the number of Interests the
-    nodes admitted."""
-    runner = simnet._Runner(
-        *load_config(_bench_tree("ecdsa", False, CHURN_NAMES, False, 5, requests))
-    )
+    """Run a churn-shaped schedule whose every request asks for a new name
+    (a sequence-numbered fetch); return the peak over the run of the summed
+    PIT and duplicate-nonce entries of all nodes plus the runner's memo,
+    ledger, name-text and published-Data entries, and the number of
+    Interests the nodes admitted."""
+    config = json.loads(_bench_tree("ecdsa", False, CHURN_NAMES, False, 5, requests))
+    for seq, entry in enumerate(config["schedule"]):
+        entry["name"] = f"/snnu/video/seg={seq}"
+    runner = simnet._Runner(*load_config(config))
     size = {"nodes": 0, "peak": 0}
 
     def record_peak() -> None:
         # runner entries are read whole, so nested runner calls count once
         in_runner = (len(runner.blobs) + len(runner.packets) + len(runner.pending)
-                     + len(runner.texts))
+                     + len(runner.texts) + len(runner.published))
         size["peak"] = max(size["peak"], size["nodes"] + in_runner)
 
     def node_tracked(method):
@@ -641,15 +666,17 @@ def _peak_state(requests: int) -> tuple[int, int]:
 
     with pytest.MonkeyPatch.context() as mp:
         # the only methods that add or drop PIT or nonce entries, and the
-        # only runner methods that add memo, ledger or text entries
+        # only runner methods that add memo, ledger, text or published entries
         for attr in ("process_interest", "process_data", "sweep"):
             mp.setattr(simnet.Node, attr, node_tracked(getattr(simnet.Node, attr)))
-        for attr in ("to_wire", "from_wire", "issue", "text"):
+        for attr in ("to_wire", "from_wire", "issue", "text", "answer"):
             mp.setattr(simnet._Runner, attr, runner_tracked(getattr(simnet._Runner, attr)))
         trace = runner.run()
     assert all(r.delivered is not None for r in trace.requests)
     # every request was delivered, so none is left in the ledger
     assert not runner.pending
+    # every name is new, so the producer holds as many Data as it may
+    assert len(runner.published) == min(requests, simnet.CODEC_MEMO_ENTRIES)
     admitted = sum(c["cs_hits"] + c["cs_misses"] for c in trace.counters.values())
     return size["peak"], admitted
 
@@ -665,8 +692,9 @@ def test_runner_state_stays_under_a_bound_independent_of_run_length():
     # delivered or gives up, at most MAX_ATTEMPTS lifetimes later
     ledger = simnet.MAX_ATTEMPTS * (simnet.DEFAULT_LIFETIME_MS + 1) // REQUEST_GAP_TICKS + 1
     # the name texts start over with the two codec memos, and each new text
-    # comes with the fresh Interest of a request, a new memo entry
-    memos = 3 * simnet.CODEC_MEMO_ENTRIES
+    # comes with the fresh Interest of a request, a new memo entry; the
+    # producer keeps at most CODEC_MEMO_ENTRIES signed Data
+    memos = 4 * simnet.CODEC_MEMO_ENTRIES
     bound = nodes + ledger + memos
     short, _ = _peak_state(2_000)
     long, admitted = _peak_state(8_000)
