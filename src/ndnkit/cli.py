@@ -139,6 +139,10 @@ def bench_rows(
     """Time the requested operations, one row per (scheme, operation)."""
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
+    if keygen_iterations is not None and keygen_iterations < 1:
+        raise ValueError("keygen_iterations must be >= 1")
+    if msg_size < 0:
+        raise ValueError("msg_size must be >= 0")
     for op in operations:
         if op not in OPERATIONS:
             raise ValueError(f"unknown operation {op!r}")

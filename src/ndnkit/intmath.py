@@ -96,6 +96,23 @@ def mgf1(seed: bytes, length: int) -> bytes:
     return b"".join(hashlib.sha256(seed + i.to_bytes(4, "big")).digest() for i in blocks)[:length]
 
 
+def invert_all(values, p: int) -> list[int]:
+    """The inverses mod p of a list of values, none 0 mod p, with one
+    inversion: Montgomery's trick inverts the product of the values, then
+    peels off one value at a time."""
+    prefix = []
+    acc = 1
+    for v in values:
+        prefix.append(acc)
+        acc = acc * v % p
+    inv = pow(acc, -1, p)
+    out = [0] * len(values)
+    for i in range(len(values) - 1, -1, -1):
+        out[i] = prefix[i] * inv % p
+        inv = inv * values[i] % p
+    return out
+
+
 class CurveOps(NamedTuple):
     """One elliptic-curve group, as the scalar-multiplication engines see it.
 
@@ -164,9 +181,8 @@ def jacobian_ops(p: int, a: int) -> CurveOps:
     formulas are from Bernstein-Lange's Explicit-Formulas Database: doubling
     by dbl-2009-l (a = 0) or dbl-2001-b (a = -3), and mixed addition by
     madd-2004-hmv, falling back to doubling on equal inputs.  normalize and
-    add_pairs share Montgomery's trick (invert the product of the values,
-    then peel off one value at a time): normalize inverts the Zs, add_pairs
-    the x-differences of the chord slopes.
+    add_pairs share invert_all: normalize inverts the Zs, add_pairs the
+    x-differences of the chord slopes.
     """
     if a % p == 0:
 
@@ -217,30 +233,16 @@ def jacobian_ops(p: int, a: int) -> CurveOps:
         Y3 = (R * (V - X3) - Y1 * HHH) % p
         return (X3, Y3, Z1 * H % p)
 
-    def invert_all(values):
-        """The inverses of a list of nonzero values, with one inversion."""
-        prefix = []
-        acc = 1
-        for v in values:
-            prefix.append(acc)
-            acc = acc * v % p
-        inv = pow(acc, -1, p)
-        out = [0] * len(values)
-        for i in range(len(values) - 1, -1, -1):
-            out[i] = prefix[i] * inv % p
-            inv = inv * values[i] % p
-        return out
-
     def normalize(points):
         out = []
-        for (X, Y, _), zi in zip(points, invert_all([Z for _, _, Z in points])):
+        for (X, Y, _), zi in zip(points, invert_all([Z for _, _, Z in points], p)):
             zi2 = zi * zi % p
             out.append((X * zi2 % p, Y * zi2 * zi % p))
         return out
 
     def add_pairs(pairs):
         out = []
-        for ((x1, y1), (x2, y2)), t in zip(pairs, invert_all([q[0] - pt[0] for pt, q in pairs])):
+        for ((x1, y1), (x2, y2)), t in zip(pairs, invert_all([q[0] - pt[0] for pt, q in pairs], p)):
             lam = (y2 - y1) * t % p
             x3 = (lam * lam - x1 - x2) % p
             out.append((x3, (lam * (x1 - x3) - y1) % p))
@@ -278,8 +280,13 @@ class Comb:
         self.rows = group.comb_rows(base, w, self.top, -(-(bits + signed) // w))
 
     def mul(self, k: int):
-        """k * base for 0 <= k < 2^bits: one pass over k's digits collects an
-        entry per nonzero digit, and the record folds them."""
+        """k * base for 0 <= k < 2^bits: the record folds k's picks."""
+        return self.group.fold(self.picks(k))
+
+    def picks(self, k: int) -> list:
+        """The table entries whose fold is k * base, 0 <= k < 2^bits: one pass
+        over k's digits takes an entry per nonzero digit.  A caller that sums
+        several products folds all their picks at once."""
         if k < 0:
             raise ValueError("negative scalar")
         w, mask, top, neg = self.w, self.mask, self.top, self.neg
@@ -299,4 +306,4 @@ class Comb:
                 picked.append((x, neg(y)))
         if k:
             raise ValueError("scalar too large for the table")
-        return self.group.fold(picked)
+        return picked

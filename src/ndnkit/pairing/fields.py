@@ -5,18 +5,25 @@
     Fp12 = Fp6[w]/(w^2 - v)         elements (d0, d1), so w^6 = xi
 
 The curve parameter x is positive with NAF weight 5, which the cyclotomic
-exponentiation cyc_exp exploits: it walks the sparse NAF digits (inversion
-is conjugation there, so negative digits are free), and each of the final
-exponentiation's three powers by x takes 39 squarings and 4 products.  The
-hot-path kernels are written out over plain ints: f6_mul, f12_mul and
+exponentiation cyc_exp exploits.  It squares in Karabina's compressed form,
+four of the six Fp2 coefficients, and decompresses only the powers at the
+nonzero NAF digits, all of them with one Fp inversion; inversion is
+conjugation there, so negative digits are free.  Each of the final
+exponentiation's three powers by x takes 38 compressed squarings,
+4 decompressions and 4 products.  The compressed formulas, like
+Granger-Scott's, hold in the cyclotomic subgroup only: an element that is
+merely unitary squares wrongly.
+
+The hot-path kernels are written out over plain ints: f6_mul, which leaves
+its coefficients unreduced for its caller to reduce once, f12_mul and
 f12_sqr (the Miller loop's squarings and the final exponentiation's
 products, with the Fp6 sums, the multiply by v and the recombination
-inlined around f6_mul) and gs_sqr (the cyclotomic squarings).  One
-Frobenius, f12_frob(x, j), raises to p^j for j = 1, 2, 3.  The readable
-Fp2-level helpers serve setup code and tests.
+inlined around f6_mul), and the cyclotomic ops compressed_sqr, decompress
+and gs_sqr.  One Frobenius, f12_frob(x, j), raises to p^j for j = 1, 2, 3.
+The readable Fp2-level helpers serve setup code and tests.
 """
 
-from ..intmath import wnaf
+from ..intmath import invert_all, wnaf
 
 # BN parameter and derived primes.  p = 36x^4+36x^3+24x^2+6x+1, n = p - 6x^2.
 X_PARAM = 0x5FFDFFFFEF
@@ -122,7 +129,9 @@ def f2_sqrt(a):
 
 
 def f6_mul(a, b):
-    """Karatsuba product, 6 complex multiplications, fully inlined."""
+    """Karatsuba product, 6 complex multiplications, fully inlined.  The
+    coefficients come back unreduced: every caller reduces what it builds
+    from them, once."""
     (a00, a01), (a10, a11), (a20, a21) = a
     (b00, b01), (b10, b11), (b20, b21) = b
     # t_k = a_k * b_k
@@ -160,15 +169,13 @@ def f6_mul(a, b):
     # r0 = t0 + xi*(u - t1 - t2); xi*(c0,c1) = (c0-c1, c0+c1)
     c0 = u0 - t10 - t20
     c1 = u1 - t11 - t21
-    r00 = (t00 + c0 - c1) % P
-    r01 = (t01 + c0 + c1) % P
-    # r1 = v - t0 - t1 + xi*t2
-    r10 = (v0 - t00 - t10 + t20 - t21) % P
-    r11 = (v1 - t01 - t11 + t20 + t21) % P
-    # r2 = w - t0 - t2 + t1
-    r20 = (w0 - t00 - t20 + t10) % P
-    r21 = (w1 - t01 - t21 + t11) % P
-    return ((r00, r01), (r10, r11), (r20, r21))
+    return (
+        (t00 + c0 - c1, t01 + c0 + c1),
+        # r1 = v - t0 - t1 + xi*t2
+        (v0 - t00 - t10 + t20 - t21, v1 - t01 - t11 + t20 + t21),
+        # r2 = w - t0 - t2 + t1
+        (w0 - t00 - t20 + t10, w1 - t01 - t21 + t11),
+    )
 
 
 def f6_sub(a, b):
@@ -271,7 +278,7 @@ def f12_inv(x):
     a0, a1 = x
     den = f6_sub(f6_mul(a0, a0), f6_mul_v(f6_mul(a1, a1)))
     di = f6_inv(den)
-    return (f6_mul(a0, di), f6_neg(f6_mul(a1, di)))
+    return (tuple((c0 % P, c1 % P) for c0, c1 in f6_mul(a0, di)), f6_neg(f6_mul(a1, di)))
 
 
 def f12_pow(x, e):
@@ -317,75 +324,156 @@ def f12_frob(x, j):
 
 
 # --- cyclotomic subgroup ops -------------------------------------------------
+#
+# These need f in the cyclotomic subgroup, the image of the map
+# f -> f^((p^6 - 1)(p^2 + 1)) that opens the final exponentiation: GT and
+# the hard part's inputs.  Being unitary (f^(p^6 + 1) = 1) is not enough.
+# Karabina's coordinates name f's coefficients g0..g5 as those of
+# 1, w^3, w, w^4, w^2, w^5, so f = ((g0, g4, g3), (g2, g1, g5)).
 
 
 def gs_sqr(x):
-    """Granger-Scott squaring, valid only for unitary elements.
+    """Granger-Scott squaring of a cyclotomic element.
 
-    Blocks (g0,g3),(g1,g4),(g2,g5) are squared in Fp4 = Fp2[s]/(s^2 - xi):
+    Blocks (g0,g1),(g2,g3),(g4,g5) are squared in Fp4 = Fp2[s]/(s^2 - xi),
+    s = w^3:
       (a + b s)^2 = (a^2 + xi b^2) + 2ab s,   2ab = (a + b)^2 - a^2 - b^2
-    (three Fp2 squarings per block) and recombined as
-      g0' = 3 A0 - 2 g0   g1' = 3 xi C1 + 2 g1   g2' = 3 B0 - 2 g2
-      g3' = 3 A1 + 2 g3   g4' = 3 C0 - 2 g4      g5' = 3 B1 + 2 g5
+    (three Fp2 squarings per block).  With A the square of the first block,
+    g0' = 3 A0 - 2 g0 and g1' = 3 A1 + 2 g1; the other two blocks are the
+    compressed squaring.
     """
-    ((g00, g01), (g20, g21), (g40, g41)), ((g10, g11), (g30, g31), (g50, g51)) = x
-
-    # A = (g0 + g3 s)^2
+    ((g00, g01), (g40, g41), (g30, g31)), ((g20, g21), (g10, g11), (g50, g51)) = x
     a0 = (g00 + g01) * (g00 - g01)
     a1 = 2 * g00 * g01
+    b0 = (g10 + g11) * (g10 - g11)
+    b1 = 2 * g10 * g11
+    s0 = g00 + g10
+    s1 = g01 + g11
+    h0 = ((3 * (a0 + b0 - b1) - 2 * g00) % P, (3 * (a1 + b0 + b1) - 2 * g01) % P)
+    h1 = (
+        (3 * ((s0 + s1) * (s0 - s1) - a0 - b0) + 2 * g10) % P,
+        (3 * (2 * s0 * s1 - a1 - b1) + 2 * g11) % P,
+    )
+    h2, h3, h4, h5 = compressed_sqr(((g20, g21), (g30, g31), (g40, g41), (g50, g51)))
+    return ((h0, h4, h3), (h2, h1, h5))
+
+
+def compressed_sqr(c):
+    """Karabina's squaring of c = (g2, g3, g4, g5), a cyclotomic element
+    without g0 and g1: those two never feed the other four, so a run of
+    squarings carries four coefficients and squares two Fp4 blocks,
+      g2' = 2 g2 + 3 xi (2 g4 g5)       g3' = 3 (g4^2 + xi g5^2) - 2 g3
+      g4' = 3 (g2^2 + xi g3^2) - 2 g4   g5' = 2 g5 + 3 (2 g2 g3)
+    six Fp2 squarings against gs_sqr's nine (Karabina, "Squaring in
+    cyclotomic subgroups", Math. Comp. 2013)."""
+    ((g20, g21), (g30, g31), (g40, g41), (g50, g51)) = c
+
+    # (g2 + g3 s)^2
+    a0 = (g20 + g21) * (g20 - g21)
+    a1 = 2 * g20 * g21
     b0 = (g30 + g31) * (g30 - g31)
     b1 = 2 * g30 * g31
-    s0 = g00 + g30
-    s1 = g01 + g31
-    h0 = ((3 * (a0 + b0 - b1) - 2 * g00) % P, (3 * (a1 + b0 + b1) - 2 * g01) % P)
-    h3 = (
-        (3 * ((s0 + s1) * (s0 - s1) - a0 - b0) + 2 * g30) % P,
-        (3 * (2 * s0 * s1 - a1 - b1) + 2 * g31) % P,
-    )
-
-    # B = (g1 + g4 s)^2
-    a0 = (g10 + g11) * (g10 - g11)
-    a1 = 2 * g10 * g11
-    b0 = (g40 + g41) * (g40 - g41)
-    b1 = 2 * g40 * g41
-    s0 = g10 + g40
-    s1 = g11 + g41
-    h2 = ((3 * (a0 + b0 - b1) - 2 * g20) % P, (3 * (a1 + b0 + b1) - 2 * g21) % P)
+    s0 = g20 + g30
+    s1 = g21 + g31
+    h4 = ((3 * (a0 + b0 - b1) - 2 * g40) % P, (3 * (a1 + b0 + b1) - 2 * g41) % P)
     h5 = (
         (3 * ((s0 + s1) * (s0 - s1) - a0 - b0) + 2 * g50) % P,
         (3 * (2 * s0 * s1 - a1 - b1) + 2 * g51) % P,
     )
 
-    # C = (g2 + g5 s)^2; g1' takes xi C1 = (C1_0 - C1_1, C1_0 + C1_1)
-    a0 = (g20 + g21) * (g20 - g21)
-    a1 = 2 * g20 * g21
+    # (g4 + g5 s)^2; g2' takes xi (2 g4 g5) = (c0 - c1, c0 + c1)
+    a0 = (g40 + g41) * (g40 - g41)
+    a1 = 2 * g40 * g41
     b0 = (g50 + g51) * (g50 - g51)
     b1 = 2 * g50 * g51
-    s0 = g20 + g50
-    s1 = g21 + g51
+    s0 = g40 + g50
+    s1 = g41 + g51
     c0 = (s0 + s1) * (s0 - s1) - a0 - b0
     c1 = 2 * s0 * s1 - a1 - b1
-    h1 = ((3 * (c0 - c1) + 2 * g10) % P, (3 * (c0 + c1) + 2 * g11) % P)
-    h4 = ((3 * (a0 + b0 - b1) - 2 * g40) % P, (3 * (a1 + b0 + b1) - 2 * g41) % P)
-    return ((h0, h2, h4), (h1, h3, h5))
+    h2 = ((3 * (c0 - c1) + 2 * g20) % P, (3 * (c0 + c1) + 2 * g21) % P)
+    h3 = ((3 * (a0 + b0 - b1) - 2 * g30) % P, (3 * (a1 + b0 + b1) - 2 * g31) % P)
+    return (h2, h3, h4, h5)
+
+
+def decompress(cs):
+    """The cyclotomic elements with compressed coordinates cs, with one Fp
+    inversion for the whole list.  Each g1 is a quotient,
+      g1 = (xi g5^2 + 3 g4^2 - 2 g3) / (4 g2)   if g2 != 0,
+      g1 = 2 g4 g5 / g3                         if g2 == 0,
+    and g0 = xi (2 g1^2 + g2 g5 - 3 g3 g4) + 1.  A denominator d is inverted
+    as conj(d) / |d|^2, and the norms |d|^2 in Fp share invert_all.  Only the
+    identity has g2 = g3 = 0; its zero denominator takes norm 1 in the batch,
+    and g1 = 0, g0 = 1 come out exactly."""
+    quotients = []  # num * conj(den), and |den|^2
+    for (g20, g21), (g30, g31), (g40, g41), (g50, g51) in cs:
+        if g20 or g21:
+            m = (g50 + g51) * (g50 - g51)
+            n = 2 * g50 * g51
+            n0 = m - n + 3 * (g40 + g41) * (g40 - g41) - 2 * g30
+            n1 = m + n + 6 * g40 * g41 - 2 * g31
+            d0, d1 = 4 * g20, 4 * g21
+        else:
+            m = g40 * g50
+            n = g41 * g51
+            n0, n1 = 2 * (m - n), 2 * ((g40 + g41) * (g50 + g51) - m - n)
+            d0, d1 = g30, g31
+        norm = (d0 * d0 + d1 * d1) % P
+        quotients.append(((n0 * d0 + n1 * d1) % P, (n1 * d0 - n0 * d1) % P, norm or 1))
+    out = []
+    for c, (q0, q1, _), t in zip(cs, quotients, invert_all([q[2] for q in quotients], P)):
+        (g20, g21), (g30, g31), (g40, g41), (g50, g51) = g2, g3, g4, g5 = c
+        g10 = q0 * t % P
+        g11 = q1 * t % P
+        # s = 2 g1^2 + g2 g5 - 3 g3 g4; g0 = xi s + 1
+        m = g20 * g50
+        n = g21 * g51
+        u = g30 * g40
+        v = g31 * g41
+        s0 = 2 * (g10 + g11) * (g10 - g11) + m - n - 3 * (u - v)
+        s1 = 4 * g10 * g11 + (g20 + g21) * (g50 + g51) - m - n
+        s1 -= 3 * ((g30 + g31) * (g40 + g41) - u - v)
+        g0 = ((s0 - s1 + 1) % P, (s0 + s1) % P)
+        out.append(((g0, g4, g3), (g2, (g10, g11), g5)))
+    return out
 
 
 def cyc_exp(f, e):
-    """f^e for unitary f and e >= 0: the NAF digits of e (intmath.wnaf at
-    w = 2) from the top, a run of Granger-Scott squarings up to each, and a
-    multiplication by f or by its inverse, which is its conjugate."""
+    """f^e for f in the cyclotomic subgroup and e >= 0.
+
+    One run of compressed squarings takes (g2, g3, g4, g5) of f up to the
+    top NAF digit of e (intmath.wnaf at w = 2) and keeps the compressed
+    f^(2^j) at each nonzero digit position j > 0.  decompress restores them
+    all with one inversion, and they are multiplied together, with f itself
+    for a digit at j = 0.  A digit -1 takes the conjugate, which is the
+    inverse here, so negative digits are free.  A leading 1 0 -1 is
+    rewritten 1 1 (2^t - 2^(t-2) = 2^(t-1) + 2^(t-2)), one squaring fewer at
+    the same weight: x = 2^39 - 2^37 - 2^25 - 2^4 - 1 takes 38 squarings and
+    4 decompressions.  Squarings save about a third of their cost, and each
+    digit adds a decompression, so a random exponent, a digit per three
+    bits, gains less than x does.
+    """
     if e == 0:
         return F12_ONE
-    fc = f12_conj(f)
-    *rest, (top, _) = wnaf(e, 2)  # a positive NAF leads with a 1: r starts at f
-    r = f
-    for j, d in reversed(rest):
-        for _ in range(top - j):
-            r = gs_sqr(r)
-        r = f12_mul(r, f if d == 1 else fc)
-        top = j
-    for _ in range(top):
-        r = gs_sqr(r)
+    digits = wnaf(e, 2)
+    if len(digits) > 1 and digits[-1][1] == 1 and digits[-2] == (digits[-1][0] - 2, -1):
+        top = digits[-1][0]
+        digits[-2:] = [(top - 2, 1), (top - 1, 1)]
+    (_, g4, g3), (g2, _, g5) = f
+    c = (g2, g3, g4, g5)
+    kept = []
+    at = 0
+    for j, _ in digits:
+        if j:
+            for _ in range(j - at):
+                c = compressed_sqr(c)
+            at = j
+            kept.append(c)
+    powers = decompress(kept)
+    if digits[0][0] == 0:
+        powers.insert(0, f)
+    r, *rest = (g if d == 1 else f12_conj(g) for (_, d), g in zip(digits, powers))
+    for g in rest:
+        r = f12_mul(r, g)
     return r
 
 

@@ -5,9 +5,10 @@ CurveOps record) with additions only.  The base point's table serves
 signing: signed digits of radix 2^7, one table per curve built on first
 use, so k * G is about |n|/7 mixed additions.  Every other point gets a
 radix-16 table on first use, held in a bounded LRU keyed by (curve, point)
-value, so a public key's table serves every verify under that key and a
-verify walks it with about |n|/4 mixed additions; the first verify under
-a new key also pays for its table (~3 ms on secp160r1).  Verify checks
+value, so a public key's table serves every verify under that key.  A
+verify folds the picks of both tables (Comb.picks) in one Jacobian sum:
+about |n|/7 + |n|/4 mixed additions and one inversion.  The first verify
+under a new key also pays for its table (~3 ms on secp160r1).  Verify checks
 that the key lies on the curve before a table is built for it.  Signature
 integers are emitted at the curve's fixed width, with the nonce resampled
 in the (astronomically rare) case an integer does not fit.
@@ -130,10 +131,10 @@ def verify(key: EcdsaPublicKey, msg: bytes, sig: bytes) -> bool:
         return False
     z = _digest(spec, msg)
     w = pow(s, -1, spec.n)
-    pt = _ops(spec).add(
-        base_mul(spec, z * w % spec.n),
-        point_mul(spec, (key.qx, key.qy), r * w % spec.n),
-    )
+    # u1 G + u2 Q as one fold of both tables' picks: one inversion, not three
+    picked = _gen_comb(spec).picks(z * w % spec.n)
+    picked += _comb(spec, key.qx, key.qy).picks(r * w % spec.n)
+    pt = _ops(spec).fold(picked)
     if pt is None:
         return False
     return pt[0] % spec.n == r

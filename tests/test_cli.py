@@ -99,6 +99,23 @@ def test_bad_iterations_rejected():
         cli.bench_rows(iterations=1, operations=("warm",))
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    ({"keygen_iterations": 0}, "keygen_iterations"),
+    ({"keygen_iterations": -3}, "keygen_iterations"),
+    ({"msg_size": -1}, "msg_size"),
+])
+def test_bad_keygen_iterations_and_msg_size_rejected(kwargs, name):
+    # rejected before any key is made, with the argument named
+    with pytest.raises(ValueError, match=name):
+        cli.bench_rows(schemes=("rsa",), iterations=1, **kwargs)
+
+
+def test_empty_messages_are_allowed():
+    rows = cli.bench_rows(schemes=("ecdsa",), iterations=1, msg_size=0,
+                          operations=("sign",), seed=5)
+    assert [(r.operation, r.msg_size) for r in rows] == [("sign", 0)]
+
+
 def test_bench_command_writes_csv_and_rankings(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     rc = cli.main([

@@ -125,6 +125,20 @@ def test_generator_comb_matches_the_reference(name):
         comb.mul(1 << (len(comb.rows) * comb.w))
 
 
+@pytest.mark.parametrize("name", ["p256", "secp160r1", "dl"])
+def test_picks_of_two_tables_fold_to_the_sum(name):
+    # what ECDSA verify does with the generator's and the key's tables; the
+    # pairs (a, n - a) and (a, a) take the fold through cancellation and
+    # doubling
+    comb, order, reference = _generator_table(name)
+    rng = random.Random(order.bit_length() + 1)
+    a = rng.randrange(1, order)
+    for k1, k2 in [(0, 0), (0, a), (a, order - a), (a, a)] + [
+        (rng.randrange(order), rng.randrange(order)) for _ in range(5)
+    ]:
+        assert comb.group.fold(comb.picks(k1) + comb.picks(k2)) == reference((k1 + k2) % order)
+
+
 def test_comb_rejects_a_negative_scalar():
     spec = CURVES["secp160r1"]
     for comb in (dlgroup._table(DL_G), ecdsa._comb(spec, spec.gx, spec.gy)):

@@ -36,6 +36,7 @@ from ndnkit.pairing import (
     prepare_g2,
 )
 from ndnkit.pairing import ate, curve, fields
+from ndnkit.pairing.fields import F2_ONE, f2_add, f2_mul, f2_mul_xi, f2_scal, f2_sqr, f2_sub
 from ndnkit.signatures import SCHEME_BLS, ecdsa, keygen, sign
 from ndnkit.signatures.params import CURVES
 
@@ -515,13 +516,78 @@ def test_cyclotomic_squaring_matches_generic():
         assert fields.gs_sqr(u) == fields.f12_sqr(u)
 
 
+def _compressed(f):
+    (_, g4, g3), (g2, _, g5) = f
+    return (g2, g3, g4, g5)
+
+
+def test_compressed_squaring_is_gs_sqr_in_compressed_coordinates():
+    for u in [rand_unitary() for _ in range(4)] + [GT_ONE, gt_generator()]:
+        assert fields.compressed_sqr(_compressed(u)) == _compressed(fields.gs_sqr(u))
+
+
+def test_decompression_relations_hold_on_the_cyclotomic_subgroup():
+    # decompress's two quotients for g1 are these relations solved for g1:
+    #   4 g1 g2 = xi g5^2 + 3 g4^2 - 2 g3
+    #   xi (g1 g3 - 2 g4 g5) = g2 (1 - g0), so g1 g3 = 2 g4 g5 at g2 = 0
+    for _ in range(4):
+        u = rand_unitary()
+        (g0, g4, g3), (g2, g1, g5) = u
+        rhs = f2_sub(f2_add(f2_mul_xi(f2_sqr(g5)), f2_scal(f2_sqr(g4), 3)), f2_scal(g3, 2))
+        assert f2_scal(f2_mul(g1, g2), 4) == rhs
+        lhs = f2_mul_xi(f2_sub(f2_mul(g1, g3), f2_scal(f2_mul(g4, g5), 2)))
+        assert lhs == f2_mul(g2, f2_sub(F2_ONE, g0))
+        assert fields.decompress([_compressed(u)]) == [u]
+
+
+def test_decompression_branches_and_zero_denominators():
+    # one batch mixing g2 != 0, g2 == 0 and the identity's all-zero
+    # coordinates: each element gets its own quotient and the zero
+    # denominator does not spoil the shared inversion
+    us = [rand_unitary(), rand_unitary()]
+    g3, g4, g5 = ((RNG.randrange(P), RNG.randrange(P)) for _ in range(3))
+    no_g2 = ((0, 0), g3, g4, g5)
+    out = fields.decompress([_compressed(us[0]), no_g2, _compressed(GT_ONE), _compressed(us[1])])
+    assert out[0] == us[0] and out[2] == GT_ONE and out[3] == us[1]
+    (g0, _, _), (_, g1, _) = out[1]
+    assert f2_mul(g1, g3) == f2_scal(f2_mul(g4, g5), 2)
+    s = f2_sub(f2_scal(f2_sqr(g1), 2), f2_scal(f2_mul(g3, g4), 3))
+    assert g0 == f2_add(f2_mul_xi(s), F2_ONE)
+
+
 def test_cyclotomic_exponentiation_matches_generic():
     u = rand_unitary()
-    e = RNG.randrange(1, 1 << 64)
-    assert fields.cyc_exp(u, e) == fields.f12_pow(u, e)
-    for e in (0, 1, 2, 3, 7):
-        assert fields.cyc_exp(u, e) == fields.f12_pow(u, e)
-    assert fields.cyc_exp(u, fields.X_PARAM) == fields.f12_pow(u, fields.X_PARAM)
+    dense = (RNG.getrandbits(80), RNG.getrandbits(160))
+    for e in (0, 1, 2, 3, 7, 16, fields.X_PARAM, N - 1) + dense:
+        assert fields.cyc_exp(u, e) == fields.f12_pow(u, e), e
+
+
+def test_identity_exponentiations_are_exact():
+    # the identity compresses to all zeros, so every decompression in these
+    # divides by zero
+    assert fields.cyc_exp(GT_ONE, fields.X_PARAM) == GT_ONE
+    assert final_exponentiation(GT_ONE) == GT_ONE
+    for e in (1, 2, 16, RNG.getrandbits(80), N - 1):
+        assert gt_exp(GT_ONE, e) == GT_ONE
+
+
+def test_final_exponentiation_squares_in_compressed_form(monkeypatch):
+    counts = {"compressed_sqr": 0, "gs_sqr": 0}
+
+    def counted(name, fn):
+        def wrapper(x):
+            counts[name] += 1
+            return fn(x)
+        return wrapper
+
+    monkeypatch.setattr(fields, "compressed_sqr", counted("compressed_sqr", fields.compressed_sqr))
+    gs = counted("gs_sqr", fields.gs_sqr)
+    monkeypatch.setattr(fields, "gs_sqr", gs)
+    monkeypatch.setattr(ate, "gs_sqr", gs)
+    final_exponentiation(rand_unitary())
+    # three powers by x at 38 squarings each, and the hard-part chain's four
+    # gs_sqr, whose last two blocks are a compressed squaring each
+    assert counts == {"compressed_sqr": 3 * 38 + 4, "gs_sqr": 4}
 
 
 def test_final_exponentiation_matches_raw_exponent():

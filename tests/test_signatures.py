@@ -5,6 +5,7 @@ import random
 import pytest
 import sympy
 
+from ndnkit import intmath
 from ndnkit.intmath import i2osp, jacobian_ops, os2ip
 from ndnkit.pairing import CURVE_ORDER, G2Point
 from ndnkit.signatures import (
@@ -364,6 +365,26 @@ def test_ecdsa_verify_equation_oracle(ecdsa_key):
         return (x3, (lam * (a[0] - x3) - a[1]) % spec.p)
 
     assert add(u1, u2)[0] % spec.n == r
+
+
+@pytest.mark.parametrize("curve", ["p256", "secp160r1"])
+def test_ecdsa_verify_inverts_once(curve, monkeypatch):
+    # u1 G + u2 Q is one fold of both tables' picks: one inversion, where a
+    # sum of two separate products took three
+    key = keygen(SCHEME_ECDSA, SchemeParams(SCHEME_ECDSA, curve=curve), random.Random(11))
+    sig = ecdsa.sign(key, MSG)
+    assert ecdsa.verify(key.public(), MSG, sig)  # builds the key's table
+    calls = []
+    invert_all = intmath.invert_all
+
+    def counted(values, p):
+        calls.append(p)
+        return invert_all(values, p)
+
+    monkeypatch.setattr(intmath, "invert_all", counted)
+    assert ecdsa.verify(key.public(), MSG, sig)
+    assert not ecdsa.verify(key.public(), MSG + b".", sig)
+    assert calls == [CURVES[curve].p] * 2
 
 
 def test_ecdsa_fresh_nonces(ecdsa_key):
