@@ -247,7 +247,7 @@ def cmd_sim(args) -> int:
 
 
 def _keygen_params(scheme_id: int, toy: bool) -> sigs.SchemeParams:
-    params = sigs.default_params(scheme_id)
+    params = sigs.reference_params(scheme_id)
     if toy:
         params = replace(params, rsa_bits=512, allow_insecure=True)
     return params

@@ -15,8 +15,9 @@ list).  SCHEME_NC has no record: network coding keys live in ndnkit.netcoding.
 
 A key record is the scheme byte followed by the key dataclass's fields in
 declaration order, each length-prefixed with the packet varint: an int as
-its minimal big-endian bytes, the curve as its name, a G2Point as its
-compressed bytes, and the group roster as a count followed by its members.
+its minimal big-endian bytes, a G2Point as its compressed bytes, and the
+group roster as a count followed by its members.  An ECDSA record holds its
+integers only, since every ECDSA key is on secp160r1.
 """
 
 from __future__ import annotations
@@ -51,7 +52,6 @@ from .group import (
     group_verify,
 )
 from .params import (
-    CURVES,
     DL_Q,
     IndexOutOfRing,
     MixedScheme,
@@ -65,10 +65,10 @@ from .params import (
     SCHEME_NC,
     SCHEME_RING,
     SCHEME_RSA,
+    SECP160R1,
     SchemeMismatch,
     SchemeParams,
     TokenReused,
-    default_params,
     reference_params,
 )
 from .ring import RingPrivateKey, RingPublicKey, ring_sign, ring_verify
@@ -84,7 +84,6 @@ __all__ = [
     "SCHEME_NC",
     "SCHEME_NAMES",
     "SchemeParams",
-    "default_params",
     "reference_params",
     "ParameterError",
     "SchemeMismatch",
@@ -151,20 +150,6 @@ def _dl_secret_ok(key) -> bool:
     return 0 < key.x < DL_Q and gen_pow(key.x) == key.y
 
 
-def _ecdsa_public_ok(key: EcdsaPublicKey) -> bool:
-    spec = CURVES.get(key.curve)
-    if spec is None:
-        return False
-    return key.qx < spec.p and key.qy < spec.p and ecdsa.on_curve(spec, key.qx, key.qy)
-
-
-def _ecdsa_private_ok(key: EcdsaPrivateKey) -> bool:
-    spec = CURVES.get(key.curve)
-    if spec is None:
-        return False
-    return 0 < key.d < spec.n and ecdsa.base_mul(spec, key.d) == (key.qx, key.qy)
-
-
 def _bls_private_ok(key: BlsPrivateKey) -> bool:
     return 0 < key.x < CURVE_ORDER and g2_mul_gen(key.x) == key.point.point
 
@@ -202,7 +187,8 @@ _SCHEMES = {
     SCHEME_ECDSA: _Scheme(
         EcdsaPublicKey, EcdsaPrivateKey, ecdsa.keygen,
         ecdsa.sign, ecdsa.verify,
-        _ecdsa_public_ok, _ecdsa_private_ok,
+        lambda key: ecdsa.on_curve(key.qx, key.qy),
+        lambda key: 0 < key.d < SECP160R1.n and ecdsa.base_mul(key.d) == (key.qx, key.qy),
     ),
     SCHEME_BLS: _Scheme(
         BlsPublicKey, BlsPrivateKey, bls.keygen,
@@ -239,7 +225,7 @@ def keygen(
     """Generate a key pair; group membership runs through group_setup instead."""
     rec = _record(scheme_id, "keygen", ParameterError)
     if params is None:
-        params = default_params(scheme_id)
+        params = reference_params(scheme_id)
     elif params.scheme_id != scheme_id:
         raise SchemeMismatch("params carry a different scheme id")
     return rec.keygen(params, rng)
@@ -304,12 +290,6 @@ class _RecordReader:
         count = self.take_int()
         return tuple(self.take_int() for _ in range(count))
 
-    def take_curve(self) -> str:
-        try:
-            return self.take_bytes().decode()
-        except UnicodeDecodeError as exc:
-            raise ParameterError("curve name is not UTF-8") from exc
-
     def take_g2(self) -> G2Point:
         blob = self.take_bytes()
         try:
@@ -324,10 +304,9 @@ class _RecordReader:
 
 # (writer, reader) per key-dataclass field annotation.  A record lists the
 # fields in declaration order, so reordering a key dataclass's fields changes
-# the wire format.  The only str field is ECDSA's curve name.
+# the wire format.
 _FIELD_CODECS = {
     "int": (_pack_int, _RecordReader.take_int),
-    "str": (lambda name: pack_varbytes(name.encode()), _RecordReader.take_curve),
     "G2Point": (lambda pt: pack_varbytes(pt.to_bytes()), _RecordReader.take_g2),
     "tuple[int, ...]": (
         lambda ys: _pack_int(len(ys)) + b"".join(map(_pack_int, ys)),

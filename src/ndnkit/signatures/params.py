@@ -6,15 +6,15 @@ single set of domain parameters.  The constants below were produced by
 tools/gen_dl_params.py (deterministic search, seed recorded there) and are
 re-verified by the test suite: p, q prime, q | p - 1, g has order q.
 
-Elliptic curves are registered by name.  Both entries are short-Weierstrass
-prime-field curves with a = -3 and cofactor 1; "p256" is the default signing
-curve and "secp160r1" is the reference preset whose order matches the
-160-bit discrete-log subgroup (giving the classic 320-bit signature).
+ECDSA runs on one curve, secp160r1 (SEC 2, Certicom 2000): a
+short-Weierstrass prime-field curve with a = -3 and cofactor 1, whose order
+matches the 160-bit discrete-log subgroup (giving the classic 320-bit
+signature).  Every size here is the suite's 80-bit strength.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import ClassVar
 
 SCHEME_RSA = 1
@@ -70,7 +70,7 @@ assert (DL_P - 1) % DL_Q == 0
 assert pow(DL_G, DL_Q, DL_P) == 1 and DL_G != 1
 
 
-# --- elliptic curve registry -------------------------------------------------
+# --- the elliptic curve -----------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -78,12 +78,11 @@ class CurveSpec:
     """Short-Weierstrass prime-field curve y^2 = x^3 + ax + b, cofactor 1.
 
     scalar_bytes fixes the serialized width of each signature integer;
-    signing resamples its nonce until r and s both fit, which only ever
-    triggers on secp160r1 (order slightly above 2^160) and there with
-    probability ~2^-79 per integer.
+    signing resamples its nonce until r and s both fit, which triggers only
+    because the order is slightly above 2^160, with probability ~2^-79 per
+    integer.
     """
 
-    name: str
     p: int
     a: int
     b: int
@@ -93,19 +92,7 @@ class CurveSpec:
     scalar_bytes: int
 
 
-P256 = CurveSpec(
-    name="p256",
-    p=0xFFFFFFFF00000001000000000000000000000000FFFFFFFFFFFFFFFFFFFFFFFF,
-    a=0xFFFFFFFF00000001000000000000000000000000FFFFFFFFFFFFFFFFFFFFFFFC,
-    b=0x5AC635D8AA3A93E7B3EBBD55769886BC651D06B0CC53B0F63BCE3C3E27D2604B,
-    gx=0x6B17D1F2E12C4247F8BCE6E563A440F277037D812DEB33A0F4A13945D898C296,
-    gy=0x4FE342E2FE1A7F9B8EE7EB4A7C0F9E162BCE33576B315ECECBB6406837BF51F5,
-    n=0xFFFFFFFF00000000FFFFFFFFFFFFFFFFBCE6FAADA7179E84F3B9CAC2FC632551,
-    scalar_bytes=32,
-)
-
 SECP160R1 = CurveSpec(
-    name="secp160r1",
     p=0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFF7FFFFFFF,
     a=0xFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFFF7FFFFFFC,
     b=0x1C97BEFC54BD7A8B65ACF89F81D4D4ADC565FA45,
@@ -115,8 +102,6 @@ SECP160R1 = CurveSpec(
     scalar_bytes=20,
 )
 
-CURVES = {c.name: c for c in (P256, SECP160R1)}
-
 
 # --- scheme parameter record -------------------------------------------------
 
@@ -125,13 +110,12 @@ CURVES = {c.name: c for c in (P256, SECP160R1)}
 class SchemeParams:
     """Sizes and choices for one scheme instance.
 
-    The defaults are the suite's standard strengths; smaller values are for
-    unit tests only and must be unlocked with allow_insecure=True.
+    The defaults are the suite's 80-bit strengths; smaller RSA moduli are
+    for unit tests only and must be unlocked with allow_insecure=True.
     """
 
     scheme_id: int
     rsa_bits: int = 1024
-    curve: str = "p256"
     group_size: int = 5
     allow_insecure: bool = False
     ring_size: ClassVar[int] = 5  # members of every ring the suite builds
@@ -139,8 +123,6 @@ class SchemeParams:
     def __post_init__(self):
         if self.scheme_id not in SCHEME_NAMES:
             raise ParameterError(f"unknown scheme id {self.scheme_id}")
-        if self.curve not in CURVES:
-            raise ParameterError(f"unknown curve {self.curve!r}")
         if self.group_size < 1:
             raise ParameterError("group must have at least one member")
         if not self.allow_insecure and self.rsa_bits < 1024:
@@ -150,11 +132,6 @@ class SchemeParams:
             )
 
 
-def default_params(scheme_id: int) -> SchemeParams:
-    return SchemeParams(scheme_id=scheme_id)
-
-
 def reference_params(scheme_id: int) -> SchemeParams:
-    """The benchmark preset: every scheme at its classic 80-bit strength,
-    including the 160-bit curve so ECDSA emits 320-bit signatures."""
-    return replace(default_params(scheme_id), curve="secp160r1")
+    """The benchmark preset: every scheme at its classic 80-bit strength."""
+    return SchemeParams(scheme_id)

@@ -38,7 +38,7 @@ from ndnkit.pairing import (
 from ndnkit.pairing import ate, curve, fields
 from ndnkit.pairing.fields import F2_ONE, f2_add, f2_mul, f2_mul_xi, f2_scal, f2_sqr, f2_sub
 from ndnkit.signatures import SCHEME_BLS, ecdsa, keygen, sign
-from ndnkit.signatures.params import CURVES
+from ndnkit.signatures.params import SECP160R1
 
 N = CURVE_ORDER
 P = FIELD_PRIME
@@ -198,11 +198,10 @@ def _group_record(name):
         return curve.G1, lambda k: curve.g1_mul(g1_generator().point, k)
     if name == "G2":
         return curve.G2, curve.g2_mul_gen
-    spec = CURVES[name]
-    return jacobian_ops(spec.p, spec.a), lambda k: ecdsa.base_mul(spec, k)
+    return jacobian_ops(SECP160R1.p, SECP160R1.a), ecdsa.base_mul
 
 
-@pytest.mark.parametrize("name", ["G1", "G2", "secp160r1", "p256"])
+@pytest.mark.parametrize("name", ["G1", "G2", "secp160r1"])
 def test_group_record_laws(name):
     ops, mul = _group_record(name)
     one = ops.identity[0]

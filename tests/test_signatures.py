@@ -27,7 +27,6 @@ from ndnkit.signatures import (
     chameleon_collide,
     chameleon_hash,
     chameleon_keygen,
-    default_params,
     group_open,
     group_setup,
     group_sign,
@@ -47,7 +46,7 @@ from ndnkit.signatures import (
 )
 from ndnkit.signatures import bls, dlgroup, dsa, ecdsa, rsa
 from ndnkit.signatures.dlgroup import element_bytes, element_valid, gen_pow, key_pow
-from ndnkit.signatures.params import CURVES, DL_G, DL_P, DL_Q
+from ndnkit.signatures.params import DL_G, DL_P, DL_Q, SECP160R1
 from ndnkit.signatures.ring import signature_bytes
 from ndnkit.wire import pack_varbytes
 
@@ -76,7 +75,7 @@ def bls_key():
 
 @pytest.fixture(scope="module")
 def group():
-    return group_setup(default_params(SCHEME_GROUP), rng=random.Random(105))
+    return group_setup(reference_params(SCHEME_GROUP), rng=random.Random(105))
 
 
 @pytest.fixture(scope="module")
@@ -307,35 +306,33 @@ def _naive_affine_mul(spec, pt, k):
     return acc
 
 
-@pytest.mark.parametrize("curve", ["p256", "secp160r1"])
-def test_ecdsa_scalar_mul_against_naive(curve):
-    spec = CURVES[curve]
+def test_ecdsa_scalar_mul_against_naive():
+    spec = SECP160R1
     n = spec.n
     base = (spec.gx, spec.gy)
-    key = keygen(SCHEME_ECDSA, SchemeParams(SCHEME_ECDSA, curve=curve), random.Random(9))
+    key = keygen(SCHEME_ECDSA, rng=random.Random(9))
     point = (key.qx, key.qy)  # served by the key's own table, not the base point's
     rng = random.Random(6)
     nibbles15 = (1 << 4 * ((n.bit_length() - 1) // 4)) - 1  # every radix-16 digit 15
     for k in [0, 1, 2, 3, n - 1, n, n + 1, nibbles15, rng.randrange(2, n)]:
         expected = _naive_affine_mul(spec, base, k % n)
-        assert ecdsa.point_mul(spec, base, k) == expected
-        assert ecdsa.base_mul(spec, k) == expected
-        assert ecdsa.point_mul(spec, point, k) == _naive_affine_mul(spec, point, k % n)
-    assert ecdsa.point_mul(spec, base, spec.n) is None  # group order annihilates
+        assert ecdsa.point_mul(base, k) == expected
+        assert ecdsa.base_mul(k) == expected
+        assert ecdsa.point_mul(point, k) == _naive_affine_mul(spec, point, k % n)
+    assert ecdsa.point_mul(base, spec.n) is None  # group order annihilates
 
 
-@pytest.mark.parametrize("curve", ["p256", "secp160r1"])
-def test_ecdsa_curve_constants(curve):
-    spec = CURVES[curve]
+def test_ecdsa_curve_constants():
+    spec = SECP160R1
     assert sympy.isprime(spec.p)
     assert sympy.isprime(spec.n)
-    assert ecdsa.on_curve(spec, spec.gx, spec.gy)
+    assert ecdsa.on_curve(spec.gx, spec.gy)
     assert (4 * spec.a**3 + 27 * spec.b**2) % spec.p != 0
 
 
 def test_ecdsa_round_trip(ecdsa_key):
     sig = ecdsa.sign(ecdsa_key, MSG)
-    assert len(sig) == 64  # two 32-byte scalars on p256
+    assert len(sig) == 40  # two 20-byte scalars: the 320-bit signature payload
     assert ecdsa.verify(ecdsa_key.public(), MSG, sig)
     assert not ecdsa.verify(ecdsa_key.public(), MSG + b".", sig)
 
@@ -343,16 +340,18 @@ def test_ecdsa_round_trip(ecdsa_key):
 def test_ecdsa_reference_preset_width():
     key = keygen(SCHEME_ECDSA, reference_params(SCHEME_ECDSA), rng=random.Random(7))
     sig = ecdsa.sign(key, MSG)
-    assert key.curve == "secp160r1"
+    assert key == keygen(SCHEME_ECDSA, rng=random.Random(7))  # the one preset
+    assert ecdsa.on_curve(key.qx, key.qy)
     assert len(sig) == 40  # 320-bit signature payload
     assert ecdsa.verify(key.public(), MSG, sig)
 
 
 def test_ecdsa_verify_equation_oracle(ecdsa_key):
     """Re-derive the verification point with the naive affine arithmetic."""
-    spec = CURVES[ecdsa_key.curve]
+    spec = SECP160R1
     sig = ecdsa.sign(ecdsa_key, MSG)
-    r, s = os2ip(sig[:32]), os2ip(sig[32:])
+    width = spec.scalar_bytes
+    r, s = os2ip(sig[:width]), os2ip(sig[width:])
     shift = max(0, 256 - spec.n.bit_length())
     z = os2ip(hashlib.sha256(MSG).digest()) >> shift
     w = pow(s, -1, spec.n)
@@ -367,11 +366,10 @@ def test_ecdsa_verify_equation_oracle(ecdsa_key):
     assert add(u1, u2)[0] % spec.n == r
 
 
-@pytest.mark.parametrize("curve", ["p256", "secp160r1"])
-def test_ecdsa_verify_inverts_once(curve, monkeypatch):
+def test_ecdsa_verify_inverts_once(monkeypatch):
     # u1 G + u2 Q is one fold of both tables' picks: one inversion, where a
     # sum of two separate products took three
-    key = keygen(SCHEME_ECDSA, SchemeParams(SCHEME_ECDSA, curve=curve), random.Random(11))
+    key = keygen(SCHEME_ECDSA, rng=random.Random(11))
     sig = ecdsa.sign(key, MSG)
     assert ecdsa.verify(key.public(), MSG, sig)  # builds the key's table
     calls = []
@@ -384,7 +382,7 @@ def test_ecdsa_verify_inverts_once(curve, monkeypatch):
     monkeypatch.setattr(intmath, "invert_all", counted)
     assert ecdsa.verify(key.public(), MSG, sig)
     assert not ecdsa.verify(key.public(), MSG + b".", sig)
-    assert calls == [CURVES[curve].p] * 2
+    assert calls == [SECP160R1.p] * 2
 
 
 def test_ecdsa_fresh_nonces(ecdsa_key):
@@ -401,35 +399,31 @@ def test_ecdsa_rejects_malformed(ecdsa_key):
         bad = bytearray(sig)
         bad[rng.randrange(len(bad))] ^= 1 << rng.randrange(8)
         assert not ecdsa.verify(pub, MSG, bytes(bad))
-    off_curve = ecdsa.EcdsaPublicKey(pub.curve, pub.qx, (pub.qy + 1) % CURVES[pub.curve].p)
+    off_curve = ecdsa.EcdsaPublicKey(pub.qx, (pub.qy + 1) % SECP160R1.p)
     assert not ecdsa.verify(off_curve, MSG, sig)
 
 
 def test_ecdsa_tables_are_shared_by_value_and_bounded(ecdsa_key):
-    spec = CURVES[ecdsa_key.curve]
-    twin = ecdsa.EcdsaPublicKey(
-        ecdsa_key.curve, int(str(ecdsa_key.qx)), int(str(ecdsa_key.qy))
-    )
+    twin = ecdsa.EcdsaPublicKey(int(str(ecdsa_key.qx)), int(str(ecdsa_key.qy)))
     sig = ecdsa.sign(ecdsa_key, MSG)
     assert ecdsa.verify(ecdsa_key.public(), MSG, sig)
     misses = ecdsa._comb.cache_info().misses
     assert ecdsa.verify(twin, MSG, sig)
     assert ecdsa._comb.cache_info().misses == misses
-    assert ecdsa._comb(spec, twin.qx, twin.qy) is ecdsa._comb(spec, ecdsa_key.qx, ecdsa_key.qy)
-    small = CURVES["secp160r1"]
+    assert ecdsa._comb(twin.qx, twin.qy) is ecdsa._comb(ecdsa_key.qx, ecdsa_key.qy)
     bound = ecdsa._comb.cache_info().maxsize
-    generator = ecdsa._gen_comb(small)
+    generator = ecdsa._gen_comb()
     for i in range(bound + 2):
-        ecdsa.point_mul(small, ecdsa.base_mul(small, 1000 + i), 1)
+        ecdsa.point_mul(ecdsa.base_mul(1000 + i), 1)
     assert ecdsa._comb.cache_info().currsize == bound
     # the base point's table lives outside the per-key LRU: no run of keys evicts it
-    assert ecdsa._gen_comb(small) is generator
+    assert ecdsa._gen_comb() is generator
 
 
 def test_ecdsa_off_curve_key_builds_no_table(ecdsa_key):
     pub = ecdsa_key.public()
     sig = ecdsa.sign(ecdsa_key, MSG)
-    off = ecdsa.EcdsaPublicKey(pub.curve, pub.qx, (pub.qy + 1) % CURVES[pub.curve].p)
+    off = ecdsa.EcdsaPublicKey(pub.qx, (pub.qy + 1) % SECP160R1.p)
     misses = ecdsa._comb.cache_info().misses
     assert ecdsa.verify(off, MSG, sig) is False
     assert ecdsa._comb.cache_info().misses == misses
@@ -497,7 +491,7 @@ def test_group_signature_layout_has_no_index(group):
 
 
 def test_group_outsider_rejected(group):
-    outsider = group_setup(default_params(SCHEME_GROUP), rng=random.Random(12))
+    outsider = group_setup(reference_params(SCHEME_GROUP), rng=random.Random(12))
     sig = group_sign(outsider.credentials[0], outsider.group_key, MSG)
     assert not group_verify(group.group_key, MSG, sig)
     with pytest.raises(OpenFailure):
@@ -505,7 +499,7 @@ def test_group_outsider_rejected(group):
 
 
 def test_group_revocation():
-    setup = group_setup(default_params(SCHEME_GROUP), rng=random.Random(13))
+    setup = group_setup(reference_params(SCHEME_GROUP), rng=random.Random(13))
     cred = setup.credentials[1]
     sig = group_sign(cred, setup.group_key, MSG)
     assert group_verify(setup.group_key, MSG, sig)
@@ -666,7 +660,7 @@ def test_keygen_guards():
     with pytest.raises(ParameterError):
         keygen(SCHEME_GROUP)  # membership is issued, not self-generated
     with pytest.raises(SchemeMismatch):
-        keygen(SCHEME_RSA, params=default_params(SCHEME_DSA))
+        keygen(SCHEME_RSA, params=reference_params(SCHEME_DSA))
     with pytest.raises(ParameterError):
         SchemeParams(scheme_id=SCHEME_RSA, rsa_bits=256)  # toy size needs opt-in
 
@@ -699,8 +693,6 @@ def _field(value) -> bytes:
         return _field(len(value)) + b"".join(map(_field, value))
     if isinstance(value, G2Point):
         return pack_varbytes(value.to_bytes())
-    if isinstance(value, str):
-        return pack_varbytes(value.encode())
     return pack_varbytes(value.to_bytes(max(1, (value.bit_length() + 7) // 8), "big"))
 
 
@@ -776,44 +768,55 @@ def test_load_validates_dl_secret(dsa_key):
         load_private(bytes(blob))
 
 
-def _ecdsa_record(curve: bytes, *ints: int) -> bytes:
-    return bytes([SCHEME_ECDSA]) + pack_varbytes(curve) + b"".join(map(_field, ints))
+def _ecdsa_record(*ints: int) -> bytes:
+    return bytes([SCHEME_ECDSA]) + b"".join(map(_field, ints))
 
 
 def test_load_public_rejects_unreduced_ecdsa_coordinates(ecdsa_key):
-    p = CURVES[ecdsa_key.curve].p
-    curve = ecdsa_key.curve.encode()
-    assert load_public(_ecdsa_record(curve, ecdsa_key.qx, ecdsa_key.qy)) == ecdsa_key.public()
+    p = SECP160R1.p
+    assert load_public(_ecdsa_record(ecdsa_key.qx, ecdsa_key.qy)) == ecdsa_key.public()
     with pytest.raises(ParameterError):
-        load_public(_ecdsa_record(curve, ecdsa_key.qx + p, ecdsa_key.qy))
+        load_public(_ecdsa_record(ecdsa_key.qx + p, ecdsa_key.qy))
     with pytest.raises(ParameterError):
-        load_public(_ecdsa_record(curve, ecdsa_key.qx, ecdsa_key.qy + p))
+        load_public(_ecdsa_record(ecdsa_key.qx, ecdsa_key.qy + p))
 
 
 def test_load_private_rejects_ecdsa_secret_out_of_range(ecdsa_key):
-    n = CURVES[ecdsa_key.curve].n
-    curve = ecdsa_key.curve.encode()
-    for d in (0, ecdsa_key.d + n):
+    for d in (0, ecdsa_key.d + SECP160R1.n):
         with pytest.raises(ParameterError):
-            load_private(_ecdsa_record(curve, d, ecdsa_key.qx, ecdsa_key.qy))
+            load_private(_ecdsa_record(d, ecdsa_key.qx, ecdsa_key.qy))
 
 
 def test_load_private_rejects_mismatched_ecdsa_pair(ecdsa_key):
     other = keygen(SCHEME_ECDSA, rng=random.Random(31))
     with pytest.raises(ParameterError):
-        load_private(_ecdsa_record(ecdsa_key.curve.encode(), ecdsa_key.d, other.qx, other.qy))
+        load_private(_ecdsa_record(ecdsa_key.d, other.qx, other.qy))
+
+
+def _refused_with_curve_name(key, curve: bytes) -> None:
+    """Records once led with the curve's name; neither load takes such a record."""
+    named = bytes([SCHEME_ECDSA]) + pack_varbytes(curve)
+    with pytest.raises(ParameterError):
+        load_public(named + _ecdsa_record(key.qx, key.qy)[1:])
+    with pytest.raises(ParameterError):
+        load_private(named + _ecdsa_record(key.d, key.qx, key.qy)[1:])
+
+
+def test_ecdsa_records_with_a_curve_name_are_refused(ecdsa_key):
+    for curve in (b"secp160r1", b"p256"):
+        _refused_with_curve_name(ecdsa_key, curve)
 
 
 def test_load_maps_bad_curve_text_to_parameter_error(ecdsa_key):
-    for load, ints in ((load_public, (ecdsa_key.qx, ecdsa_key.qy)),
-                       (load_private, (ecdsa_key.d, ecdsa_key.qx, ecdsa_key.qy))):
-        with pytest.raises(ParameterError):
-            load(_ecdsa_record(b"p\xff256", *ints))
+    _refused_with_curve_name(ecdsa_key, b"p\xff256")
 
 
 def test_unknown_curve_refused_both_ways(ecdsa_key):
-    _refused_both_ways(dataclasses.replace(ecdsa_key.public(), curve="p384"), public=True)
-    _refused_both_ways(dataclasses.replace(ecdsa_key, curve="p384"), public=False)
+    # a key has no curve to name: neither class takes one, and no record names one
+    for key in (ecdsa_key.public(), ecdsa_key):
+        with pytest.raises(TypeError):
+            dataclasses.replace(key, curve="p384")
+    _refused_with_curve_name(ecdsa_key, b"p384")
 
 
 def test_load_maps_truncated_records_to_parameter_error(dsa_key, ecdsa_key, group):
@@ -843,8 +846,8 @@ _KEY_RECORD_DIGESTS = {
             "5cfae99ca8a06e5dcda8bc64de7343b2ea491b1ee9b03077eb8c7e2cc1f1631e"),
     "dsa": ("d6d1b78bb65cd63987f4962fa90b83735710415c21011f6f639833305de76b59",
             "b53a840dbed43037f27f4384b7d4e23d8b819546d0a3d4a856ac9e623523c25a"),
-    "ecdsa": ("6486e21a275b85d6089da5ac494a45f41612d224c192464d3885e931ac3f2245",
-              "2dc12bb93b82a96a1cc062f57cbb79fc3f8bafd11cf359314df2951d951d272f"),
+    "ecdsa": ("3fba8eeceab282c0fd360fab989298354add90d9409c63bd809602533fd82a6f",
+              "3dc5cdcbb7f2a24b9f1722fb92897fabdb1d43053211ce28f72f205b24429d8b"),
     "bls": ("81d371ea1122c467aaa8a2442f0946a642bd48ce1aaeb5bc14c50d00ce25c6ba",
             "c8cbe819b1cd1bc09e30a2e685f84c326cd91607f7d56a2b4512e72eb27a13d8"),
     "group": ("0238fab3fc1eaff0277d0de116040e27127de943b8f79f74b274b4c4a2d5f0d2",
@@ -875,7 +878,7 @@ def test_key_records_match_pinned_digests(rsa_key, dsa_key, ecdsa_key, bls_key, 
 def test_every_scheme_runs_through_the_table(sid):
     """keygen (or group_setup), sign, verify, serialize and load for each scheme."""
     rng = random.Random(sid)
-    params = default_params(sid)
+    params = reference_params(sid)
     others = []
     if sid == SCHEME_GROUP:
         setup = group_setup(params, rng)
@@ -945,7 +948,7 @@ def test_load_public_rejects_the_bls_identity(bls_key):
 
 
 def test_jacobian_ops_cover_a_zero_and_minus_three_only():
-    p = CURVES["secp160r1"].p
+    p = SECP160R1.p
     for a in (0, -3, p - 3):
         ops = jacobian_ops(p, a)
         assert ops._fields == ("dbl", "add_mixed", "normalize", "add_pairs", "neg", "identity")
@@ -960,9 +963,54 @@ def test_jacobian_ops_cover_a_zero_and_minus_three_only():
 def test_signature_sizes(rsa_key, dsa_key, ecdsa_key, bls_key, group, ring_keys):
     assert len(rsa.sign(rsa_key, MSG)) * 8 == 1024
     assert len(dsa.sign(dsa_key, MSG)) * 8 == 320
-    key160 = keygen(SCHEME_ECDSA, reference_params(SCHEME_ECDSA), rng=random.Random(22))
-    assert len(ecdsa.sign(key160, MSG)) * 8 == 320
+    assert len(ecdsa.sign(ecdsa_key, MSG)) * 8 == 320
     assert len(bls.sign(bls_key, MSG)) == 21  # one compressed group element
     assert len(group_sign(group.credentials[0], group.group_key, MSG)) == 208
     pubs = [k.public() for k in ring_keys]
     assert len(ring_sign(pubs, 0, ring_keys[0], MSG)) == 20 * (len(pubs) + 1)
+
+
+# --- near-valid mutants ------------------------------------------------------
+
+
+def _mutants(sig: bytes, count: int, seed: int) -> list[bytes]:
+    """count seeded one-edit variants of sig, none equal to it: a byte set,
+    a cut, an insert, a byte +-1, a duplicated run, or a byte set to an edge
+    value."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        b = bytearray(sig)
+        i = rng.randrange(len(b))
+        kind = rng.randrange(6)
+        if kind == 0:
+            b[i] = rng.randrange(256)
+        elif kind == 1:
+            del b[i:]
+        elif kind == 2:
+            b.insert(i, rng.randrange(256))
+        elif kind == 3:
+            b[i] = (b[i] + rng.choice((1, -1))) % 256
+        elif kind == 4:
+            b[i:i] = b[i : i + rng.randrange(1, 9)]
+        else:
+            b[i] = rng.choice((0x00, 0x7F, 0x80, 0xFD, 0xFE, 0xFF))
+        if b != sig:
+            out.append(bytes(b))
+    return out
+
+
+def test_near_valid_signature_mutants_are_refused(ecdsa_key, group, ring_keys):
+    rng = random.Random(23)
+    pubs = [k.public() for k in ring_keys]
+    cases = [
+        (verifier_for(ecdsa_key.public()), sign(ecdsa_key, MSG, rng).data, 400),
+        (verifier_for(group.group_key),
+         group_sign(group.credentials[0], group.group_key, MSG, rng), 400),
+        (verifier_for(pubs), ring_sign(pubs, 0, ring_keys[0], MSG, rng), 80),
+    ]
+    assert len(cases[0][1]) == 40
+    for seed, (check, sig, count) in enumerate(cases):
+        assert check(MSG, sig) is True
+        for bad in _mutants(sig, count, seed):
+            assert check(MSG, bad) is False, bad.hex()
