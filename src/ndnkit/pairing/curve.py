@@ -114,24 +114,18 @@ def _odd_multiples(ops: CurveOps, bases, w):
     """Per base B, the affine row B, 3B, .., (2^(w-1) - 1)B, then the same
     multiples negated in reverse order, so row[d >> 1] is dB for every odd
     digit |d| < 2^(w-1): a negative d indexes from the end.  A None base
-    gets no row.  No multiple jB with 1 <= j < 2^(w-1) may be the identity,
+    gets no row.  Each step appends row[-1] + 2B to every row through
+    add_pairs, so the rows cost 2^(w-2) inversions in all, whatever the
+    base count.  No multiple jB with 1 <= j < 2^(w-1) may be the identity,
     which holds for every point of G1 and of the twist."""
     live = [b for b in bases if b is not None]
-    count = 1 << (w - 2)
-    dbl, add, one, neg = ops.dbl, ops.add_mixed, ops.identity[0], ops.neg
-    twos = ops.normalize([dbl(x, y, one) for x, y in live])
-    jac = []
-    for (x, y), (tx, ty) in zip(live, twos):
-        X, Y, Z = x, y, one
-        jac.append((X, Y, Z))
-        for _ in range(count - 1):
-            X, Y, Z = add(X, Y, Z, tx, ty)
-            jac.append((X, Y, Z))
-    flat = ops.normalize(jac)
-    signed = iter(
-        flat[i : i + count] + [(x, neg(y)) for x, y in reversed(flat[i : i + count])]
-        for i in range(0, len(flat), count)
-    )
+    twos = ops.normalize([ops.dbl(x, y, ops.identity[0]) for x, y in live])
+    rows = [[b] for b in live]
+    for _ in range((1 << (w - 2)) - 1):
+        for row, pt in zip(rows, ops.add_pairs([(row[-1], t) for row, t in zip(rows, twos)])):
+            row.append(pt)
+    neg = ops.neg
+    signed = iter(row + [(x, neg(y)) for x, y in reversed(row)] for row in rows)
     return [None if b is None else next(signed) for b in bases]
 
 
@@ -320,7 +314,7 @@ def _normalize2(jac):
 
 def _add_pairs2(pairs):
     """CurveOps.add_pairs over Fp2, as mixed additions to Z = 1 and one
-    normalization: only the generator's table uses it, built once."""
+    normalization.  It builds the generator's table and g2_mul's rows."""
     return _normalize2([_jac2_add_mixed(*pt, F2_ONE, *q) for pt, q in pairs])
 
 

@@ -298,8 +298,13 @@ class _RecordReader:
             raise ParameterError(f"bad G2 point: {exc}") from exc
 
     def done(self) -> None:
-        if self._pos != len(self._blob):
-            raise ParameterError("trailing bytes after key record")
+        if self._pos == len(self._blob):
+            return
+        # an ECDSA record once led with its curve's name, one field more
+        if self.scheme_id == SCHEME_ECDSA and unpack_varbytes(self._blob, 1)[0].isalnum():
+            raise ParameterError("ECDSA key record in the old format, which names a curve: "
+                                 "regenerate the key with `ndnkit keygen`")
+        raise ParameterError("trailing bytes after key record")
 
 
 # (writer, reader) per key-dataclass field annotation.  A record lists the

@@ -1,17 +1,19 @@
 """ECDSA over secp160r1 (params.SECP160R1: a = -3, cofactor 1).
 
 Scalar multiplication walks comb tables (intmath.Comb over the curve's
-CurveOps record) with additions only.  The base point's table serves
-signing: signed digits of radix 2^7, built on first use, so k * G is about
-|n|/7 mixed additions.  Every other point gets a radix-16 table on first
-use, held in a bounded LRU keyed by point value, so a public key's table
-serves every verify under that key.  A verify folds the picks of both
-tables (Comb.picks) in one Jacobian sum: about |n|/7 + |n|/4 mixed
-additions and one inversion.  The first verify under a new key also pays
-for its table (~3 ms).  Verify checks that the key lies on the curve before
-a table is built for it.  Signature integers are emitted at the curve's
-fixed width, with the nonce resampled in the (astronomically rare) case an
-integer does not fit.
+CurveOps record) with additions only, on signed digits: a negative digit
+takes its entry with y negated, so a radix-2^w table holds 2^(w-1) entries
+per row.  The base point's table serves signing: radix 2^9, 18 rows of 256,
+built on first use (~25 ms), so k * G is at most 18 mixed additions.  Every
+other point gets a radix-2^6 table (27 rows of 32, ~140 KB) on first use,
+held in a bounded LRU keyed by point value, so a public key's table serves
+every verify under that key.  A verify folds the picks of both tables
+(Comb.picks) in one Jacobian sum: at most 18 + 27 mixed additions and one
+inversion.  The first verify under a new key also pays for its table
+(~4 ms).  Verify checks that the key lies on the curve before a table is
+built for it.  Signature integers are emitted at the curve's fixed width,
+with the nonce resampled in the (astronomically rare) case an integer does
+not fit.
 """
 
 from __future__ import annotations
@@ -65,16 +67,16 @@ def point_mul(pt, k: int):
 
 @lru_cache(maxsize=128)
 def _comb(x: int, y: int) -> Comb:
-    """The radix-16 table for one curve point, kept per point value: a public
-    key's serves every verify under it."""
-    return Comb(_OPS, (x, y), _N.bit_length(), 4)
+    """The signed radix-2^6 table for one curve point (27 rows of 32), kept
+    per point value: a public key's serves every verify under it."""
+    return Comb(_OPS, (x, y), _N.bit_length(), 6, signed=True)
 
 
 @lru_cache(maxsize=1)
 def _gen_comb() -> Comb:
-    """The base point's signed radix-2^7 table, kept apart from the per-key
-    LRU so that no run of keys evicts it."""
-    return Comb(_OPS, (SECP160R1.gx, SECP160R1.gy), _N.bit_length(), 7, signed=True)
+    """The base point's signed radix-2^9 table (18 rows of 256), kept apart
+    from the per-key LRU so that no run of keys evicts it."""
+    return Comb(_OPS, (SECP160R1.gx, SECP160R1.gy), _N.bit_length(), 9, signed=True)
 
 
 def base_mul(k: int):

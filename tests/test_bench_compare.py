@@ -95,3 +95,59 @@ def test_compare_metric_quartiles_and_ties():
     assert not row["worse"] and not row["gain"]
     assert bench_compare.compare_metric([5], [7], "lower", 0.2)["worse"]
     assert not bench_compare.compare_metric([5], [7], "lower", None)["worse"]
+
+
+# --- two BENCH files ----------------------------------------------------------
+
+MACHINE = {"cpu_model": "Xeon", "nproc": 2, "python": "3.11.7"}
+
+
+def _bench(path: Path, metrics, failed=0, digest="a", machine=MACHINE) -> Path:
+    """A BENCH file of one crypto_suite summary; metrics maps name -> (median, iqr)."""
+    summary = {
+        "seeds": [1, 2, 3], "attempted": 300, "failed": failed,
+        "metrics": {k: {"unit": "us", "median": m, "iqr": q, "raw_median": 2 * m,
+                        "raw_iqr": 2 * q, "n": 3} for k, (m, q) in metrics.items()},
+        "digests": {str(s): [{"unit": 0, "requests": 100, "trace_sha256": digest,
+                              "counters_sha256": "c"}] for s in (1, 2, 3)},
+    }
+    path.write_text(json.dumps({"git_sha": path.stem, "dirty": False, "seconds": 30.0,
+                                "machine": machine, "workloads": {"crypto_suite": summary}}))
+    return path
+
+
+def test_bench_files_give_medians_iqr_and_marks(tmp_path, spec_file):
+    parent = _bench(tmp_path / "BENCH_1.json", {
+        "sign_us.bls": (850.0, 10.0), "verify_us.bls": (5000.0, 50.0),
+        "requests_per_s": (200.0, 20.0), "pairing.g1_mul_us": (650.0, 5.0)})
+    change = _bench(tmp_path / "BENCH_2.json", {
+        "sign_us.bls": (600.0, 12.0), "verify_us.bls": (6500.0, 40.0),
+        "requests_per_s": (190.0, 5.0), "only_in_change": (1.0, 0.0)})
+    lines, flagged = bench_compare.compare_bench(parent, change, spec_file)
+    rows = {line.split()[0]: line for line in lines[2:]}
+    assert lines[0] == "== crypto_suite seeds=1,2,3 vs 1,2,3"
+    assert "failed: parent 0/300, change 0/300; digests: 0 of 3 shared units differ" in lines[1]
+    assert set(rows) == {"sign_us.bls", "verify_us.bls", "requests_per_s"}
+    assert "850 iqr 10" in rows["sign_us.bls"] and "600 iqr 12" in rows["sign_us.bls"]
+    assert rows["sign_us.bls"].endswith("-29.4% gain")
+    assert rows["verify_us.bls"].endswith("+30.0% WORSE")
+    # -5% on a higher-is-better metric: inside its bound, and within the parent's IQR
+    assert rows["requests_per_s"].endswith("-5.0%")
+    assert flagged
+
+
+def test_bench_files_through_the_command_line(tmp_path, capsys):
+    # two existing files select the BENCH comparison, under the repository's bounds
+    same = {"sign_us.bls": (850.0, 10.0)}
+    parent = _bench(tmp_path / "BENCH_1.json", same)
+    clean = _bench(tmp_path / "BENCH_2.json", same)
+    assert bench_compare.main([str(parent), str(clean)]) == 0
+    out = capsys.readouterr().out
+    assert out.startswith("== crypto_suite") and "WORSE" not in out and "gain" not in out
+    # a failure and a changed digest flag the comparison; another machine is named
+    other = _bench(tmp_path / "BENCH_3.json", same, failed=1, digest="b",
+                   machine={**MACHINE, "nproc": 4})
+    assert bench_compare.main([str(parent), str(other)]) == 1
+    out = capsys.readouterr().out
+    assert out.startswith("!! different machines")
+    assert "change 1/300; digests: 3 of 3 shared units differ" in out

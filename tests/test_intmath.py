@@ -61,9 +61,11 @@ def test_wnaf_at_width_2_gives_the_ate_loop_digits():
 # --- the fixed-base comb -----------------------------------------------------
 
 
-def _double_and_add(spec, k):
-    """k * G on the curve by affine double-and-add, None for the identity."""
+def _double_and_add(spec, k, base=None):
+    """k * base (default the generator G) on the curve by affine
+    double-and-add, None for the identity."""
     p = spec.p
+    base = base or (spec.gx, spec.gy)
 
     def add(a, b):
         if a is None or b is None:
@@ -81,14 +83,21 @@ def _double_and_add(spec, k):
     for bit in bin(k)[2:]:
         acc = add(acc, acc)
         if bit == "1":
-            acc = add(acc, (spec.gx, spec.gy))
+            acc = add(acc, base)
     return acc
+
+
+# a point with no special relation to G, whose table is built like a key's
+_KEY_POINT = _double_and_add(SECP160R1, 0x5EED)
 
 
 def _generator_table(name):
     """A generator's table, its group order and a reference k -> k * generator."""
     if name == "dl":
         return dlgroup._gen_table(), DL_Q, lambda k: pow(DL_G, k, DL_P)
+    if name == "secp160r1-key":
+        return (ecdsa._comb(*_KEY_POINT), SECP160R1.n,
+                lambda k: _double_and_add(SECP160R1, k, _KEY_POINT))
     return ecdsa._gen_comb(), SECP160R1.n, lambda k: _double_and_add(SECP160R1, k)
 
 
@@ -106,7 +115,7 @@ def _edge_digit_scalars(comb, bits):
     return out
 
 
-@pytest.mark.parametrize("name", ["secp160r1", "dl"])
+@pytest.mark.parametrize("name", ["secp160r1", "secp160r1-key", "dl"])
 def test_generator_comb_matches_the_reference(name):
     comb, order, reference = _generator_table(name)
     bits = order.bit_length()
@@ -124,7 +133,7 @@ def test_generator_comb_matches_the_reference(name):
         comb.mul(1 << (len(comb.rows) * comb.w))
 
 
-@pytest.mark.parametrize("name", ["secp160r1", "dl"])
+@pytest.mark.parametrize("name", ["secp160r1", "secp160r1-key", "dl"])
 def test_picks_of_two_tables_fold_to_the_sum(name):
     # what ECDSA verify does with the generator's and the key's tables; the
     # pairs (a, n - a) and (a, a) take the fold through cancellation and
@@ -136,6 +145,15 @@ def test_picks_of_two_tables_fold_to_the_sum(name):
         (rng.randrange(order), rng.randrange(order)) for _ in range(5)
     ]:
         assert comb.group.fold(comb.picks(k1) + comb.picks(k2)) == reference((k1 + k2) % order)
+
+
+@pytest.mark.parametrize("name, w, shape", [("secp160r1", 9, (18, 256)),
+                                            ("secp160r1-key", 6, (27, 32))])
+def test_ecdsa_table_widths_are_pinned(name, w, shape):
+    # both ECDSA tables are signed: rows cover |n| + 1 bits, 2^(w-1) entries each
+    comb = _generator_table(name)[0]
+    assert (comb.w, comb.top, comb.neg) == (w, 1 << (w - 1), comb.group.neg)
+    assert (len(comb.rows), {len(row) for row in comb.rows}) == (shape[0], {shape[1]})
 
 
 def test_comb_rejects_a_negative_scalar():

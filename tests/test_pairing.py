@@ -220,6 +220,28 @@ def test_group_record_laws(name):
     assert ops.add_pairs(pairs) == [ops.add(a, b) for a, b in pairs]
 
 
+@pytest.mark.parametrize("name, count, w", [("G1", 1, 4), ("G1", 2, 4), ("G1", 8, 4),
+                                            ("G1", 40, 8), ("G2", 1, 4)])
+def test_odd_multiple_rows_match_a_chain(name, count, w):
+    # _odd_multiples steps every row at once through add_pairs; a chain of
+    # single additions per base gives the same rows, and a None base no row
+    ops, mul = _group_record(name)
+    rng = random.Random(count * w)
+    bases = [mul(rng.randrange(1, N)) for _ in range(count)]
+    bases.insert(count // 2, None)
+    rows = curve._odd_multiples(ops, bases, w)
+    assert len(rows) == len(bases)
+    for base, row in zip(bases, rows):
+        if base is None:
+            assert row is None
+            continue
+        two = ops.add(base, base)
+        chain = [base]
+        while len(chain) < 1 << (w - 2):
+            chain.append(ops.add(chain[-1], two))
+        assert row == chain + [ops.negate(pt) for pt in reversed(chain)]
+
+
 def test_fixed_base_combs_match_generic_mul():
     g2 = g2_generator().point
     for _ in range(5):

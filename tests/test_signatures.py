@@ -314,7 +314,12 @@ def test_ecdsa_scalar_mul_against_naive():
     point = (key.qx, key.qy)  # served by the key's own table, not the base point's
     rng = random.Random(6)
     nibbles15 = (1 << 4 * ((n.bit_length() - 1) // 4)) - 1  # every radix-16 digit 15
-    for k in [0, 1, 2, 3, n - 1, n, n + 1, nibbles15, rng.randrange(2, n)]:
+    # digit edges of the key tables' radix 2^6 and the generator's 2^9 (the
+    # signed carry starts at 2^5 + 1 and 2^8 + 1); n - 1 picks from the top row
+    edges = [31, 32, 33, 2**9 - 1, 2**9, 2**9 + 1]
+    for k in [0, 1, 2, 3, *edges, n - 1, n, n + 1, nibbles15] + [
+        rng.randrange(2, n) for _ in range(4)
+    ]:
         expected = _naive_affine_mul(spec, base, k % n)
         assert ecdsa.point_mul(base, k) == expected
         assert ecdsa.base_mul(k) == expected
@@ -793,18 +798,22 @@ def test_load_private_rejects_mismatched_ecdsa_pair(ecdsa_key):
         load_private(_ecdsa_record(ecdsa_key.d, other.qx, other.qy))
 
 
-def _refused_with_curve_name(key, curve: bytes) -> None:
+def _refused_with_curve_name(key, curve: bytes, match: str | None = None) -> None:
     """Records once led with the curve's name; neither load takes such a record."""
     named = bytes([SCHEME_ECDSA]) + pack_varbytes(curve)
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=match):
         load_public(named + _ecdsa_record(key.qx, key.qy)[1:])
-    with pytest.raises(ParameterError):
+    with pytest.raises(ParameterError, match=match):
         load_private(named + _ecdsa_record(key.d, key.qx, key.qy)[1:])
 
 
 def test_ecdsa_records_with_a_curve_name_are_refused(ecdsa_key):
+    # the error names the old format and the way out, not the trailing bytes
     for curve in (b"secp160r1", b"p256"):
-        _refused_with_curve_name(ecdsa_key, curve)
+        _refused_with_curve_name(ecdsa_key, curve,
+                                 match=r"old format, which names a curve.*`ndnkit keygen`")
+    with pytest.raises(ParameterError, match="trailing bytes"):
+        load_public(_ecdsa_record(ecdsa_key.qx, ecdsa_key.qy, 1))
 
 
 def test_load_maps_bad_curve_text_to_parameter_error(ecdsa_key):

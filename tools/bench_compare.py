@@ -2,6 +2,7 @@
 """Compare perfbench run records of a parent checkout and a changed one.
 
     python3 tools/bench_compare.py PARENT_DIR CHANGE_DIR
+    python3 tools/bench_compare.py BENCH_1.json BENCH_2.json
 
 Each directory is a checkout (its ``.perfbench_results/`` is read) or a
 results directory itself. Records are grouped by workload and trace mode and
@@ -13,6 +14,13 @@ that won at least nine tenths of the pairs with medians further apart than
 the parent's IQR is marked ``gain``. Each group also reports failed
 operations and any per-unit trace or counter digest that differs between
 runs of the same seed. The exit status is 1 if anything was flagged.
+
+Given two ``BENCH_<n>.json`` files (see ``tools/bench_record.py``), it prints
+the same table from their summaries: each side's median and interquartile
+range, the relative change, ``WORSE`` past a bound and the failures and
+digests of the seeds both ran. A summary keeps no per-seed values, so no
+pairs are counted: ``gain`` marks a better median by more than the parent's
+IQR, and a line warns when the two files come from different machines.
 
 The records are only read; nothing under ``perfbench/`` is run or changed.
 """
@@ -62,19 +70,29 @@ def compare_metric(parent: list[float], change: list[float], better: str,
     q1, q3 = _quartiles(parent)
     sign = 1 if better == "higher" else -1
     won = sum(sign * (c - p) > 0 for p, c in zip(parent, change))
+    row = _medians(med_p, med_c, q3 - q1, better, bound)
+    row.update(parent_iqr=(q1, q3), won=won, pairs=len(parent))
+    row["gain"] &= won >= GAIN_SHARE * len(parent)
+    return row
+
+
+def _medians(med_p: float, med_c: float, iqr_p: float, better: str, bound: float | None) -> dict:
+    """The relative change of two medians, WORSE past the bound, and gain
+    when the change is better by more than the parent's IQR."""
+    sign = 1 if better == "higher" else -1
     rel = (med_c - med_p) / med_p if med_p else 0.0
-    worse = bound is not None and sign * rel < -bound
-    gain = won >= GAIN_SHARE * len(parent) and sign * (med_c - med_p) > q3 - q1
-    return {"parent_median": med_p, "parent_iqr": (q1, q3), "change_median": med_c,
-            "relative": rel, "won": won, "pairs": len(parent), "worse": worse, "gain": gain}
+    return {"parent_median": med_p, "change_median": med_c, "relative": rel,
+            "worse": bound is not None and sign * rel < -bound,
+            "gain": sign * (med_c - med_p) > iqr_p}
 
 
 def _digest_mismatches(parent: dict, change: dict) -> tuple[int, int]:
-    """(shared units, units whose digests differ) over the paired seeds."""
+    """(shared units, units whose digests differ) over the seeds both ran;
+    each side maps a seed to its list of per-unit digests."""
     shared = differ = 0
     for seed in parent.keys() & change.keys():
-        mine = {str(d["unit"]): d for d in change[seed]["digests"]}
-        for d in parent[seed]["digests"]:
+        mine = {str(d["unit"]): d for d in change[seed]}
+        for d in parent[seed]:
             other = mine.get(str(d["unit"]))
             if other is None:
                 continue
@@ -96,7 +114,8 @@ def compare(parent_dir: Path, change_dir: Path, benchmark: Path = ROOT / "BENCHM
         pairs = [(parent[group][s], change[group][s]) for s in seeds]
         failed = [sum(r["result"]["failed"] for r in side) for side in zip(*pairs)]
         attempted = [sum(r["result"]["attempted"] for r in side) for side in zip(*pairs)]
-        shared, differ = _digest_mismatches(parent[group], change[group])
+        shared, differ = _digest_mismatches(*({s: r["digests"] for s, r in side[group].items()}
+                                              for side in (parent, change)))
         lines.append(f"== {workload} trace={trace} seeds={','.join(map(str, seeds))}")
         lines.append(f"   failed: parent {failed[0]}/{attempted[0]}, change {failed[1]}/{attempted[1]}"
                      f"; digests: {differ} of {shared} shared units differ")
@@ -116,12 +135,40 @@ def compare(parent_dir: Path, change_dir: Path, benchmark: Path = ROOT / "BENCHM
     return lines, flagged
 
 
+def compare_bench(parent_file: Path, change_file: Path, benchmark: Path = ROOT / "BENCHMARK.json"):
+    """Lines of the report on two BENCH files, and whether anything was flagged."""
+    specs = load_metric_specs(benchmark)
+    parent, change = (json.loads(f.read_text()) for f in (parent_file, change_file))
+    lines, flagged = [], False
+    if parent["machine"] != change["machine"]:
+        lines.append(f"!! different machines: {parent['machine']} vs {change['machine']}")
+    for workload in sorted(parent["workloads"].keys() & change["workloads"].keys()):
+        p, c = parent["workloads"][workload], change["workloads"][workload]
+        shared, differ = _digest_mismatches(p["digests"], c["digests"])
+        lines.append(f"== {workload} seeds={','.join(map(str, p['seeds']))}"
+                     f" vs {','.join(map(str, c['seeds']))}")
+        lines.append(f"   failed: parent {p['failed']}/{p['attempted']}, change {c['failed']}/"
+                     f"{c['attempted']}; digests: {differ} of {shared} shared units differ")
+        flagged |= c["failed"] * p["attempted"] > p["failed"] * c["attempted"] or differ > 0
+        for name in sorted(p["metrics"].keys() & c["metrics"].keys()):
+            spec = specs.get(name, {"better": "lower", "bound": None})
+            mp, mc = p["metrics"][name], c["metrics"][name]
+            row = _medians(mp["median"], mc["median"], mp["iqr"], spec["better"], spec["bound"])
+            mark = "WORSE" if row["worse"] else "gain" if row["gain"] else ""
+            flagged |= row["worse"]
+            lines.append(
+                f"   {name:40s} {mp['median']:12.4g} iqr {mp['iqr']:<9.3g} -> {mc['median']:12.4g}"
+                f" iqr {mc['iqr']:<9.3g} {100 * row['relative']:+7.1f}% {mark}".rstrip())
+    return lines, flagged
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
     args = parser.parse_args(argv)
-    lines, flagged = compare(args.parent, args.change)
+    files = args.parent.is_file() and args.change.is_file()
+    lines, flagged = (compare_bench if files else compare)(args.parent, args.change)
     print("\n".join(lines) if lines else "no workload has records on both sides")
     return 1 if flagged else 0
 
