@@ -273,6 +273,7 @@ class Comb:
 
     def __init__(self, group, base, bits: int, w: int, signed: bool = False):
         self.group = group
+        self.bits = bits
         self.w = w
         self.mask = (1 << w) - 1
         self.top = 1 << (w - 1) if signed else self.mask  # the largest digit
@@ -289,6 +290,8 @@ class Comb:
         several products folds all their picks at once."""
         if k < 0:
             raise ValueError("negative scalar")
+        if k >> self.bits:  # the rows may cover a few bits more; the bound is bits
+            raise ValueError("scalar too large for the table")
         w, mask, top, neg = self.w, self.mask, self.top, self.neg
         picked = []
         for row in self.rows:
@@ -304,6 +307,4 @@ class Comb:
             elif d:
                 x, y = row[-d - 1]
                 picked.append((x, neg(y)))
-        if k:
-            raise ValueError("scalar too large for the table")
         return picked

@@ -4,11 +4,11 @@ Exponentiations with a long-lived base run through comb tables
 (intmath.Comb over _ZP, this module's record for Z_p*).  The generator's
 table is radix 256 and built once: g^e costs about twenty 1024-bit
 multiplications.  A verification key's table (a DSA public key, the group
-manager key, a roster pseudonym) is radix 16, one per base value in a
-bounded LRU, and serves every verify under that key: y^e costs about forty
-multiplications.  Neither walk squares.  Ring members and chameleon
-trapdoors stay on pow(): rings are assembled ad hoc from unauthenticated
-key lists, and each chameleon key serves one token.
+manager key, a roster pseudonym) is radix 64, one per base value in a
+bounded LRU, and serves every verify under that key: y^e costs about
+twenty-eight multiplications.  Neither walk squares.  Ring members and
+chameleon trapdoors stay on pow(): rings are assembled ad hoc from
+unauthenticated key lists, and each chameleon key serves one token.
 """
 
 from __future__ import annotations
@@ -49,9 +49,9 @@ class _ZP:
 
 @lru_cache(maxsize=128)
 def _table(base: int) -> Comb:
-    """A key's radix-16 table, 41 rows: exponents up to 2^164 - 1, four bits
-    past q."""
-    return Comb(_ZP, base, DL_Q.bit_length() + 4, 4)
+    """A key's radix-64 table, 28 rows of 63 powers (about 300 KB): exponents
+    up to 2^164 - 1, four bits past q."""
+    return Comb(_ZP, base, DL_Q.bit_length() + 4, 6)
 
 
 @lru_cache(maxsize=1)

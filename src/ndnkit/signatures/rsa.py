@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from ..intmath import i2osp, mgf1, os2ip, random_prime
 from .params import SCHEME_RSA, ParameterError, SchemeParams
@@ -80,6 +81,12 @@ def domain_digest(msg: bytes, n: int) -> int:
     return os2ip(bytes(em))
 
 
+@lru_cache(maxsize=128)
+def _crt(key: RsaPrivateKey) -> tuple[int, int, int]:
+    """d mod (p - 1), d mod (q - 1) and q^-1 mod p, once per key."""
+    return key.d % (key.p - 1), key.d % (key.q - 1), pow(key.q, -1, key.p)
+
+
 def sign(key: RsaPrivateKey, msg: bytes) -> bytes:
     """m^d mod n by the CRT: half-size exponentiations mod p and mod q,
     recombined with Garner's formula.  The result is checked against the
@@ -87,9 +94,10 @@ def sign(key: RsaPrivateKey, msg: bytes) -> bytes:
     of n through gcd(s^e - m, n)."""
     m = domain_digest(msg, key.n)
     p, q = key.p, key.q
-    sp = pow(m, key.d % (p - 1), p)
-    sq = pow(m, key.d % (q - 1), q)
-    s = sq + q * ((sp - sq) * pow(q, -1, p) % p)
+    dp, dq, q_inv = _crt(key)
+    sp = pow(m, dp, p)
+    sq = pow(m, dq, q)
+    s = sq + q * ((sp - sq) * q_inv % p)
     if pow(s, key.e, key.n) != m:
         raise ParameterError("RSA-CRT signature failed its check; the key is inconsistent")
     return i2osp(s, (key.n.bit_length() + 7) // 8)

@@ -156,6 +156,31 @@ def test_ecdsa_table_widths_are_pinned(name, w, shape):
     assert (len(comb.rows), {len(row) for row in comb.rows}) == (shape[0], {shape[1]})
 
 
+def test_dl_table_widths_are_pinned():
+    # Z_p* has no cheap negation: both DL tables are unsigned, 2^w - 1 entries a row
+    for comb, w, shape in [(dlgroup._gen_table(), 8, (20, 255)),
+                           (dlgroup._table(pow(DL_G, 0x5EED, DL_P)), 6, (28, 63))]:
+        assert (comb.w, comb.top, comb.neg) == (w, (1 << w) - 1, None)
+        assert (len(comb.rows), {len(row) for row in comb.rows}) == (shape[0], {shape[1]})
+
+
+def test_dl_key_table_matches_pow():
+    # a key's table covers exponents below 2^164, four bits past q, so the
+    # top row's largest digit is 3
+    y = pow(DL_G, 0x5EED, DL_P)
+    comb = dlgroup._table(y)
+    exponents = [0, 1, (1 << 162) - 1, 1 << 162, 3 << 162, (1 << 164) - 1]
+    for j in (1, 2, 13, 25, 26):
+        exponents += [(1 << 6 * j) - 1, 1 << 6 * j, 63 << 6 * j]
+    rng = random.Random(164)
+    exponents += [rng.randrange(1 << 164) for _ in range(50)]
+    for e in exponents:
+        assert e < 1 << 164
+        assert comb.mul(e) == pow(y, e, DL_P), e
+    with pytest.raises(ValueError, match="scalar too large"):
+        comb.mul(1 << 164)
+
+
 def test_comb_rejects_a_negative_scalar():
     for comb in (dlgroup._table(DL_G), ecdsa._comb(SECP160R1.gx, SECP160R1.gy)):
         with pytest.raises(ValueError, match="negative scalar"):
