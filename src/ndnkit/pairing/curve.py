@@ -14,12 +14,15 @@ delta sigma + r g1, one two-base g1_multi_exp of 80-bit scalars.
 
 Sums k_1 B_1 + ... + k_n B_n run on one engine: width-w NAF digits
 (intmath.wnaf: odd, within +-2^(w-1)) pick entries of per-base affine
-tables of odd multiples, over one run of doublings shared by all bases.
-g1_multi_exp uses its tables once and takes w = 4; G1MultiExp keeps them
-and takes w = 8.
-Variable-base g1_mul (BLS signing, nc_sign) is a two-base sum
-on the same engine: the GLV endomorphism phi(x, y) = (beta x, y) = [lambda]P
-splits the scalar into two halves below 2^80, halving the doublings.
+tables of odd multiples.  The entries that land on each bit are summed
+pairwise in affine rounds, each one add_pairs call (one inversion) across
+all bits, and one run of doublings then adds what is left of each bit.
+Every G1 sum splits a scalar of more than 80 bits into its two GLV halves
+(the endomorphism phi(x, y) = (beta x, y) = [lambda]P), so ~80 doublings
+serve 160-bit scalars; phi's entries are the base's with x scaled by beta,
+derived in each call and never stored.  g1_multi_exp uses its tables once and takes w = 4;
+G1MultiExp keeps them and takes w = 8.  g1_mul (BLS signing, nc_sign) is
+the one-base sum.
 
 g2_mul is a one-base sum on the same engine over the G2 record, at w = 3.
 Subgroup membership tests psi(Q) = [6x^2]Q with the twisted Frobenius psi
@@ -36,6 +39,7 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter, ne
 from typing import Optional
 
 from ..intmath import Comb, CurveOps, jacobian_ops, wnaf
@@ -130,19 +134,112 @@ def _odd_multiples(ops: CurveOps, bases, w):
     return [None if b is None else next(signed) for b in bases]
 
 
-def _multi_exp(ops: CurveOps, rows, scalars, w):
+# GLV (Gallant-Lambert-Vanstone, CRYPTO 2001): phi(x, y) = (beta x, y) is
+# [lambda] on G1, and k = k1 + k2 lambda (mod n) with |k1|, |k2| < 2^80 by
+# Babai rounding against a reduced basis of {(a, b): a + b lambda = 0 mod n}:
+# v1 = (-(2x+1), 6x^2+2x), v2 = (6x^2+4x+1, 2x+1), determinant -n.
+GLV_BETA = (18 * X_PARAM**3 + 18 * X_PARAM**2 + 9 * X_PARAM + 1) % P
+GLV_LAMBDA = (36 * X_PARAM**3 + 18 * X_PARAM**2 + 6 * X_PARAM + 1) % N
+_V_SHORT = 2 * X_PARAM + 1
+_V_LONG = 6 * X_PARAM**2 + 2 * X_PARAM
+
+
+def glv_split(k: int) -> tuple[int, int]:
+    """(k1, k2) with k1 + k2 * GLV_LAMBDA = k (mod n), both below 2^80 in
+    absolute value for 0 <= k < n."""
+    r1 = (2 * k * _V_SHORT + N) // (2 * N)
+    r2 = (2 * k * _V_LONG + N) // (2 * N)
+    return (
+        k - r1 * _V_SHORT - r2 * (_V_LONG + _V_SHORT),
+        r1 * _V_LONG - r2 * _V_SHORT,
+    )
+
+
+# An affine round sums pairs of entries through one add_pairs call, and each
+# pair it sums is a mixed addition saved.  Timed against leaving the same
+# entries to add_mixed (one CPU of a 2-vCPU Xeon VM, Python 3.11), a round
+# costs about 24 us fixed, mostly its inversion, and saves about 0.9 us a
+# pair, so it repays itself from about 26 pairs; a smaller round is skipped.
+# Finding the pairs costs about 0.5 us a bit that holds two entries or more,
+# so a sum that averages fewer than two entries a bit runs no round at all:
+# 8 bases of 80-bit scalars (1.6 a bit) ran 1.5% slower with their one
+# round, 16 (3.2 a bit) 2.5% faster.  g1_mul, SAV's two-base blinding and
+# g2_mul average under 0.5.
+_ROUND_MIN_PAIRS = 26
+_ROUND_MIN_ENTRIES_PER_BIT = 2
+_X = itemgetter(0)  # an affine point's x
+
+
+def _affine_rounds(ops: CurveOps, adds):
+    """Sum each bit's entries in place, pairwise, in rounds of one add_pairs
+    call across all bits, until a round would have too few pairs to repay
+    its inversion.  A pair with equal x (P = +-Q, which add_pairs cannot
+    take) stays behind for add_mixed, which doubles or cancels it."""
+    if sum(map(len, adds)) < _ROUND_MIN_ENTRIES_PER_BIT * len(adds):
+        return
+    held = {}
+    live = [j for j, entries in enumerate(adds) if len(entries) > 1]
+    while True:
+        firsts, seconds = [], []
+        for j in live:
+            paired = adds[j][: len(adds[j]) & ~1]
+            firsts += paired[::2]
+            seconds += paired[1::2]
+        if len(firsts) < _ROUND_MIN_PAIRS:
+            break
+        if all(map(ne, map(_X, firsts), map(_X, seconds))):  # no pair has equal x
+            sums = ops.add_pairs(list(zip(firsts, seconds)))
+            at = 0
+            for j in live:
+                entries = adds[j]
+                n = len(entries) >> 1
+                adds[j] = sums[at : at + n] + entries[2 * n :]
+                at += n
+        else:
+            for j in live:
+                entries, rest = adds[j], []
+                for a, b in zip(entries[::2], entries[1::2]):
+                    (held.setdefault(j, []) if a[0] == b[0] else rest).extend((a, b))
+                adds[j] = rest + entries[len(entries) & ~1 :]
+        live = [j for j in live if len(adds[j]) > 1]
+    for j, entries in held.items():
+        adds[j] += entries
+
+
+def _multi_exp(ops: CurveOps, rows, scalars, w, glv=False):
     """sum k_i * B_i by interleaved width-w NAFs over the rows of
-    _odd_multiples: one shared doubling per bit, one mixed addition per
-    nonzero digit.  Scalars are taken mod n, the order of G1 and G2."""
+    _odd_multiples.  Scalars are taken mod n, the order of G1 and G2.
+
+    With glv (G1 only), a scalar of more than 80 bits is taken as its
+    glv_split halves k1 + k2 lambda, and k2's digits pick entries of the
+    same row with x scaled by beta: phi's row, never stored.  A row with
+    fewer entries than a half has digits (w = 4) is scaled once, a longer
+    one (w = 8) entry by entry as digits pick them.  A negative half walks
+    its row reversed, the negated base's row.  The entries that land on
+    each bit are summed by _affine_rounds, then one run of doublings adds
+    what is left of each bit with a mixed addition."""
     if len(scalars) != len(rows):
         raise ValueError("scalar count does not match base count")
-    scalars = [s % N for s in scalars]
-    # adds[j]: the table entries added after the doubling for bit j
-    adds = [[] for _ in range(max(scalars, default=0).bit_length() + 1)]
+    scalars = [k % N for k in scalars]
+    # adds[j]: the table entries added after the doubling for bit j; every
+    # G1 scalar or GLV half is below 2^80
+    adds = [[] for _ in range(81 if glv else max(scalars, default=0).bit_length() + 1)]
     for row, k in zip(rows, scalars):
-        if row is not None:
-            for j, d in wnaf(k, w):
-                adds[j].append(row[d >> 1])
+        if row is None:
+            continue
+        k1, k2 = glv_split(k) if glv and k >> 80 else (k, 0)
+        for half, phi in ((k1, False), (k2, True)):
+            picks = row[::-1] if half < 0 else row
+            if phi and half and len(row) < 80 // (w + 1):
+                picks, phi = [(GLV_BETA * x % P, y) for x, y in picks], False
+            if phi:
+                for j, d in wnaf(abs(half), w):
+                    x, y = picks[d >> 1]
+                    adds[j].append((GLV_BETA * x % P, y))
+            else:
+                for j, d in wnaf(abs(half), w):
+                    adds[j].append(picks[d >> 1])
+    _affine_rounds(ops, adds)
     dbl, add = ops.dbl, ops.add_mixed
     X, Y, Z = ops.identity
     for entries in reversed(adds):
@@ -165,58 +262,30 @@ class G1MultiExp:
     """Multi-exponentiation over a fixed base set, tables built once.
 
     Kept per base set (e.g. per network-coding generation) and reused, so
-    it takes w = 8: ~18 additions per 160-bit scalar instead of ~32 at w = 4,
-    for 64 table entries per base (~15 ms to build for 40 bases).
-    g1_multi_exp's tables serve one call, where w = 4 costs least in total.
+    it takes w = 8: a 160-bit scalar's two GLV halves pick ~18 entries in
+    all instead of ~32 at w = 4, from 64 odd multiples per base (~10 ms to
+    build for 40 bases).  phi's entries are derived on use, so the table
+    holds each base's row once.  g1_multi_exp's tables serve one call,
+    where w = 4 costs least in total.
     """
 
     def __init__(self, bases):
         self.tables = _odd_multiples(G1, bases, _CACHED_WINDOW)
 
     def combine(self, scalars):
-        return _multi_exp(G1, self.tables, scalars, _CACHED_WINDOW)
+        return _multi_exp(G1, self.tables, scalars, _CACHED_WINDOW, glv=True)
 
 
 def g1_multi_exp(points, scalars):
-    return _multi_exp(G1, _odd_multiples(G1, points, _ONE_SHOT_WINDOW), scalars, _ONE_SHOT_WINDOW)
-
-
-# GLV (Gallant-Lambert-Vanstone, CRYPTO 2001): phi(x, y) = (beta x, y) is
-# [lambda] on G1, and k = k1 + k2 lambda (mod n) with |k1|, |k2| < 2^80 by
-# Babai rounding against a reduced basis of {(a, b): a + b lambda = 0 mod n}:
-# v1 = (-(2x+1), 6x^2+2x), v2 = (6x^2+4x+1, 2x+1), determinant -n.
-GLV_BETA = (18 * X_PARAM**3 + 18 * X_PARAM**2 + 9 * X_PARAM + 1) % P
-GLV_LAMBDA = (36 * X_PARAM**3 + 18 * X_PARAM**2 + 6 * X_PARAM + 1) % N
-_V_SHORT = 2 * X_PARAM + 1
-_V_LONG = 6 * X_PARAM**2 + 2 * X_PARAM
-
-
-def glv_split(k: int) -> tuple[int, int]:
-    """(k1, k2) with k1 + k2 * GLV_LAMBDA = k (mod n), both below 2^80 in
-    absolute value for 0 <= k < n."""
-    r1 = (2 * k * _V_SHORT + N) // (2 * N)
-    r2 = (2 * k * _V_LONG + N) // (2 * N)
-    return (
-        k - r1 * _V_SHORT - r2 * (_V_LONG + _V_SHORT),
-        r1 * _V_LONG - r2 * _V_SHORT,
-    )
+    rows = _odd_multiples(G1, points, _ONE_SHOT_WINDOW)
+    return _multi_exp(G1, rows, scalars, _ONE_SHOT_WINDOW, glv=True)
 
 
 def g1_mul(pt, k: int):
-    """k * pt as k1 * pt + k2 * phi(pt) over ~80 shared doublings.  phi's row
-    of odd multiples is pt's with x scaled by beta, and a negative half takes
-    its row reversed, which is the row of the negated base."""
-    k %= N
-    if pt is None or k == 0:
-        return None
-    k1, k2 = glv_split(k)
-    row = _odd_multiples(G1, [pt], _ONE_SHOT_WINDOW)[0]
-    phi_row = [(GLV_BETA * x % P, y) for x, y in row]
-    if k1 < 0:
-        row, k1 = row[::-1], -k1
-    if k2 < 0:
-        phi_row, k2 = phi_row[::-1], -k2
-    return _multi_exp(G1, [row, phi_row], [k1, k2], _ONE_SHOT_WINDOW)
+    """k * pt, the one-base sum.  It calls the engine itself, not
+    g1_multi_exp, so that a traced g1_multi_exp counts only its callers."""
+    rows = _odd_multiples(G1, [pt], _ONE_SHOT_WINDOW)
+    return _multi_exp(G1, rows, [k], _ONE_SHOT_WINDOW, glv=True)
 
 
 # --- G2 arithmetic (over Fp2) ------------------------------------------------

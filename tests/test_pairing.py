@@ -351,6 +351,78 @@ def test_cached_multi_exp_is_reusable():
     assert [cached.combine(v) for v in reversed(vectors)] == expected[::-1]
 
 
+@pytest.fixture(params=["every_round", "measured_threshold"])
+def round_threshold(request, monkeypatch):
+    """Runs a test twice: once with every affine round taken, so that small
+    sums reach the round code, and once at the engine's own thresholds."""
+    if request.param == "every_round":
+        monkeypatch.setattr(curve, "_ROUND_MIN_PAIRS", 1)
+        monkeypatch.setattr(curve, "_ROUND_MIN_ENTRIES_PER_BIT", 0)
+
+
+def test_affine_rounds_meet_a_negated_or_equal_sum(round_threshold):
+    # with equal scalars every bit holds d*b, d*c and d*(-+(b + c)): the
+    # first round sums d*b + d*c, which meets the third entry's negation or
+    # its equal in a later round, where add_pairs cannot take the pair
+    b, c = _random_bases(2)
+    bc = curve.G1.add(b, c)
+    for k in (rand_scalar(), RNG.randrange(1, 1 << 80), (1 << 80) - 1):
+        assert _both_entry_points([b, c, curve.G1.negate(bc)], [k] * 3) is None
+        assert _both_entry_points([b, c, bc], [k] * 3) == curve.g1_mul(bc, 2 * k)
+        _both_entry_points([b, c, bc, curve.G1.negate(bc), b], [k] * 5)
+
+
+def test_affine_rounds_with_many_equal_entries_on_one_bit(round_threshold):
+    b, c = _random_bases(2)
+    neg_b = curve.G1.negate(b)
+    k = rand_scalar()
+    for copies in (3, 4, 5, 8):
+        assert _both_entry_points([b] * copies, [k] * copies) == curve.g1_mul(b, copies * k)
+    assert _both_entry_points([b, neg_b, b], [k] * 3) == curve.g1_mul(b, k)
+    _both_entry_points([b, c, b, c, b, neg_b, c], [k] * 7)
+    _both_entry_points([b] * 6 + [c] * 6, [RNG.randrange(1, 1 << 80) for _ in range(12)])
+
+
+def test_cached_multi_exp_takes_negative_and_zero_glv_halves(round_threshold):
+    bases = _random_bases(8)
+    cached = curve.G1MultiExp(bases)
+    scalars = _glv_scalars()
+    for at in range(0, len(scalars), len(bases)):
+        chunk = (scalars[at : at + len(bases)] + [0] * len(bases))[: len(bases)]
+        assert cached.combine(chunk) == _naive_multi_exp(bases, [k % N for k in chunk])
+
+
+def test_cached_combine_adds_once_per_bit(monkeypatch):
+    # the affine rounds leave one entry per bit for add_mixed, over ~80
+    # doublings: without them a 40-base combine made ~710 mixed additions
+    # over ~160 doublings.  A round too small to repay its inversion is
+    # skipped, which leaves fewer than 2 * _ROUND_MIN_PAIRS entries more.
+    bases = _random_bases(40)
+    cached = curve.G1MultiExp(bases)
+    scalars = [rand_scalar() for _ in bases]
+    expected = cached.combine(scalars)
+    calls = {"add_mixed": 0, "dbl": 0}
+
+    def counted(name):
+        op = getattr(curve.G1, name)
+
+        def call(*args):
+            calls[name] += 1
+            return op(*args)
+
+        return call
+
+    monkeypatch.setattr(curve, "G1", curve.G1._replace(**{n: counted(n) for n in calls}))
+    bits = 81  # GLV halves are below 2^80, and a width-w NAF may carry one bit more
+    for threshold, slack in ((1, 0), (curve._ROUND_MIN_PAIRS, 2 * (curve._ROUND_MIN_PAIRS - 1))):
+        monkeypatch.setattr(curve, "_ROUND_MIN_PAIRS", threshold)
+        calls.update(add_mixed=0, dbl=0)
+        assert cached.combine(scalars) == expected
+        # random bases leave no equal-x pairs behind
+        assert calls["add_mixed"] <= bits + slack
+        assert calls["dbl"] <= bits - 1
+
+
 # --- GLV variable-base multiplication -----------------------------------------
 
 
