@@ -2,13 +2,14 @@
 
 A name is an ordered list of opaque byte components, written in text form as
 "/"-separated segments, e.g. /snnu/images/a.jpg/v1/s1.  Prefix relations over
-names drive both PIT/FIB lookups and trust-anchor selection, so Name is a
-frozen value type usable as a dict key.
+names drive both PIT/FIB lookups and trust-anchor selection, so every CS, PIT
+and FIB step hashes or compares a name.  Name is therefore a tuple of its
+components: hashing and equality run in C, and a Name equals, and hashes
+like, the plain tuple of the same components.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional
 
 
@@ -24,30 +25,34 @@ _LITERAL = frozenset(
 _HEX = "0123456789ABCDEF"
 
 
-@dataclass(frozen=True)
-class Name:
-    """Immutable sequence of byte components.  The root name has none."""
+class Name(tuple):
+    """Immutable sequence of byte components.  The root name has none.
 
-    components: tuple[bytes, ...] = ()
+    A Name is the tuple of its components, so Name((b"a",)) == (b"a",) and
+    both hash alike; construction still rejects non-bytes and empty
+    components.
+    """
 
-    def __post_init__(self):
-        for c in self.components:
+    __slots__ = ()
+
+    def __new__(cls, components: Iterable[bytes] = ()) -> "Name":
+        self = super().__new__(cls, components)
+        for c in self:
             if not isinstance(c, bytes):
                 raise TypeError("name components must be bytes")
             if c == b"":
                 raise MalformedName("empty name component")
+        return self
 
-    def __len__(self) -> int:
-        return len(self.components)
-
-    def __iter__(self):
-        return iter(self.components)
+    @property
+    def components(self) -> tuple[bytes, ...]:
+        return self
 
     def child(self, component: bytes) -> "Name":
-        return Name(self.components + (component,))
+        return Name(self + (component,))
 
     def prefix(self, length: int) -> "Name":
-        return Name(self.components[:length])
+        return Name(self[:length])
 
     def __str__(self) -> str:
         return to_text(self)
@@ -106,15 +111,14 @@ def parse_name(text: str) -> Name:
 
 
 def to_text(name: Name) -> str:
-    if not name.components:
+    if not name:
         return "/"
-    return "/" + "/".join(_escape_component(c) for c in name.components)
+    return "/" + "/".join(_escape_component(c) for c in name)
 
 
 def is_prefix(prefix: Name, name: Name) -> bool:
     """True when every component of prefix matches the head of name."""
-    k = len(prefix.components)
-    return name.components[:k] == prefix.components
+    return name[: len(prefix)] == prefix
 
 
 def longest_prefix_match(candidates: Iterable[Name], name: Name) -> Optional[Name]:

@@ -9,12 +9,17 @@ a CodecError.
 Varint lengths: one byte below 253; 0xFD + 2-byte big-endian up to 65535;
 0xFE + 4-byte big-endian below 2^32.  Larger fields do not encode, and a
 0xFF (8-byte) prefix decodes as OversizeField.  _Reader.read_len is the one
-decoder of this form, for packet TLVs and key records alike.
+decoder of this form, for packet TLVs, name components and key records alike.
+
+A name is encoded and decoded in one pass: the headers of components with a
+one-byte length come from a table built by _encode_len, the one varint
+writer, and the decoder walks the components by offset, reading each length
+through read_len.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .naming import MalformedName, Name
 
@@ -94,7 +99,7 @@ class Data:
             raise ValueError("scheme_id out of byte range")
 
     def with_signature(self, sig: bytes) -> "Data":
-        return replace(self, signature=sig)
+        return Data(self.name, self.content, self.key_locator, self.scheme_id, sig)
 
 
 Packet = Interest | Data
@@ -126,8 +131,13 @@ def unpack_varbytes(buf: bytes, pos: int = 0) -> tuple[bytes, int]:
     return value, rd.pos
 
 
+# a component's type and length bytes, for every length of the one-byte form
+_SHORT_HEADERS = [bytes([TYPE_NAME_COMPONENT]) + _encode_len(n) for n in range(0xFD)]
+
+
 def _encode_components(name: Name) -> bytes:
-    return b"".join(_tlv(TYPE_NAME_COMPONENT, c) for c in name.components)
+    return b"".join([_SHORT_HEADERS[len(c)] + c if len(c) < 0xFD
+                     else _tlv(TYPE_NAME_COMPONENT, c) for c in name])
 
 
 def _encode_name(name: Name) -> bytes:
@@ -216,17 +226,20 @@ class _Reader:
         return v
 
 
-def _decode_components(value: bytes) -> tuple[bytes, ...]:
+def _decode_components(value: bytes) -> Name:
     rd = _Reader(value, 0, len(value))
     comps = []
-    while not rd.at_end():
-        typ, length = rd.read_tl()
-        if typ != TYPE_NAME_COMPONENT:
-            raise UnknownTlvType(f"expected a name component, got type {typ:#04x}")
+    pos = 0
+    while pos < rd.end:
+        rd.pos = pos + 1
+        length = rd.read_len()
+        if value[pos] != TYPE_NAME_COMPONENT:
+            raise UnknownTlvType(f"expected a name component, got type {value[pos]:#04x}")
         if length == 0:
             raise EmptyNameComponent("zero-length name component")
-        comps.append(rd.read_value(length))
-    return tuple(comps)
+        pos = rd.pos + length
+        comps.append(value[rd.pos : pos])
+    return Name(comps)
 
 
 _INTEREST_FIELDS = (TYPE_NAME, TYPE_NONCE, TYPE_LIFETIME)
@@ -281,29 +294,29 @@ def decode(buf: bytes) -> Packet:
 
     if typ == TYPE_INTEREST:
         fields = _read_fields(_Reader(buf, rd.pos, body_end), _INTEREST_FIELDS)
-        comps = _decode_components(fields[TYPE_NAME])
-        if not comps:
+        name = _decode_components(fields[TYPE_NAME])
+        if not name:
             raise MissingField("interest name has no components")
         if len(fields[TYPE_NONCE]) != 4:
             raise TruncatedPacket("nonce must be exactly 4 bytes")
         if len(fields[TYPE_LIFETIME]) != 4:
             raise TruncatedPacket("lifetime must be exactly 4 bytes")
         return Interest(
-            name=Name(comps),
+            name=name,
             nonce=int.from_bytes(fields[TYPE_NONCE], "big"),
             lifetime_ms=int.from_bytes(fields[TYPE_LIFETIME], "big"),
         )
 
     fields = _read_fields(_Reader(buf, rd.pos, body_end), _DATA_FIELDS)
-    comps = _decode_components(fields[TYPE_NAME])
-    if not comps:
+    name = _decode_components(fields[TYPE_NAME])
+    if not name:
         raise MissingField("data name has no components")
     if len(fields[TYPE_SCHEME_ID]) != 1:
         raise TruncatedPacket("scheme id must be exactly 1 byte")
     return Data(
-        name=Name(comps),
+        name=name,
         content=fields[TYPE_CONTENT],
-        key_locator=Name(_decode_components(fields[TYPE_KEY_LOCATOR])),
+        key_locator=_decode_components(fields[TYPE_KEY_LOCATOR]),
         scheme_id=fields[TYPE_SCHEME_ID][0],
         signature=fields[TYPE_SIGNATURE],
     )

@@ -83,11 +83,28 @@ def test_name_hashable_value_semantics():
     assert hash(parse_name("/a/b")) == hash(Name((b"a", b"b")))
     d = {parse_name("/a/b"): 1}
     assert d[Name((b"a", b"b"))] == 1
+    # a Name is the tuple of its components: equal to it, hashed alike
+    assert Name((b"a", b"b")) == (b"a", b"b")
+    assert hash(Name((b"a", b"b"))) == hash((b"a", b"b"))
+    assert Name((b"a",)).components == (b"a",)
+    # any iterable of components builds a usable key
+    assert d[Name([b"a", b"b"])] == 1
+    assert {Name([b"a"]): 2}[parse_name("/a")] == 2
 
 
 def test_empty_component_rejected_at_construction():
     with pytest.raises(MalformedName):
         Name((b"a", b"", b"c"))
+    with pytest.raises(MalformedName):
+        Name([b""])
+    with pytest.raises(MalformedName):
+        parse_name("/a").child(b"")
+
+
+@pytest.mark.parametrize("comps", [["a"], (b"a", 1), b"ab", (bytearray(b"a"),)])
+def test_non_bytes_component_rejected_at_construction(comps):
+    with pytest.raises(TypeError):
+        Name(comps)
 
 
 def test_child_and_prefix_helpers():

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from ndnkit import wire
 from ndnkit.naming import MalformedName, Name, parse_name
@@ -236,6 +236,49 @@ def test_empty_name_component_is_a_codec_error():
         decode(blob)
 
 
+@pytest.mark.parametrize("size", [252, 253])
+def test_component_length_forms_round_trip(size):
+    # 252 is the longest one-byte length; 253 takes the 0xFD form
+    comp = b"c" * size
+    pkt = Data(Name((comp, b"x")), b"", Name((comp,)), 1, b"s")
+    length = bytes([size]) if size < 0xFD else b"\xfd" + size.to_bytes(2, "big")
+    enc = encode(pkt)
+    assert enc.count(b"\x08" + length + comp) == 2
+    assert decode(enc) == pkt
+
+
+def _interest_named(value: bytes) -> bytes:
+    body = b"\x07" + wire.pack_varbytes(value) + bytes.fromhex("0a0400000005 0c0400000064")
+    return b"\x05" + wire.pack_varbytes(body)
+
+
+def _data_located(name_value: bytes, locator_value: bytes) -> bytes:
+    body = (b"\x07" + wire.pack_varbytes(name_value) + b"\x15\x00"
+            + b"\x1c" + wire.pack_varbytes(locator_value) + b"\x1d\x01\x04\x17\x00")
+    return b"\x06" + wire.pack_varbytes(body)
+
+
+# Name TLV values that must not decode, with the CodecError each raises.
+_BAD_NAME_VALUES = [
+    (b"\x08\xfd\x00\x01a", NonMinimalLength),
+    (b"\x08\x01a\x08\x05abc", TruncatedPacket),  # component runs past the name
+    (b"\x08\x01a\x08", TruncatedPacket),  # length prefix cut off at the end
+    (b"\x08\x01a\x08\xfd\x01", TruncatedPacket),  # ... inside its 2-byte form
+    (b"\x08\x01a\x0a\x01b", UnknownTlvType),
+    (b"\x08\x01a\x0a\x05b", TruncatedPacket),  # the length is read before the type
+    (b"\x08\x01a\x08\x00", EmptyNameComponent),
+]
+
+
+@pytest.mark.parametrize("value, error", _BAD_NAME_VALUES)
+def test_bad_name_values_raise_one_error_per_case(value, error):
+    good = b"\x08\x01k"
+    for blob in (_interest_named(value), _data_located(value, good), _data_located(good, value)):
+        with pytest.raises(error):
+            decode(blob)
+    assert decode(_data_located(good, good)).key_locator == Name((b"k",))
+
+
 names = st.lists(st.binary(min_size=1, max_size=8), min_size=1, max_size=4).map(
     lambda cs: Name(tuple(cs))
 )
@@ -261,3 +304,68 @@ def test_data_round_trip_random(name, content, kl, scheme, sig):
     enc = encode(pkt)
     assert decode(enc) == pkt
     assert encode(decode(enc)) == enc
+
+
+# near-valid mutations: a byte set, stepped by one or set to a telling length
+# value; a cut; an inserted byte; a duplicated run
+_LENGTH_BYTES = (0x00, 0x7F, 0x80, 0xFD, 0xFE, 0xFF)
+_MUTATIONS = ("set", "step", "length", "truncate", "insert", "duplicate")
+
+
+@st.composite
+def _mutants(draw, blob: bytes) -> bytes:
+    buf = bytearray(blob)
+    for kind in draw(st.lists(st.sampled_from(_MUTATIONS), min_size=1, max_size=2)):
+        if kind == "insert":
+            i = draw(st.integers(0, len(buf)))
+            buf[i:i] = bytes([draw(st.integers(0, 255))])
+            continue
+        if not buf:
+            continue
+        i = draw(st.integers(0, len(buf) - 1))
+        if kind == "set":
+            buf[i] = draw(st.integers(0, 255))
+        elif kind == "step":
+            buf[i] = (buf[i] + draw(st.sampled_from((1, -1)))) % 256
+        elif kind == "length":
+            buf[i] = draw(st.sampled_from(_LENGTH_BYTES))
+        elif kind == "truncate":
+            del buf[i:]
+        else:
+            j = draw(st.integers(i + 1, min(len(buf), i + 8)))
+            buf[j:j] = buf[i:j]
+    return bytes(buf)
+
+
+_SEED_PACKETS = (
+    encode(Interest(parse_name("/snnu/videos/clip7/v1"), nonce=0x01020304, lifetime_ms=4000)),
+    encode(Data(parse_name("/snnu/videos/clip7/v1"), b"payload " * 4,
+                parse_name("/snnu/keys/k1"), 3, bytes(range(40)))),
+)
+
+
+def _assert_codec_error_or_canonical(blob: bytes) -> None:
+    try:
+        pkt = decode(blob)
+    except CodecError:
+        return
+    assert encode(pkt) == blob
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_SEED_PACKETS).flatmap(_mutants))
+def test_near_valid_mutants_raise_only_codec_errors(blob):
+    _assert_codec_error_or_canonical(blob)
+
+
+@pytest.mark.parametrize("blob", _SEED_PACKETS, ids=["interest", "data"])
+def test_every_one_byte_mutant_raises_only_codec_errors(blob):
+    # one mutation at every position: a byte stepped or set to a length
+    # value, a cut, a 4-byte run duplicated, a length value inserted
+    for i, b in enumerate(blob):
+        for value in {*_LENGTH_BYTES, (b + 1) % 256, (b - 1) % 256}:
+            _assert_codec_error_or_canonical(blob[:i] + bytes([value]) + blob[i + 1:])
+        _assert_codec_error_or_canonical(blob[:i])
+        _assert_codec_error_or_canonical(blob[:i] + blob[i:i + 4] + blob[i:])
+        for value in _LENGTH_BYTES:
+            _assert_codec_error_or_canonical(blob[:i] + bytes([value]) + blob[i:])
