@@ -1,13 +1,14 @@
 """One NDN forwarder: Content Store, PIT, FIB, and the forwarding pipeline.
 
 An Interest walks CS -> PIT -> FIB: a fresh cached copy answers it on the
-spot, a pending entry absorbs it (the new face is recorded for the eventual
-reply), and otherwise it is forwarded along the longest matching FIB prefix
-and a PIT entry is left behind. Data retraces Interests: without a PIT entry
-it is unsolicited and dropped; with one it is replicated to every recorded
-face, cached, and the entry erased. Nodes can additionally verify signatures
-on path against a prefix-keyed trust store, in which case failing Data is
-dropped while the PIT entry stays alive to admit the authentic copy.
+spot, a pending entry absorbs it, and otherwise it is forwarded along the
+longest matching FIB prefix and a PIT entry is left behind. A PIT entry's
+in-records keep each face an Interest arrived on, with the nonce of the
+latest one, for the eventual reply. Data retraces Interests: without a
+PIT entry it is unsolicited and dropped; with one it is replicated to every
+in-record face, cached, and the entry erased. Nodes can additionally verify
+signatures on path against a prefix-keyed trust store, in which case failing
+Data is dropped while the PIT entry stays alive to admit the authentic copy.
 
 All state lives in plain dictionaries keyed by name: the FIB maps a prefix
 to its outgoing faces, the trust store a key-name prefix to its scheme id and
@@ -103,8 +104,14 @@ class ContentStore:
 
 @dataclass
 class PitEntry:
-    faces: set[int]
+    # each in-face -> the nonce of the latest Interest that arrived on it
+    in_records: dict[int, int]
     expiry: int
+
+    @property
+    def faces(self):
+        """The in-faces, a set-like view of the in-records."""
+        return self.in_records.keys()
 
 
 class TrustStore:
@@ -185,7 +192,7 @@ class Node:
 
         entry = self._pit_alive(interest.name, now)
         if entry is not None:
-            entry.faces.add(face)
+            entry.in_records[face] = interest.nonce
             entry.expiry = max(entry.expiry, now + interest.lifetime_ms)
             return []
 
@@ -198,7 +205,7 @@ class Node:
             self.counters["no_route"] += 1
             return []
         self.pit[interest.name] = PitEntry(
-            faces={face}, expiry=now + interest.lifetime_ms
+            in_records={face: interest.nonce}, expiry=now + interest.lifetime_ms
         )
         self.counters["forwarded"] += 1
         return [(f, interest) for f in out]
@@ -212,8 +219,8 @@ class Node:
             # keep the PIT entry: the authentic copy may still arrive
             self.counters["dropped_bogus"] += 1
             return []
-        assert entry.faces, "PIT entries always record at least one face"
-        emissions = [(f, data) for f in sorted(entry.faces)]
+        assert entry.in_records, "PIT entries always record at least one face"
+        emissions = [(f, data) for f in sorted(entry.in_records)]
         del self.pit[data.name]
         self.cs.put(data, now)
         return emissions

@@ -19,8 +19,14 @@ served; signing is deterministic per name, so a re-signed Data is the same
 bytes. The ledger of requests holds only the outstanding ones: a request
 joins it on its first attempt and leaves once delivered or given up. So a
 run's state does not grow with its length.
-None of this changes a trace: expired entries already count as absent. Each event on the heap carries its handler, and a request's
-hop count is read off the trace's emit records once the run ends.
+None of this changes a trace: expired entries already count as absent. Each
+event on the heap carries its handler.
+
+A request's hops are credited as its packets are emitted. Each attempt's
+nonce names its request while the attempt's lifetime lasts: an Interest
+credits the owner of its own nonce, and a Data the owner of the nonce it
+answers, which is the Interest it hit in a cache or the PIT in-record of the
+face it leaves on.
 
 Everything is derived from the config and its 64-bit seed: producer keys,
 packet payloads, nonces, and forged attack keys all come from seeded
@@ -38,7 +44,6 @@ import hashlib
 import heapq
 import json
 import random
-from bisect import bisect_left, bisect_right
 from collections import deque
 from dataclasses import dataclass, replace
 from typing import Optional
@@ -143,11 +148,9 @@ class RequestResult:
     delivered: Optional[bytes] = None
     delivered_tick: Optional[int] = None
     hops: int = 0
-    """Link transmissions of this name, anywhere in the network, in the
-    request's window: every emit_interest/emit_data record for the name with
-    first_tick <= tick <= delivered_tick (no upper end if undelivered).
-    Other requests for the same name in that window add their packets too,
-    so overlapping requests inflate the count (a known issue)."""
+    """The link transmissions made for this request before its delivery:
+    its Interests, and the Data that answer them. Each transmission counts
+    for at most one request."""
 
 
 @dataclass
@@ -430,6 +433,8 @@ class _Runner:
         # outstanding requests per (consumer, name), in issue order: a request
         # joins on its first attempt and leaves once delivered or given up
         self.pending: dict[tuple[str, Name], deque[RequestResult]] = {}
+        # nonce of each attempt whose lifetime lasts -> its request
+        self.owners: dict[int, RequestResult] = {}
         self.texts: dict[Name, str] = {}
         # packet -> its encoding, and blob -> its decoded packet; see to_wire
         self.blobs: dict[Packet, bytes] = {}
@@ -512,7 +517,9 @@ class _Runner:
             record["nonce"] = nonce
         self.records.append(record)
 
-    def route_emissions(self, node_id: str, emissions, tick: int) -> None:
+    def route_emissions(self, node_id: str, emissions, tick: int, answers: dict) -> None:
+        """Send each emission on its face; answers maps a face to the nonce
+        that a Data leaving on it answers."""
         for face, packet in emissions:
             if face == APP_FACE:
                 if isinstance(packet, Data):
@@ -521,8 +528,12 @@ class _Runner:
                     self.answer(node_id, packet, tick)
                 continue
             is_interest = isinstance(packet, Interest)
+            nonce = packet.nonce if is_interest else answers[face]
             self.log(tick, node_id, "emit_interest" if is_interest else "emit_data",
-                     packet.name, face, packet.nonce if is_interest else None)
+                     packet.name, face, nonce if is_interest else None)
+            owner = self.owners.get(nonce)
+            if owner is not None and owner.delivered is None:
+                owner.hops += 1
             peer, peer_face, latency = self.topology.faces[node_id][face]
             self.push(tick + latency, peer, self.arrive, peer, peer_face,
                       self.to_wire(packet))
@@ -533,20 +544,19 @@ class _Runner:
         if result.attempts == 0:
             self.pending.setdefault((spec.consumer, spec.name), deque()).append(result)
         result.attempts += 1
-        interest = Interest(
-            name=spec.name,
-            nonce=self.nonce_rng.randrange(1, 2**32),
-            lifetime_ms=spec.lifetime_ms,
-        )
-        self.log(tick, spec.consumer, "request", spec.name, APP_FACE, interest.nonce)
-        node = self.nodes[spec.consumer]
-        self.route_emissions(
-            spec.consumer, node.process_interest(APP_FACE, interest, tick), tick
-        )
-        self.push(tick + spec.lifetime_ms + 1, spec.consumer, self.expire, spec, result)
+        nonce = self.nonce_rng.randrange(1, 2**32)
+        self.owners[nonce] = result
+        self.log(tick, spec.consumer, "request", spec.name, APP_FACE, nonce)
+        interest = Interest(name=spec.name, nonce=nonce, lifetime_ms=spec.lifetime_ms)
+        emissions = self.nodes[spec.consumer].process_interest(APP_FACE, interest, tick)
+        self.route_emissions(spec.consumer, emissions, tick, {})
+        self.push(tick + spec.lifetime_ms + 1, spec.consumer, self.expire, spec, result, nonce)
 
-    def expire(self, spec: RequestSpec, result: RequestResult, tick: int) -> None:
+    def expire(self, spec: RequestSpec, result: RequestResult, nonce: int,
+               tick: int) -> None:
         """The request's latest Interest timed out: retransmit, or give up."""
+        # pop, not del: a repeated 32-bit nonce may be gone already
+        self.owners.pop(nonce, None)
         if result.delivered is not None:
             return
         if result.attempts < MAX_ATTEMPTS:
@@ -593,8 +603,7 @@ class _Runner:
                 del self.published[next(iter(self.published))]
         self.published[interest.name] = data
         self.log(tick, node_id, "publish", data.name, APP_FACE)
-        node = self.nodes[node_id]
-        self.route_emissions(node_id, node.process_data(APP_FACE, data, tick), tick)
+        self.take_data(node_id, APP_FACE, data, tick)
 
     def sign_data(self, binding: Binding, name: Name, content: bytes, key) -> Data:
         blank = Data(
@@ -633,11 +642,19 @@ class _Runner:
         node = self.nodes[node_id]
         if isinstance(packet, Interest):
             self.log(tick, node_id, "recv_interest", packet.name, face, packet.nonce)
-            emissions = node.process_interest(face, packet, tick)
+            # a cache hit answers on the arrival face
+            self.route_emissions(node_id, node.process_interest(face, packet, tick), tick,
+                                 {face: packet.nonce})
         else:
             self.log(tick, node_id, "recv_data", packet.name, face)
-            emissions = node.process_data(face, packet, tick)
-        self.route_emissions(node_id, emissions, tick)
+            self.take_data(node_id, face, packet, tick)
+
+    def take_data(self, node_id: str, face: int, data: Data, tick: int) -> None:
+        # the node erases the PIT entry it satisfies, so read its in-records first
+        node = self.nodes[node_id]
+        entry = node.pit.get(data.name)
+        self.route_emissions(node_id, node.process_data(face, data, tick), tick,
+                             entry.in_records if entry is not None else {})
 
     # -- the loop --
 
@@ -664,19 +681,6 @@ class _Runner:
                 next_sweep = tick - tick % SWEEP_TICKS + SWEEP_TICKS
             handler(*args, tick)
 
-        # name text -> ticks of its emit records, sorted: records are logged
-        # in non-decreasing tick order
-        emit_ticks: dict[str, list[int]] = {}
-        for record in self.records:
-            if record["event"] in ("emit_interest", "emit_data"):
-                emit_ticks.setdefault(record["name"], []).append(record["tick"])
-        for result in self.requests:
-            # read the text memo without filling it, so it stays bounded
-            text = self.texts.get(result.name) or str(result.name)
-            ticks = emit_ticks.get(text, [])
-            last = result.delivered_tick
-            end = len(ticks) if last is None else bisect_right(ticks, last)
-            result.hops = end - bisect_left(ticks, result.first_tick)
         counters = {nid: dict(node.counters) for nid, node in self.nodes.items()}
         return Trace(records=self.records, counters=counters, requests=self.requests)
 

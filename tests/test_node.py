@@ -58,7 +58,7 @@ def test_pit_hit_absorbs_and_records_face(bls_key):
     node.process_interest(1, Interest(name=NAME, nonce=11), now=0)
     out = node.process_interest(3, Interest(name=NAME, nonce=12), now=5)
     assert out == []
-    assert node.pit[NAME].faces == {1, 3}
+    assert node.pit[NAME].in_records == {1: 11, 3: 12}
     assert node.counters["forwarded"] == 1
 
 
@@ -67,7 +67,7 @@ def test_fib_match_forwards_and_creates_pit_entry():
     interest = Interest(name=NAME, nonce=21)
     out = node.process_interest(4, interest, now=0)
     assert out == [(7, interest)]
-    assert node.pit[NAME].faces == {4}
+    assert node.pit[NAME].in_records == {4: 21}
     assert node.counters == dict(
         cs_hits=0, cs_misses=1, forwarded=1,
         dropped_unsolicited=0, dropped_bogus=0, no_route=0,
@@ -118,7 +118,7 @@ def test_duplicate_nonce_dropped_without_counting():
     before = dict(node.counters)
     assert node.process_interest(2, interest, now=1) == []
     assert node.counters == before
-    assert node.pit[NAME].faces == {1}
+    assert node.pit[NAME].in_records == {1: 99}
 
 
 def test_duplicate_nonce_forgotten_after_lifetime():
@@ -134,7 +134,7 @@ def test_pit_entry_expires():
     node.process_interest(1, Interest(name=NAME, nonce=1, lifetime_ms=50), now=0)
     out = node.process_interest(2, Interest(name=NAME, nonce=2), now=60)
     assert out == [(7, Interest(name=NAME, nonce=2))]
-    assert node.pit[NAME].faces == {2}
+    assert node.pit[NAME].in_records == {2: 2}
 
 
 def test_pit_merge_extends_expiry():

@@ -386,47 +386,71 @@ def _random_tree_schedule(seed: int) -> list[dict]:
 
 
 def _brute_force_outcomes(trace: simnet.Trace, schedule):
-    """Delivery and hops by their definitions, scanning the whole trace.
+    """Delivery and hops by their definitions, walking the trace in order.
 
-    Each deliver record goes to the earliest-issued request (smallest
-    first_tick, then schedule index) with that consumer and name that was
-    issued by then, has no delivery yet and has not given up. A give_up
-    record belongs to the earliest-issued such request whose last attempt
-    timed out at that tick, MAX_ATTEMPTS lifetimes (plus a tick each) after
-    its first tick. hops counts the emit records of the name with
-    first_tick <= tick <= delivered_tick.
+    A request's attempts are its request records. A first attempt belongs to
+    the earliest-scheduled request of that consumer, name and tick not yet
+    issued; a retransmission directly follows the timeout record of the
+    attempt it replaces. A timeout or give_up record ends the earliest-issued
+    live attempt of an undelivered request of its consumer and name that is
+    due then, a lifetime plus a tick after its request record; give_up ends
+    the request too. Each deliver record goes to the earliest-issued request
+    of that consumer and name that is undelivered and has not given up.
+
+    hops counts the emit records made for a request before its delivery: an
+    emit_interest carrying the nonce of one of its live attempts, or an
+    emit_data answering one. A Data leaving a node on a face answers the
+    latest Interest for its name that arrived there, as the request
+    (face 0) and recv_interest records show. These rebuilt in-records differ
+    from the PIT's only where an Interest reaches a face but not the PIT
+    while an older in-record of that face waits: a duplicate nonce, which a
+    tree never carries, or a cache hit on a pending name. The poisoned
+    /snnu/p is planted at tick 0, before any request, and stays fresh in
+    r2's cache, so r2 answers every Interest for it from there and never
+    holds a PIT entry for it.
     """
-    delivered_tick = [None] * len(trace.requests)
-    gave_up = [False] * len(trace.requests)
+    requests = trace.requests
+    keys = [(r.consumer, str(r.name)) for r in requests]
+    delivered_tick = [None] * len(requests)
+    gave_up = [False] * len(requests)
+    hops = [0] * len(requests)
+    issued: list[int] = []  # request indices in the order of their first attempts
+    live: list[tuple[int, int, int]] = []  # (request index, end tick, nonce), in issue order
+    owner: dict[int, int] = {}  # nonce of a live attempt -> its request index
+    in_records: dict[tuple, int] = {}  # (node, name, face) -> nonce of the latest Interest
+    timed_out = None
     for rec in trace.records:
-        if rec["event"] not in ("deliver", "give_up"):
-            continue
-        waiting = [
-            (req.first_tick, i)
-            for i, req in enumerate(trace.requests)
-            if req.consumer == rec["node"] and str(req.name) == rec["name"]
-            and req.first_tick <= rec["tick"] and delivered_tick[i] is None
-            and not gave_up[i]
-        ]
-        if rec["event"] == "give_up":
-            expiring = [
-                (first, i) for first, i in waiting
-                if first + simnet.MAX_ATTEMPTS * (schedule[i].lifetime_ms + 1) == rec["tick"]
-            ]
-            gave_up[min(expiring)[1]] = True
-        elif waiting:
-            delivered_tick[min(waiting)[1]] = rec["tick"]
-    hops = [
-        sum(
-            1
-            for rec in trace.records
-            if rec["event"] in ("emit_interest", "emit_data")
-            and rec["name"] == str(req.name)
-            and rec["tick"] >= req.first_tick
-            and (last is None or rec["tick"] <= last)
-        )
-        for req, last in zip(trace.requests, delivered_tick)
-    ]
+        event, key, tick = rec["event"], (rec["node"], rec["name"]), rec["tick"]
+        retransmitted, timed_out = timed_out, None
+        if event == "request":
+            i = retransmitted
+            if i is None:
+                i = min(j for j, r in enumerate(requests)
+                        if keys[j] == key and r.first_tick == tick and j not in issued)
+                issued.append(i)
+            live.append((i, tick + schedule[i].lifetime_ms + 1, rec["nonce"]))
+            owner[rec["nonce"]] = i
+        if event in ("request", "recv_interest"):
+            in_records[key + (rec["face"],)] = rec["nonce"]
+        elif event in ("timeout", "give_up"):
+            attempt = next(a for a in live if keys[a[0]] == key and a[1] == tick
+                           and delivered_tick[a[0]] is None)
+            live.remove(attempt)
+            del owner[attempt[2]]
+            if event == "timeout":
+                timed_out = attempt[0]
+            else:
+                gave_up[attempt[0]] = True
+        elif event == "deliver":
+            waiting = [i for i in issued
+                       if keys[i] == key and delivered_tick[i] is None and not gave_up[i]]
+            if waiting:
+                delivered_tick[waiting[0]] = tick
+        elif event in ("emit_interest", "emit_data"):
+            nonce = rec.get("nonce") or in_records[key + (rec["face"],)]
+            i = owner.get(nonce)
+            if i is not None and delivered_tick[i] is None:
+                hops[i] += 1
     return delivered_tick, hops
 
 
@@ -468,6 +492,24 @@ def test_request_that_gave_up_is_not_credited_later():
     assert c2_a[14].delivered_tick == 59
     assert c2_a[14].delivered == producer_payload(11, parse_name("/snnu/a"))
 
+
+
+def test_overlapping_requests_from_two_leaves_count_only_their_own_hops():
+    # c1 sits under r1, c3 under r2; their Interests for /snnu/a meet at r0
+    # on tick 4, where c3's joins the PIT entry c1's left
+    schedule = [{"tick": 0, "consumer": "c1", "name": "/snnu/a"},
+                {"tick": 2, "consumer": "c3", "name": "/snnu/a"}]
+    runner = simnet._Runner(*load_config(json.dumps(dict(TREE, schedule=schedule, attacks=[]))))
+    trace = runner.run()
+    first, second = trace.requests
+    assert (first.delivered_tick, second.delivered_tick) == (12, 10)
+    # c1: an Interest on c1 -> r1 -> r0 -> p1 and the Data back, 3 links each
+    # way; c3: an Interest on c3 -> r2 -> r0, and r0's copy of the Data back
+    assert (first.hops, second.hops) == (6, 4)
+    emits = sum(r["event"] in ("emit_interest", "emit_data") for r in trace.records)
+    assert first.hops + second.hops == emits
+    # every attempt's nonce leaves the runner when its lifetime ends
+    assert not runner.owners and not runner.pending
 
 def test_bookkeeping_formats_each_name_a_bounded_number_of_times(monkeypatch):
     names = [f"/snnu/n{i}" for i in range(20)]
