@@ -33,7 +33,8 @@ packet payloads, nonces, and forged attack keys all come from seeded
 generators, so identical inputs replay to byte-identical traces. Consumers
 retransmit an unanswered Interest with a fresh nonce after its lifetime, up
 to three attempts in all; that retry policy is a simulation choice, not a
-protocol requirement.
+protocol requirement. A consumer's PIT merges its requests for one name, so
+the Data that reaches it answers every one of them still waiting.
 
 One tick equals one millisecond of pipeline time.
 """
@@ -44,7 +45,6 @@ import hashlib
 import heapq
 import json
 import random
-from collections import deque
 from dataclasses import dataclass, replace
 from typing import Optional
 
@@ -430,9 +430,9 @@ class _Runner:
         self.scenario = scenario
         self.records: list[dict] = []
         self.requests: list[RequestResult] = []
-        # outstanding requests per (consumer, name), in issue order: a request
-        # joins on its first attempt and leaves once delivered or given up
-        self.pending: dict[tuple[str, Name], deque[RequestResult]] = {}
+        # outstanding requests per (consumer, name): a request joins on its
+        # first attempt and leaves once delivered or given up
+        self.pending: dict[tuple[str, Name], list[RequestResult]] = {}
         # nonce of each attempt whose lifetime lasts -> its request
         self.owners: dict[int, RequestResult] = {}
         self.texts: dict[Name, str] = {}
@@ -542,7 +542,7 @@ class _Runner:
 
     def issue(self, spec: RequestSpec, result: RequestResult, tick: int) -> None:
         if result.attempts == 0:
-            self.pending.setdefault((spec.consumer, spec.name), deque()).append(result)
+            self.pending.setdefault((spec.consumer, spec.name), []).append(result)
         result.attempts += 1
         nonce = self.nonce_rng.randrange(1, 2**32)
         self.owners[nonce] = result
@@ -574,16 +574,11 @@ class _Runner:
 
     def deliver(self, node_id: str, data: Data, tick: int) -> None:
         self.log(tick, node_id, "deliver", data.name, APP_FACE)
-        # only issued requests wait, so the head is the earliest-issued
-        # outstanding one
-        key = (node_id, data.name)
-        waiting = self.pending.get(key)
-        if waiting:
-            result = waiting.popleft()
+        # the consumer's PIT merged its requests for the name into one entry,
+        # so the Data answers every one still waiting
+        for result in self.pending.pop((node_id, data.name), ()):
             result.delivered = data.content
             result.delivered_tick = tick
-            if not waiting:
-                del self.pending[key]
 
     def answer(self, node_id: str, interest: Interest, tick: int) -> None:
         prefix = longest_prefix_match(self.producers.keys(), interest.name)

@@ -394,8 +394,9 @@ def _brute_force_outcomes(trace: simnet.Trace, schedule):
     attempt it replaces. A timeout or give_up record ends the earliest-issued
     live attempt of an undelivered request of its consumer and name that is
     due then, a lifetime plus a tick after its request record; give_up ends
-    the request too. Each deliver record goes to the earliest-issued request
-    of that consumer and name that is undelivered and has not given up.
+    the request too. A deliver record answers every issued request of that
+    consumer and name that is undelivered and has not given up, as the
+    consumer's PIT merges them.
 
     hops counts the emit records made for a request before its delivery: an
     emit_interest carrying the nonce of one of its live attempts, or an
@@ -442,10 +443,9 @@ def _brute_force_outcomes(trace: simnet.Trace, schedule):
             else:
                 gave_up[attempt[0]] = True
         elif event == "deliver":
-            waiting = [i for i in issued
-                       if keys[i] == key and delivered_tick[i] is None and not gave_up[i]]
-            if waiting:
-                delivered_tick[waiting[0]] = tick
+            for i in issued:
+                if keys[i] == key and delivered_tick[i] is None and not gave_up[i]:
+                    delivered_tick[i] = tick
         elif event in ("emit_interest", "emit_data"):
             nonce = rec.get("nonce") or in_records[key + (rec["face"],)]
             i = owner.get(nonce)
@@ -510,6 +510,21 @@ def test_overlapping_requests_from_two_leaves_count_only_their_own_hops():
     assert first.hops + second.hops == emits
     # every attempt's nonce leaves the runner when its lifetime ends
     assert not runner.owners and not runner.pending
+
+
+def test_one_data_answers_every_merged_request_of_a_consumer():
+    # c1's PIT merges the tick-1 request into the pending entry of the tick-0
+    # one, so the single Data that comes back answers both
+    trace = run_config(schedule=[{"tick": 0, "consumer": "c1", "name": CONTENT_NAME},
+                                 {"tick": 1, "consumer": "c1", "name": CONTENT_NAME}])
+    first, second = trace.requests
+    expected = producer_payload(7, parse_name(CONTENT_NAME))
+    assert first.delivered == second.delivered == expected
+    assert first.delivered_tick == second.delivered_tick == 4
+    assert not any(r["event"] == "timeout" for r in trace.records)
+    # the second Interest never left the consumer
+    assert (first.hops, second.hops) == (4, 0)
+    assert trace.counters["p1"]["forwarded"] == 1
 
 def test_bookkeeping_formats_each_name_a_bounded_number_of_times(monkeypatch):
     names = [f"/snnu/n{i}" for i in range(20)]
