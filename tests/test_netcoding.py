@@ -291,6 +291,29 @@ def test_packet_rejects_malformed_blobs(packets):
         CodedPacket.from_bytes(bytes(zero_dims))
 
 
+
+def test_every_one_byte_mutant_and_truncation_raises_only_codec_errors(packets):
+    _, pkts = packets
+    blob = pkts[0].to_bytes()
+    for i in range(len(blob)):
+        with pytest.raises(CodecError):
+            CodedPacket.from_bytes(blob[:i])
+    decoded = 0
+    for i, b in enumerate(blob):
+        for value in {(b + 1) % 256, (b - 1) % 256, b ^ 0x80, 0x00, 0xFF} - {b}:
+            mutant = blob[:i] + bytes([value]) + blob[i + 1:]
+            try:
+                packet = CodedPacket.from_bytes(mutant)
+            except CodecError:
+                continue
+            # a mutant that decodes is another well-formed packet
+            assert packet.to_bytes() == mutant
+            decoded += 1
+    # a changed generation id, vector element or point may decode; a changed
+    # length or dimension never does
+    assert 0 < decoded < 5 * len(blob)
+
+
 def _off_curve_x() -> int:
     x = 0
     while pow(x**3 + CURVE_B, (FIELD_PRIME - 1) // 2, FIELD_PRIME) != FIELD_PRIME - 1:

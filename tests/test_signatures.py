@@ -1009,7 +1009,8 @@ def _mutants(sig: bytes, count: int, seed: int) -> list[bytes]:
     return out
 
 
-def test_near_valid_signature_mutants_are_refused(ecdsa_key, group, ring_keys):
+def test_near_valid_signature_mutants_are_refused(rsa_key, dsa_key, ecdsa_key, bls_key,
+                                                  group, ring_keys):
     rng = random.Random(23)
     pubs = [k.public() for k in ring_keys]
     cases = [
@@ -1017,6 +1018,10 @@ def test_near_valid_signature_mutants_are_refused(ecdsa_key, group, ring_keys):
         (verifier_for(group.group_key),
          group_sign(group.credentials[0], group.group_key, MSG, rng), 400),
         (verifier_for(pubs), ring_sign(pubs, 0, ring_keys[0], MSG, rng), 80),
+        (verifier_for(rsa_key.public()), sign(rsa_key, MSG, rng).data, 300),
+        (verifier_for(dsa_key.public()), sign(dsa_key, MSG, rng).data, 300),
+        # a BLS mutant that still decompresses costs a pairing check
+        (verifier_for(bls_key.public()), sign(bls_key, MSG, rng).data, 100),
     ]
     assert len(cases[0][1]) == 40
     for seed, (check, sig, count) in enumerate(cases):
