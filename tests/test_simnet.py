@@ -493,7 +493,6 @@ def test_request_that_gave_up_is_not_credited_later():
     assert c2_a[14].delivered == producer_payload(11, parse_name("/snnu/a"))
 
 
-
 def test_overlapping_requests_from_two_leaves_count_only_their_own_hops():
     # c1 sits under r1, c3 under r2; their Interests for /snnu/a meet at r0
     # on tick 4, where c3's joins the PIT entry c1's left
@@ -525,6 +524,7 @@ def test_one_data_answers_every_merged_request_of_a_consumer():
     # the second Interest never left the consumer
     assert (first.hops, second.hops) == (4, 0)
     assert trace.counters["p1"]["forwarded"] == 1
+
 
 def test_bookkeeping_formats_each_name_a_bounded_number_of_times(monkeypatch):
     names = [f"/snnu/n{i}" for i in range(20)]
