@@ -118,12 +118,14 @@ class CurveOps(NamedTuple):
 
     Points are affine (x, y) tuples with None for the identity, or Jacobian
     (X, Y, Z) with the identity at Z = 0; coordinates are ints for F_p or
-    pairs for F_p2.  dbl(X, Y, Z) doubles and add_mixed(X, Y, Z, x, y) adds
-    an affine point to a Jacobian one; normalize maps a list of Jacobian
-    points, none the identity, to affine with a single inversion, and
-    add_pairs maps a list of pairs (P, Q) of affine points, P != +-Q, to
-    their affine sums, also with a single inversion.  neg negates a
-    y-coordinate, and identity is (one, one, zero) of the coordinate field.
+    pairs for F_p2.  A record may keep Z in {0, 1}, as the affine G2 record
+    does: its (X, Y, 1) is the affine point itself.  dbl(X, Y, Z) doubles
+    and add_mixed(X, Y, Z, x, y) adds an affine point to a Jacobian one;
+    normalize maps a list of Jacobian points, none the identity, to affine
+    with a single inversion, and add_pairs maps a list of pairs (P, Q) of
+    affine points, P != +-Q, to their affine sums, also with a single
+    inversion.  neg negates a y-coordinate, and identity is (one, one,
+    zero) of the coordinate field.
     """
 
     dbl: Callable

@@ -233,13 +233,8 @@ def nc_sign(key: NcPrivateKey, generation: Generation, vector) -> CodedPacket:
         raise DimensionError(
             f"vector has {len(vector)} elements, generation needs {generation.dimension}"
         )
-    reduced = tuple(v % CURVE_ORDER for v in vector)
-    commit = _vector_commit(generation, reduced)
-    if commit.is_identity():
-        sigma = commit
-    else:
-        sigma = G1Point(g1_mul(commit.point, key.x))
-    return CodedPacket(generation, reduced, sigma)
+    sigma = G1Point(g1_mul(_vector_commit(generation, vector).point, key.x))
+    return CodedPacket(generation, vector, sigma)
 
 
 def nc_verify(key: NcPublicKey, packet: CodedPacket) -> bool:

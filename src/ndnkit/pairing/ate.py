@@ -10,11 +10,15 @@ coefficient once.
 
 All G2-side work (the point chain and the line slopes) depends only on Q,
 so it is computed once per key by prepare_g2() and replayed against any
-number of G1 arguments.  pairing_product() shares the per-step squarings
-across pairs and performs a single final exponentiation, which is what
-signature verification actually needs: e(a, b) == e(c, d) is checked as
-e(a, b) * e(-c, d) == 1.  It is the one entry: pairing(p, q) is the
-product of one pair.  Pairs are (G1Point, G2Point | PreparedG2).
+number of G1 arguments.  The chain steps and slopes are curve's g2_tangent
+and g2_chord, the G2 group law itself; a line adds only its intercept
+c = lam * x - y at a point it passes through.
+
+pairing_product() shares the per-step squarings across pairs and performs
+a single final exponentiation, which is what signature verification
+actually needs: e(a, b) == e(c, d) is checked as e(a, b) * e(-c, d) == 1.
+It is the one entry: pairing(p, q) is the product of one pair.  Pairs
+are (G1Point, G2Point | PreparedG2).
 
 The final exponentiation's easy part and hard-part chain take their
 p-, p^2- and p^3-power maps from the one fields.f12_frob(x, j).
@@ -25,17 +29,14 @@ from __future__ import annotations
 from functools import lru_cache
 
 from ..intmath import wnaf
-from .curve import G1Point, G2Point, g1_generator, g2_generator, g2_psi
+from .curve import G1Point, G2Point, g1_generator, g2_chord, g2_generator, g2_psi, g2_tangent
 from .fields import (
     F12_ONE,
     P,
     X_PARAM,
     cyc_exp,
-    f2_inv,
     f2_mul,
     f2_neg,
-    f2_scal,
-    f2_sqr,
     f2_sub,
     f12_conj,
     f12_frob,
@@ -70,20 +71,16 @@ class PreparedG2:
 
 
 def _line_through(t, q):
-    """Slope/intercept of the line through twist points t and q (t != +-q)."""
-    lam = f2_mul(f2_sub(q[1], t[1]), f2_inv(f2_sub(q[0], t[0])))
-    x3 = f2_sub(f2_sub(f2_sqr(lam), t[0]), q[0])
-    y3 = f2_sub(f2_mul(lam, f2_sub(t[0], x3)), t[1])
-    c = f2_sub(f2_mul(lam, q[0]), q[1])
-    return lam, c, (x3, y3)
+    """Slope, intercept c = lam x - y and sum of the chord through twist
+    points t and q (t != +-q)."""
+    lam, s = g2_chord(t, q)
+    return lam, f2_sub(f2_mul(lam, q[0]), q[1]), s
 
 
 def _line_tangent(t):
-    lam = f2_mul(f2_scal(f2_sqr(t[0]), 3), f2_inv(f2_scal(t[1], 2)))
-    x3 = f2_sub(f2_sqr(lam), f2_scal(t[0], 2))
-    y3 = f2_sub(f2_mul(lam, f2_sub(t[0], x3)), t[1])
-    c = f2_sub(f2_mul(lam, t[0]), t[1])
-    return lam, c, (x3, y3)
+    """Slope, intercept and double of the tangent at t."""
+    lam, s = g2_tangent(t)
+    return lam, f2_sub(f2_mul(lam, t[0]), t[1]), s
 
 
 @lru_cache(maxsize=128)

@@ -4,11 +4,13 @@ G1: E(Fp): y^2 = x^3 + 2, prime order n (cofactor 1).
 G2: order-n subgroup of the D-type sextic twist E'(Fp2): y^2 = x^3 + 2/xi,
     twist cofactor 2p - n.
 
-Affine points are coordinate tuples (None is the identity); scalar
-multiplication runs in Jacobian coordinates.  Each group is one
-intmath.CurveOps record, G1 and G2, and the engines below take the record.
+Affine points are coordinate tuples (None is the identity).  Each group is
+one intmath.CurveOps record, G1 and G2, and the engines below take the
+record.  G1's runs in Jacobian coordinates (intmath.jacobian_ops); G2's is
+affine, built on the chord and tangent (g2_chord, g2_tangent) whose slopes
+are also the Miller loop's lines, so the twist's group law is written once.
 The G2 generator carries a radix-16 comb table (intmath.Comb), so BLS and
-network-coding key generation costs ~40 mixed additions.  No G1 product
+network-coding key generation costs ~40 affine additions.  No G1 product
 has a fixed base worth a table: server-aided verification blinds with
 delta sigma + r g1, one two-base g1_multi_exp of 80-bit scalars.
 
@@ -24,8 +26,9 @@ derived in each call and never stored.  g1_multi_exp uses its tables once and ta
 G1MultiExp keeps them and takes w = 8.  g1_mul (BLS signing, nc_sign) is
 the one-base sum.
 
-g2_mul is a one-base sum on the same engine over the G2 record, at w = 3.
-Subgroup membership tests psi(Q) = [6x^2]Q with the twisted Frobenius psi
+g2_mul is a one-base sum on the same engine over the G2 record, at w = 3;
+each of its doublings and additions pays an Fp inversion.  Subgroup
+membership tests psi(Q) = [6x^2]Q with the twisted Frobenius psi
 (also the Miller loop's correction steps), a 78-bit multiplication instead
 of [n]Q.
 
@@ -42,7 +45,7 @@ from functools import lru_cache
 from operator import itemgetter, ne
 from typing import Optional
 
-from ..intmath import Comb, CurveOps, jacobian_ops, wnaf
+from ..intmath import Comb, CurveOps, invert_all, jacobian_ops, wnaf
 from .fields import (
     F2_ONE,
     F2_ZERO,
@@ -56,6 +59,7 @@ from .fields import (
     f2_inv,
     f2_mul,
     f2_neg,
+    f2_scal,
     f2_sqr,
     f2_sqrt,
     f2_sub,
@@ -253,8 +257,11 @@ def _multi_exp(ops: CurveOps, rows, scalars, w, glv=False):
 _CACHED_WINDOW = 8
 _ONE_SHOT_WINDOW = 4
 # g2_mul's one scalar in use is the membership test's 6x^2: 13 digits at
-# w = 3 against 12 at w = 4, and the shorter row of odd multiples saves more
-# than the extra addition costs.
+# w = 3 against 12 at w = 4 and 20 at w = 2.  On the affine G2 record every
+# step pays an inversion, and over 41 interleaved rounds in process (one CPU
+# of a 2-vCPU Xeon VM, Python 3.11) w = 4 took 1.035x and w = 2 1.081x the
+# time of w = 3: the row's two extra add_pairs steps cost more than the
+# addition they save.
 _G2_WINDOW = 3
 
 
@@ -298,102 +305,64 @@ def g2_on_twist(pt) -> bool:
     return f2_sub(f2_sqr(y), f2_add(f2_mul(f2_sqr(x), x), TWIST_B)) == F2_ZERO
 
 
-# The Jacobian formulas of intmath.jacobian_ops (dbl-2009-l, madd-2004-hmv)
-# over Fp2 = Fp[i]/(i^2 + 1), written out on the coordinate pairs:
-# (a0 + a1 i)(b0 + b1 i) = (a0 b0 - a1 b1) + (a0 b1 + a1 b0) i.
+def _g2_third(lam, p, x2):
+    """p + q for the line of slope lam through p and a point q with
+    x-coordinate x2: the line's third twist point, reflected."""
+    x1, y1 = p
+    x3 = f2_sub(f2_sub(f2_sqr(lam), x1), x2)
+    return x3, f2_sub(f2_mul(lam, f2_sub(x1, x3)), y1)
 
 
-def _jac2_dbl(X, Y, Z):
-    if Y == F2_ZERO or Z == F2_ZERO:
-        return (F2_ONE, F2_ONE, F2_ZERO)
-    x0, x1 = X
-    y0, y1 = Y
-    z0, z1 = Z
-    a0, a1 = (x0 + x1) * (x0 - x1) % P, 2 * x0 * x1 % P  # A = X^2
-    b0, b1 = (y0 + y1) * (y0 - y1) % P, 2 * y0 * y1 % P  # B = Y^2
-    c0, c1 = (b0 + b1) * (b0 - b1) % P, 2 * b0 * b1 % P  # C = B^2
-    s0, s1 = x0 + b0, x1 + b1
-    d0 = 2 * ((s0 + s1) * (s0 - s1) - a0 - c0) % P  # D = 2((X + B)^2 - A - C)
-    d1 = 2 * (2 * s0 * s1 - a1 - c1) % P
-    e0, e1 = 3 * a0, 3 * a1  # E = 3A
-    n0 = ((e0 + e1) * (e0 - e1) - 2 * d0) % P  # X3 = E^2 - 2D
-    n1 = (2 * e0 * e1 - 2 * d1) % P
-    u0, u1 = d0 - n0, d1 - n1
-    return (
-        (n0, n1),
-        ((e0 * u0 - e1 * u1 - 8 * c0) % P, (e0 * u1 + e1 * u0 - 8 * c1) % P),  # E(D - X3) - 8C
-        (2 * (y0 * z0 - y1 * z1) % P, 2 * (y0 * z1 + y1 * z0) % P),  # 2YZ
-    )
+def g2_tangent(p):
+    """(slope, 2p) of the tangent at an affine twist point p.  The twist has
+    odd order, so no point has y = 0."""
+    x, y = p
+    lam = f2_mul(f2_scal(f2_sqr(x), 3), f2_inv(f2_scal(y, 2)))
+    return lam, _g2_third(lam, p, x)
 
 
-def _jac2_add_mixed(X1, Y1, Z1, x2, y2):
-    if Z1 == F2_ZERO:
+def g2_chord(p, q, inv_dx=None):
+    """(slope, p + q) of the chord through affine twist points p != +-q;
+    inv_dx is 1 / (x_q - x_p) when the caller has it from a batch."""
+    if inv_dx is None:
+        inv_dx = f2_inv(f2_sub(q[0], p[0]))
+    lam = f2_mul(f2_sub(q[1], p[1]), inv_dx)
+    return lam, _g2_third(lam, p, q[0])
+
+
+# The G2 record is affine, on the chord and tangent: a point is (x, y, 1)
+# and the identity (1, 1, 0), coordinates in Fp2.  Each doubling and
+# addition pays an Fp inversion that Jacobian formulas would trade for more
+# products (Lauter-Montgomery-Naehrig, Pairing 2010, weigh the two by the
+# cost of inversion); in exchange the twist's group law is written once.
+# add_pairs inverts every x-difference d as conj(d) / |d|^2, and the norms,
+# nonzero for d != 0 since P = 3 mod 4, share one invert_all.
+_G2_ID = (F2_ONE, F2_ONE, F2_ZERO)
+
+
+def _g2_dbl(x, y, z):
+    return _G2_ID if z == F2_ZERO else (*g2_tangent((x, y))[1], F2_ONE)
+
+
+def _g2_add_mixed(x1, y1, z1, x2, y2):
+    if z1 == F2_ZERO:
         return (x2, y2, F2_ONE)
-    a0, a1 = X1
-    b0, b1 = Y1
-    c0, c1 = Z1
-    zz0, zz1 = (c0 + c1) * (c0 - c1) % P, 2 * c0 * c1 % P  # Z1^2
-    t0, t1 = (zz0 * c0 - zz1 * c1) % P, (zz0 * c1 + zz1 * c0) % P  # Z1^3
-    p0, p1 = x2
-    q0, q1 = y2
-    h0 = (p0 * zz0 - p1 * zz1 - a0) % P  # H = x2 Z1^2 - X1
-    h1 = (p0 * zz1 + p1 * zz0 - a1) % P
-    r0 = (q0 * t0 - q1 * t1 - b0) % P  # R = y2 Z1^3 - Y1
-    r1 = (q0 * t1 + q1 * t0 - b1) % P
-    if not (h0 or h1):
-        if not (r0 or r1):
-            return _jac2_dbl(X1, Y1, Z1)
-        return (F2_ONE, F2_ONE, F2_ZERO)
-    hh0, hh1 = (h0 + h1) * (h0 - h1) % P, 2 * h0 * h1 % P  # H^2
-    g0, g1 = (hh0 * h0 - hh1 * h1) % P, (hh0 * h1 + hh1 * h0) % P  # H^3
-    v0, v1 = (a0 * hh0 - a1 * hh1) % P, (a0 * hh1 + a1 * hh0) % P  # V = X1 H^2
-    n0 = ((r0 + r1) * (r0 - r1) - g0 - 2 * v0) % P  # X3 = R^2 - H^3 - 2V
-    n1 = (2 * r0 * r1 - g1 - 2 * v1) % P
-    w0, w1 = v0 - n0, v1 - n1
-    return (
-        (n0, n1),
-        (
-            (r0 * w0 - r1 * w1 - b0 * g0 + b1 * g1) % P,  # R(V - X3) - Y1 H^3
-            (r0 * w1 + r1 * w0 - b0 * g1 - b1 * g0) % P,
-        ),
-        ((c0 * h0 - c1 * h1) % P, (c0 * h1 + c1 * h0) % P),  # Z1 H
-    )
+    if x1 == x2:
+        return _g2_dbl(x1, y1, z1) if y1 == y2 else _G2_ID
+    return (*g2_chord((x1, y1), (x2, y2))[1], F2_ONE)
 
 
-def _normalize2(jac):
-    """G1's normalize over Fp2: one inversion for the whole list.  Written
-    out like _jac2_*, since with the f2 helpers g2_mul's two row
-    normalizations cost about 3% more of a checked G2 decode."""
-    prefix = []
-    a0, a1 = 1, 0
-    for _, _, (z0, z1) in jac:
-        prefix.append((a0, a1))
-        a0, a1 = (a0 * z0 - a1 * z1) % P, (a0 * z1 + a1 * z0) % P
-    d = pow(a0 * a0 + a1 * a1, -1, P)
-    i0, i1 = a0 * d % P, -a1 * d % P  # 1 / (Z_0 Z_1 ... Z_last)
-    out = [None] * len(jac)
-    for k in range(len(jac) - 1, -1, -1):
-        (x0, x1), (y0, y1), (z0, z1) = jac[k]
-        p0, p1 = prefix[k]
-        s0, s1 = (p0 * i0 - p1 * i1) % P, (p0 * i1 + p1 * i0) % P  # 1 / Z_k
-        i0, i1 = (i0 * z0 - i1 * z1) % P, (i0 * z1 + i1 * z0) % P
-        t0, t1 = (s0 + s1) * (s0 - s1) % P, 2 * s0 * s1 % P  # 1 / Z_k^2
-        c0, c1 = (t0 * s0 - t1 * s1) % P, (t0 * s1 + t1 * s0) % P  # 1 / Z_k^3
-        out[k] = (
-            ((x0 * t0 - x1 * t1) % P, (x0 * t1 + x1 * t0) % P),
-            ((y0 * c0 - y1 * c1) % P, (y0 * c1 + y1 * c0) % P),
-        )
-    return out
-
-
-def _add_pairs2(pairs):
-    """CurveOps.add_pairs over Fp2, as mixed additions to Z = 1 and one
-    normalization.  It builds the generator's table and g2_mul's rows."""
-    return _normalize2([_jac2_add_mixed(*pt, F2_ONE, *q) for pt, q in pairs])
+def _g2_add_pairs(pairs):
+    dxs = [f2_sub(q[0], p[0]) for p, q in pairs]
+    inv_norms = invert_all([d0 * d0 + d1 * d1 for d0, d1 in dxs], P)
+    return [
+        g2_chord(p, q, (d0 * t % P, -d1 * t % P))[1]
+        for (p, q), (d0, d1), t in zip(pairs, dxs, inv_norms)
+    ]
 
 
 G2 = CurveOps(
-    _jac2_dbl, _jac2_add_mixed, _normalize2, _add_pairs2, f2_neg, (F2_ONE, F2_ONE, F2_ZERO)
+    _g2_dbl, _g2_add_mixed, lambda pts: [pt[:2] for pt in pts], _g2_add_pairs, f2_neg, _G2_ID
 )
 
 

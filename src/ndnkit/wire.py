@@ -239,7 +239,7 @@ def _decode_components(value: bytes) -> Name:
             raise EmptyNameComponent("zero-length name component")
         pos = rd.pos + length
         comps.append(value[rd.pos : pos])
-    return Name(comps)
+    return tuple.__new__(Name, comps)  # each component was checked above
 
 
 _INTEREST_FIELDS = (TYPE_NAME, TYPE_NONCE, TYPE_LIFETIME)

@@ -85,7 +85,7 @@ def test_g2_generator_in_subgroup():
 
 def _twist_affine_add(a, b):
     """a + b on the twist by the affine chord-tangent formulas: an oracle
-    that shares no code with curve's Jacobian ladder."""
+    that shares no code with curve's g2_chord and g2_tangent."""
     if a is None:
         return b
     if b is None:
@@ -176,7 +176,7 @@ def test_g2_group_laws():
     qb = curve.g2_mul(g, b)
     assert curve.G2.add(qa, qb) == curve.g2_mul(g, (a + b) % N)
     assert curve.G2.add(qa, curve.G2.negate(qa)) is None
-    # the Jacobian formulas against the affine oracle, doubling branch included
+    # the G2 record against the affine oracle, doubling branch included
     assert curve.G2.add(qa, qb) == _twist_affine_add(qa, qb)
     assert curve.G2.add(qa, qa) == _twist_affine_add(qa, qa) == curve.g2_mul(g, 2 * a)
     assert curve.g2_mul(qa, b) == _twist_times(qa, b)
@@ -189,6 +189,55 @@ def test_g2_group_laws():
     assert all((2 * P - N) % q for q in range(2, 2017))
     for r in _raw_twist_points(2):
         assert curve.g2_mul(r, curve.PSI_EIGENVALUE) == _twist_times(r, curve.PSI_EIGENVALUE)
+
+
+def _twist_points_over(xs):
+    """The twist points over each x of xs that lifts, y as f2_sqrt gives it."""
+    out = []
+    for x in xs:
+        y = fields.f2_sqrt(fields.f2_add(fields.f2_mul(fields.f2_sqr(x), x), curve.TWIST_B))
+        if y is not None:
+            out.append((x, y))
+    return out
+
+
+def test_g2_add_pairs_matches_single_additions():
+    # one batched inversion over the x-differences' norms; a nonzero
+    # difference has a nonzero norm since P = 3 mod 4, including a purely
+    # real difference and a purely imaginary one
+    real_diff = _raw_twist_points(6)
+    imag_diff = _twist_points_over((2, k) for k in range(1, 40))[:6]
+    assert len(imag_diff) == 6
+    members = [curve.g2_mul_gen(rand_scalar()) for _ in range(4)]
+    pairs = list(zip(real_diff, real_diff[1:])) + list(zip(imag_diff, imag_diff[1:]))
+    pairs += list(zip(members, members[1:])) + [(real_diff[0], members[0])]
+    assert all(a[0][0] == b[0][0] for a, b in zip(imag_diff, imag_diff[1:]))
+    assert all(a[0][1] == b[0][1] for a, b in zip(real_diff, real_diff[1:]))
+    sums = curve.G2.add_pairs(pairs)
+    assert sums == [curve.G2.add(a, b) for a, b in pairs]
+    assert sums == [_twist_affine_add(a, b) for a, b in pairs]
+
+
+def _digest(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def test_g2_outputs_are_pinned():
+    """The generator's comb rows, g2_mul on a subgroup point and on a twist
+    point outside G2, and two keys' Miller-loop lines, digested at the
+    Jacobian G2 record that the affine chord and tangent replaced."""
+    assert _digest(curve._gen_comb().rows) == (
+        "10665726b4e74b3e58b8807003686a75e2a9e7fa1c7a9dbc453fc7fb55f02350"
+    )
+    pts = [g2_generator().point, _raw_twist_points(1)[0]]
+    ks = (0, 1, 2, curve.PSI_EIGENVALUE, N - 1, N)
+    assert _digest([curve.g2_mul(pt, k) for pt in pts for k in ks]) == (
+        "2b0727491e5cc79376fc8d9ceae12aafa4e4afd92788181651cc8dc6de28314d"
+    )
+    keys = [g2_generator(), G2Point(curve.g2_mul_gen(0x5EED * 2**100 + 77))]
+    assert _digest([prepare_g2(q).coeffs for q in keys]) == (
+        "c021b87119e23177c32f694f962d0b2851348fadd4c4136e2da604fb92d28f6e"
+    )
 
 
 def _group_record(name):

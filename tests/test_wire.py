@@ -247,6 +247,22 @@ def test_component_length_forms_round_trip(size):
     assert decode(enc) == pkt
 
 
+@pytest.mark.parametrize("wrap", [bytes, bytearray, memoryview])
+def test_decoded_names_are_names(wrap):
+    # the codec builds a Name from components it has already checked
+    comps = (b"snnu", b"\x00/%", b"c" * 300)
+    interest = decode(wrap(encode(Interest(Name(comps), nonce=7))))
+    data = decode(wrap(encode(Data(Name(comps[:2]), b"x", Name(comps[1:]), 1, b"s"))))
+    for name, expected in ((interest.name, comps), (data.name, comps[:2]),
+                           (data.key_locator, comps[1:])):
+        assert type(name) is Name
+        assert name == Name(expected)
+        assert all(type(c) is bytes for c in name)
+    # a key locator may be the root name
+    root = decode(wrap(_data_located(b"\x08\x01a", b""))).key_locator
+    assert type(root) is Name and root == Name()
+
+
 def _interest_named(value: bytes) -> bytes:
     body = b"\x07" + wire.pack_varbytes(value) + bytes.fromhex("0a0400000005 0c0400000064")
     return b"\x05" + wire.pack_varbytes(body)
