@@ -1,3 +1,5 @@
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -360,12 +362,15 @@ _SEED_PACKETS = (
 )
 
 
-def _assert_codec_error_or_canonical(blob: bytes) -> None:
+def _assert_codec_error_or_canonical(blob: bytes) -> str:
+    """The outcome of decoding blob: the CodecError's class name, or
+    "canonical" for a packet that encodes back to blob."""
     try:
         pkt = decode(blob)
-    except CodecError:
-        return
+    except CodecError as exc:
+        return type(exc).__name__
     assert encode(pkt) == blob
+    return "canonical"
 
 
 @settings(max_examples=200, deadline=None)
@@ -374,14 +379,27 @@ def test_near_valid_mutants_raise_only_codec_errors(blob):
     _assert_codec_error_or_canonical(blob)
 
 
-@pytest.mark.parametrize("blob", _SEED_PACKETS, ids=["interest", "data"])
-def test_every_one_byte_mutant_raises_only_codec_errors(blob):
+# sha256 of the mutants' outcomes in order, one per line; a decoder rewrite
+# must raise the same CodecError class for every mutant
+_MUTANT_OUTCOMES_SHA256 = {
+    "interest": "d329ac252f50b800297c578e0cd5e3fc27a91fb25dea4ae69203abc93dfed457",
+    "data": "908900df101b2a4752aa17f6d9fd5dd2bd8a7cc84a6e1cbf40f83759916f5fbb",
+}
+
+
+@pytest.mark.parametrize("kind, blob", list(zip(("interest", "data"), _SEED_PACKETS)),
+                         ids=["interest", "data"])
+def test_every_one_byte_mutant_raises_only_codec_errors(kind, blob):
     # one mutation at every position: a byte stepped or set to a length
     # value, a cut, a 4-byte run duplicated, a length value inserted
+    outcomes = []
+    check = lambda mutant: outcomes.append(_assert_codec_error_or_canonical(mutant))
     for i, b in enumerate(blob):
-        for value in {*_LENGTH_BYTES, (b + 1) % 256, (b - 1) % 256}:
-            _assert_codec_error_or_canonical(blob[:i] + bytes([value]) + blob[i + 1:])
-        _assert_codec_error_or_canonical(blob[:i])
-        _assert_codec_error_or_canonical(blob[:i] + blob[i:i + 4] + blob[i:])
+        for value in sorted({*_LENGTH_BYTES, (b + 1) % 256, (b - 1) % 256}):
+            check(blob[:i] + bytes([value]) + blob[i + 1:])
+        check(blob[:i])
+        check(blob[:i] + blob[i:i + 4] + blob[i:])
         for value in _LENGTH_BYTES:
-            _assert_codec_error_or_canonical(blob[:i] + bytes([value]) + blob[i:])
+            check(blob[:i] + bytes([value]) + blob[i:])
+    digest = hashlib.sha256("\n".join(outcomes).encode()).hexdigest()
+    assert digest == _MUTANT_OUTCOMES_SHA256[kind]
