@@ -225,6 +225,43 @@ def test_replay_is_byte_identical():
     assert a == b
 
 
+# three consumers behind three routers, declared out of lexical order, so
+# that each tick's events fall on several nodes at once
+STAR = {
+    "seed": 9,
+    "nodes": [{"id": nid, "role": role} for nid, role in (
+        ("p1", "producer"), ("r9", "router"), ("r10", "router"), ("r2", "router"),
+        ("c9", "consumer"), ("c10", "consumer"), ("c2", "consumer"))],
+    "links": [
+        {"a": a, "a_face": 1, "b": b, "b_face": face, "latency": 1}
+        for a, b, face in (("r9", "p1", 1), ("r10", "p1", 2), ("r2", "p1", 3),
+                           ("c9", "r9", 2), ("c10", "r10", 2), ("c2", "r2", 2))
+    ],
+    "producers": [{"prefix": "/snnu", "node": "p1", "scheme": "ecdsa"}],
+    "schedule": [{"tick": tick, "consumer": c, "name": f"/snnu/{name}"}
+                 for tick, c, name in ((0, "c9", "a"), (0, "c2", "b"), (0, "c10", "c"),
+                                       (3, "c2", "a"), (3, "c9", "c"), (5, "c10", "b"))],
+}
+
+
+def test_events_of_one_tick_run_in_node_id_order():
+    trace = run(*load_config(json.dumps(STAR)))
+    assert all(r.delivered is not None for r in trace.requests)
+    keys = [(r["tick"], r["node"]) for r in trace.records]
+    assert keys == sorted(keys)
+    # the string order of the ids, not the order they were declared in
+    assert [r["node"] for r in trace.records if r["tick"] == 1] == [
+        "r10", "r10", "r2", "r2", "r9", "r9"]
+
+    digest = hashlib.sha256(trace.to_jsonl().encode()).hexdigest()
+    nodes = list(STAR["nodes"])
+    for seed in range(3):
+        random.Random(seed).shuffle(nodes)
+        shuffled = run(*load_config(json.dumps(dict(STAR, nodes=nodes))))
+        assert hashlib.sha256(shuffled.to_jsonl().encode()).hexdigest() == digest
+        assert shuffled.counters == trace.counters
+
+
 def test_different_seed_changes_nonces():
     nonces = lambda t: [r["nonce"] for r in t.records if r["event"] == "request"]
     assert nonces(run_config()) != nonces(run_config(seed=8))
