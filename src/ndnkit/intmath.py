@@ -3,6 +3,7 @@ primality test, the signed-digit recoder wnaf, the curve group record
 CurveOps and the fixed-base comb Comb."""
 
 import hashlib
+import math
 import random
 from typing import Callable, NamedTuple
 
@@ -134,6 +135,10 @@ class CurveOps(NamedTuple):
     add_pairs: Callable
     neg: Callable
     identity: tuple
+    # the fewest pairs a round of add_pairs in fold must sum to repay its
+    # inversion; a Jacobian record's folds here are too short for any round
+    # to pay, and a record whose add_mixed inverts sets 1
+    fold_pairs = math.inf
 
     def to_affine(self, X, Y, Z):
         """One Jacobian point to affine, None for the identity."""
@@ -144,11 +149,24 @@ class CurveOps(NamedTuple):
         return self.fold([pt for pt in (a, b) if pt is not None])
 
     def fold(self, points):
-        """The sum of a list of affine points, none the identity: a Jacobian
-        sum of mixed additions and one conversion back to affine."""
+        """The sum of a list of affine points, none the identity: rounds of
+        add_pairs sum the points pairwise while a round has fold_pairs
+        pairs, then mixed additions take what is left and one conversion
+        goes back to affine.  A pair with equal x (P = +-Q, which add_pairs
+        cannot take) is left to add_mixed, which doubles or cancels it."""
+        held = []
+        while len(points) >= 2 * self.fold_pairs:
+            n = len(points) & ~1
+            pairs = []
+            for p, q in zip(points[:n:2], points[1:n:2]):
+                if p[0] == q[0]:
+                    held += (p, q)
+                else:
+                    pairs.append((p, q))
+            points = self.add_pairs(pairs) + points[n:]
         add = self.add_mixed
         X, Y, Z = self.identity
-        for x, y in points:
+        for x, y in points + held:
             X, Y, Z = add(X, Y, Z, x, y)
         return self.to_affine(X, Y, Z)
 

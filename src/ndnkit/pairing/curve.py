@@ -361,7 +361,12 @@ def _g2_add_pairs(pairs):
     ]
 
 
-G2 = CurveOps(
+class _AffineOps(CurveOps):
+    __slots__ = ()
+    fold_pairs = 1  # each add_mixed pays an inversion, so any round repays its own
+
+
+G2 = _AffineOps(
     _g2_dbl, _g2_add_mixed, lambda pts: [pt[:2] for pt in pts], _g2_add_pairs, f2_neg, _G2_ID
 )
 

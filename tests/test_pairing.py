@@ -291,6 +291,19 @@ def test_odd_multiple_rows_match_a_chain(name, count, w):
         assert row == chain + [ops.negate(pt) for pt in reversed(chain)]
 
 
+def test_g2_fold_rounds_meet_equal_and_negated_sums():
+    # the affine G2 record folds in rounds of add_pairs: two comb walks of
+    # one scalar, or of a and n - a, sum to equal or negated points that
+    # only add_mixed can take, and so do copies of one point
+    comb, g2 = curve._gen_comb(), g2_generator().point
+    a = rand_scalar()
+    for k1, k2 in ((a, a), (a, N - a), (a, 0), (a, 2 * a % N), (rand_scalar(), a)):
+        assert curve.G2.fold(comb.picks(k1) + comb.picks(k2)) == curve.g2_mul(g2, k1 + k2)
+    pt = comb.mul(a)
+    for copies in (2, 3, 4, 7):
+        assert curve.G2.fold([pt] * copies) == curve.g2_mul(pt, copies)
+
+
 def test_fixed_base_combs_match_generic_mul():
     g2 = g2_generator().point
     for _ in range(5):
