@@ -22,6 +22,8 @@ _LITERAL = frozenset(
     b for b in range(0x20, 0x7F) if b not in (0x2F, 0x25)
 )
 
+_LITERAL_BYTES = bytes(sorted(_LITERAL))
+
 _HEX = "0123456789ABCDEF"
 
 
@@ -62,6 +64,8 @@ class Name(tuple):
 
 
 def _escape_component(comp: bytes) -> str:
+    if not comp.translate(None, _LITERAL_BYTES):  # every byte is literal
+        return comp.decode("ascii")
     out = []
     for b in comp:
         if b in _LITERAL:
@@ -113,7 +117,7 @@ def parse_name(text: str) -> Name:
 def to_text(name: Name) -> str:
     if not name:
         return "/"
-    return "/" + "/".join(_escape_component(c) for c in name)
+    return "/" + "/".join(map(_escape_component, name))
 
 
 def is_prefix(prefix: Name, name: Name) -> bool:

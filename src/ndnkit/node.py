@@ -82,10 +82,13 @@ class ContentStore:
             return
         # a fresher duplicate overwrites the cached copy
         deadline = now + self.freshness_ms
-        self._entries[data.name] = CsEntry(data=data, deadline=deadline)
-        self._earliest_deadline = min(self._earliest_deadline, deadline)
-        self._entries.move_to_end(data.name)
-        self.evict(now)
+        entries = self._entries
+        entries[data.name] = CsEntry(data, deadline)
+        entries.move_to_end(data.name)
+        if deadline < self._earliest_deadline:
+            self._earliest_deadline = deadline
+        if now >= self._earliest_deadline or len(entries) > self.capacity:
+            self.evict(now)
 
     def evict(self, now: int) -> list[Name]:
         evicted = []
@@ -178,37 +181,35 @@ class Node:
     # --- the forwarding pipeline ---------------------------------------------
 
     def process_interest(self, face: int, interest: Interest, now: int) -> list[Emission]:
-        key = (interest.name, interest.nonce)
-        expiry = self._seen.get(key)
-        if expiry is not None and now < expiry:
+        name, nonce, lifetime = interest.name, interest.nonce, interest.lifetime_ms
+        key = (name, nonce)
+        if self._seen.get(key, now) > now:
             return []  # looped or duplicated Interest
-        self._seen[key] = now + interest.lifetime_ms
+        self._seen[key] = now + lifetime
 
-        cached = self.cs.get(interest.name, now)
+        cached = self.cs.get(name, now)
         if cached is not None:
             self.counters["cs_hits"] += 1
             return [(face, cached)]
         self.counters["cs_misses"] += 1
 
-        entry = self._pit_alive(interest.name, now)
+        entry = self._pit_alive(name, now)
         if entry is not None:
-            entry.in_records[face] = interest.nonce
-            entry.expiry = max(entry.expiry, now + interest.lifetime_ms)
+            entry.in_records[face] = nonce
+            entry.expiry = max(entry.expiry, now + lifetime)
             return []
 
-        prefix = longest_prefix_match(self.fib.keys(), interest.name)
+        prefix = longest_prefix_match(self.fib.keys(), name)
         if prefix is None:
             self.counters["no_route"] += 1
             return []
-        out = [f for f in self.fib[prefix] if f != face]
+        out = [(f, interest) for f in self.fib[prefix] if f != face]
         if not out:
             self.counters["no_route"] += 1
             return []
-        self.pit[interest.name] = PitEntry(
-            in_records={face: interest.nonce}, expiry=now + interest.lifetime_ms
-        )
+        self.pit[name] = PitEntry({face: nonce}, now + lifetime)
         self.counters["forwarded"] += 1
-        return [(f, interest) for f in out]
+        return out
 
     def process_data(self, face: int, data: Data, now: int) -> list[Emission]:
         entry = self._pit_alive(data.name, now)

@@ -5,7 +5,9 @@ links with integer-tick latencies; every node runs the forwarding pipeline
 from the node module. A scenario schedules consumer requests and
 cache-poisoning injections against that topology. run() replays the scenario
 event by event and returns a trace: ordered per-node records, final counters,
-and the outcome of every request.
+and the outcome of every request. Events run by tick, then by node id, then
+in the order they were pushed; the heap keys a node by its rank in the
+sorted node ids, an integer that orders like the id itself.
 
 Packets cross links as encoded wire bytes, but a packet is immutable and the
 codec canonical, so a run encodes each distinct packet once and decodes each
@@ -439,10 +441,13 @@ class _Runner:
         # packet -> its encoding, and blob -> its decoded packet; see to_wire
         self.blobs: dict[Packet, bytes] = {}
         self.packets: dict[bytes, Packet] = {}
-        # (tick, node id, seq, handler, args); seq is unique, so the heap
+        # (tick, node rank, seq, handler, args); seq is unique, so the heap
         # never compares handlers
         self.heap: list[tuple] = []
         self.seq = 0
+        # node id -> its place in sorted(node ids), so that ranks break a
+        # tick's ties in node-id order
+        self.ranks = {nid: rank for rank, nid in enumerate(sorted(topology.specs))}
         self.nonce_rng = _rng_for(scenario.seed, "nonce")
         self.nodes = {
             nid: Node(
@@ -473,7 +478,7 @@ class _Runner:
 
     def push(self, tick: int, node_id: str, handler, *args) -> None:
         """Schedule handler(*args, tick) at tick on node_id."""
-        heapq.heappush(self.heap, (tick, node_id, self.seq, handler, args))
+        heapq.heappush(self.heap, (tick, self.ranks[node_id], self.seq, handler, args))
         self.seq += 1
 
     def text(self, name: Name) -> str:
@@ -498,6 +503,10 @@ class _Runner:
             packet = decode(blob)
             self.make_room()
             self.packets[blob] = packet
+            # the decoded packet replaces an equal key: every hop that
+            # forwards it, or answers with it from a cache, finds it by
+            # identity instead of comparing it field by field
+            self.blobs.pop(packet, None)
             self.blobs[packet] = blob
         return packet
 
@@ -527,16 +536,21 @@ class _Runner:
                 else:
                     self.answer(node_id, packet, tick)
                 continue
-            is_interest = isinstance(packet, Interest)
-            nonce = packet.nonce if is_interest else answers[face]
-            self.log(tick, node_id, "emit_interest" if is_interest else "emit_data",
-                     packet.name, face, nonce if is_interest else None)
+            text = self.texts.get(packet.name) or self.text(packet.name)
+            if isinstance(packet, Interest):
+                nonce = packet.nonce
+                self.records.append({"tick": tick, "node": node_id, "event": "emit_interest",
+                                     "name": text, "face": face, "nonce": nonce})
+            else:
+                nonce = answers[face]
+                self.records.append({"tick": tick, "node": node_id, "event": "emit_data",
+                                     "name": text, "face": face})
             owner = self.owners.get(nonce)
             if owner is not None and owner.delivered is None:
                 owner.hops += 1
             peer, peer_face, latency = self.topology.faces[node_id][face]
             self.push(tick + latency, peer, self.arrive, peer, peer_face,
-                      self.to_wire(packet))
+                      self.blobs.get(packet) or self.to_wire(packet))
 
     # -- applications --
 
@@ -633,15 +647,18 @@ class _Runner:
         self.nodes[spec.node].cs.put(data, tick)
 
     def arrive(self, node_id: str, face: int, blob: bytes, tick: int) -> None:
-        packet = self.from_wire(blob)
-        node = self.nodes[node_id]
+        packet = self.packets.get(blob) or self.from_wire(blob)
+        text = self.texts.get(packet.name) or self.text(packet.name)
         if isinstance(packet, Interest):
-            self.log(tick, node_id, "recv_interest", packet.name, face, packet.nonce)
+            self.records.append({"tick": tick, "node": node_id, "event": "recv_interest",
+                                 "name": text, "face": face, "nonce": packet.nonce})
             # a cache hit answers on the arrival face
-            self.route_emissions(node_id, node.process_interest(face, packet, tick), tick,
-                                 {face: packet.nonce})
+            self.route_emissions(node_id,
+                                 self.nodes[node_id].process_interest(face, packet, tick),
+                                 tick, {face: packet.nonce})
         else:
-            self.log(tick, node_id, "recv_data", packet.name, face)
+            self.records.append({"tick": tick, "node": node_id, "event": "recv_data",
+                                 "name": text, "face": face})
             self.take_data(node_id, face, packet, tick)
 
     def take_data(self, node_id: str, face: int, data: Data, tick: int) -> None:

@@ -11,10 +11,17 @@ Varint lengths: one byte below 253; 0xFD + 2-byte big-endian up to 65535;
 0xFF (8-byte) prefix decodes as OversizeField.  _Reader.read_len is the one
 decoder of this form, for packet TLVs, name components and key records alike.
 
-A name is encoded and decoded in one pass: the headers of components with a
-one-byte length come from a table built by _encode_len, the one varint
-writer, and the decoder walks the components by offset, reading each length
+The header of every TLV with a one-byte length comes from a table built by
+_encode_len, the one varint writer.  A name is encoded and decoded in one
+pass: the decoder walks the components by offset, reading each length
 through read_len.
+
+decode reads a packet's body in a single walk over its fixed field order,
+one TLV per field, and decodes the names after it.  A TLV out of place is
+classified by its type: a field already read is a DuplicateField, a type
+the packet does not carry an UnknownTlvType, and a later field a
+MissingField for the one expected there.  A TLV after the last field is
+classified the same way, and a body that ends early is a MissingField.
 """
 
 from __future__ import annotations
@@ -73,7 +80,7 @@ class EmptyNameComponent(CodecError):
     """A name or key locator carries a zero-length component."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interest:
     name: Name
     nonce: int
@@ -86,7 +93,7 @@ class Interest:
             raise ValueError("lifetime out of uint32 range")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Data:
     name: Name
     content: bytes
@@ -116,7 +123,8 @@ def _encode_len(n: int) -> bytes:
 
 
 def _tlv(typ: int, value: bytes) -> bytes:
-    return bytes([typ]) + _encode_len(len(value)) + value
+    n = len(value)
+    return (_SHORT_HEADERS[typ][n] if n < 0xFD else bytes([typ]) + _encode_len(n)) + value
 
 
 def pack_varbytes(value: bytes) -> bytes:
@@ -131,12 +139,18 @@ def unpack_varbytes(buf: bytes, pos: int = 0) -> tuple[bytes, int]:
     return value, rd.pos
 
 
-# a component's type and length bytes, for every length of the one-byte form
-_SHORT_HEADERS = [bytes([TYPE_NAME_COMPONENT]) + _encode_len(n) for n in range(0xFD)]
+# a TLV's type and length bytes, for every type and every length of the
+# one-byte form
+_SHORT_HEADERS = {
+    typ: [bytes([typ]) + _encode_len(n) for n in range(0xFD)]
+    for typ in (TYPE_INTEREST, TYPE_DATA, TYPE_NAME, TYPE_NAME_COMPONENT, TYPE_NONCE,
+                TYPE_LIFETIME, TYPE_CONTENT, TYPE_SIGNATURE, TYPE_KEY_LOCATOR, TYPE_SCHEME_ID)
+}
+_COMPONENT_HEADERS = _SHORT_HEADERS[TYPE_NAME_COMPONENT]
 
 
 def _encode_components(name: Name) -> bytes:
-    return b"".join([_SHORT_HEADERS[len(c)] + c if len(c) < 0xFD
+    return b"".join([_COMPONENT_HEADERS[len(c)] + c if len(c) < 0xFD
                      else _tlv(TYPE_NAME_COMPONENT, c) for c in name])
 
 
@@ -179,9 +193,6 @@ class _Reader:
         self.buf = buf
         self.pos = pos
         self.end = end
-
-    def at_end(self) -> bool:
-        return self.pos >= self.end
 
     def read_len(self) -> int:
         """One varint length; the value it announces must fit before end."""
@@ -256,26 +267,32 @@ _FIELD_NAMES = {
 }
 
 
-def _read_fields(rd: _Reader, expected: tuple[int, ...]) -> dict[int, bytes]:
-    """Read the body TLVs of a packet, enforcing the fixed field order."""
-    seen: dict[int, bytes] = {}
-    order = 0
-    while not rd.at_end():
-        typ, length = rd.read_tl()
-        if typ in seen:
-            raise DuplicateField(f"repeated {_FIELD_NAMES[typ]} field")
-        if typ not in expected:
-            raise UnknownTlvType(f"type {typ:#04x} not valid here")
-        idx = expected.index(typ)
-        if idx < order:
-            raise DuplicateField(f"repeated {_FIELD_NAMES[typ]} field")
-        if idx > order:
-            raise MissingField(f"missing {_FIELD_NAMES[expected[order]]} field")
-        seen[typ] = rd.read_value(length)
-        order += 1
-    if order != len(expected):
-        raise MissingField(f"missing {_FIELD_NAMES[expected[order]]} field")
-    return seen
+def _misplaced(typ: int, expected: tuple[int, ...], order: int) -> CodecError:
+    """The error for a field of type typ read where expected[order] belongs
+    (order == len(expected): past the last field)."""
+    if typ in expected[:order]:
+        return DuplicateField(f"repeated {_FIELD_NAMES[typ]} field")
+    if typ not in expected:
+        return UnknownTlvType(f"type {typ:#04x} not valid here")
+    return MissingField(f"missing {_FIELD_NAMES[expected[order]]} field")
+
+
+def _read_fields(rd: _Reader, expected: tuple[int, ...]) -> list[bytes]:
+    """The values of a packet's body TLVs, in one walk over their fixed order."""
+    buf, end, values = rd.buf, rd.end, []
+    for order, want in enumerate(expected):
+        if rd.pos >= end:
+            raise MissingField(f"missing {_FIELD_NAMES[want]} field")
+        typ = buf[rd.pos]
+        rd.pos += 1
+        length = rd.read_len()
+        if typ != want:
+            raise _misplaced(typ, expected, order)
+        values.append(buf[rd.pos : rd.pos + length])
+        rd.pos += length
+    if rd.pos < end:
+        raise _misplaced(rd.read_tl()[0], expected, len(expected))
+    return values
 
 
 def decode(buf: bytes) -> Packet:
@@ -286,37 +303,26 @@ def decode(buf: bytes) -> Packet:
         raise TruncatedPacket("buffer shorter than any packet")
     rd = _Reader(buf, 0, len(buf))
     typ, length = rd.read_tl()
-    body_end = rd.pos + length
-    if body_end != len(buf):
-        raise TrailingGarbage(f"{len(buf) - body_end} bytes past the packet end")
-    if typ not in (TYPE_INTEREST, TYPE_DATA):
-        raise UnknownTlvType(f"outer type {typ:#04x} is not a packet")
+    if rd.pos + length != len(buf):
+        raise TrailingGarbage(f"{len(buf) - rd.pos - length} bytes past the packet end")
 
     if typ == TYPE_INTEREST:
-        fields = _read_fields(_Reader(buf, rd.pos, body_end), _INTEREST_FIELDS)
-        name = _decode_components(fields[TYPE_NAME])
+        name, nonce, lifetime = _read_fields(rd, _INTEREST_FIELDS)
+        name = _decode_components(name)
         if not name:
             raise MissingField("interest name has no components")
-        if len(fields[TYPE_NONCE]) != 4:
+        if len(nonce) != 4:
             raise TruncatedPacket("nonce must be exactly 4 bytes")
-        if len(fields[TYPE_LIFETIME]) != 4:
+        if len(lifetime) != 4:
             raise TruncatedPacket("lifetime must be exactly 4 bytes")
-        return Interest(
-            name=name,
-            nonce=int.from_bytes(fields[TYPE_NONCE], "big"),
-            lifetime_ms=int.from_bytes(fields[TYPE_LIFETIME], "big"),
-        )
+        return Interest(name, int.from_bytes(nonce, "big"), int.from_bytes(lifetime, "big"))
+    if typ != TYPE_DATA:
+        raise UnknownTlvType(f"outer type {typ:#04x} is not a packet")
 
-    fields = _read_fields(_Reader(buf, rd.pos, body_end), _DATA_FIELDS)
-    name = _decode_components(fields[TYPE_NAME])
+    name, content, key_locator, scheme_id, signature = _read_fields(rd, _DATA_FIELDS)
+    name = _decode_components(name)
     if not name:
         raise MissingField("data name has no components")
-    if len(fields[TYPE_SCHEME_ID]) != 1:
+    if len(scheme_id) != 1:
         raise TruncatedPacket("scheme id must be exactly 1 byte")
-    return Data(
-        name=name,
-        content=fields[TYPE_CONTENT],
-        key_locator=_decode_components(fields[TYPE_KEY_LOCATOR]),
-        scheme_id=fields[TYPE_SCHEME_ID][0],
-        signature=fields[TYPE_SIGNATURE],
-    )
+    return Data(name, content, _decode_components(key_locator), scheme_id[0], signature)
