@@ -9,8 +9,10 @@ checks e(sum t_i sigma_i, g2) against the product over signers of
 e(sum t_i H(m_i), pk): one multi-exponentiation over all the signatures,
 one per signer over its message hashes, and 1 + #signers pairings under a
 single final exponentiation.  Aggregation sums the signatures, and its
-verification each signer's message hashes, with one G1.fold per sum: a
-Jacobian sum and one inversion.  Online/offline signing moves the expensive
+verification each signer's message hashes, with one G1.fold per sum
+(CurveOps.sum_bits: a Jacobian sum and one inversion, after affine rounds
+of add_pairs once a sum has 52 points or more); an aggregate that covers
+nothing does not verify.  Online/offline signing moves the expensive
 base-scheme signature into a preparation phase by signing a chameleon
 hash, whose trapdoor later bends to the real message with two modular
 multiplications.  Server-aided verification ships both pairings of a BLS
@@ -190,6 +192,8 @@ def aggregate(
 
 
 def verify_aggregate(agg: AggregateSignature) -> bool:
+    if not agg.covers:  # aggregate refuses to build one; its pairing check would pass
+        return False
     # per signer, its message hashes: one sum each
     per_key: dict[BlsPublicKey, list] = {}
     for pk, msg in agg.covers:

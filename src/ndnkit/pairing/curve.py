@@ -16,9 +16,11 @@ delta sigma + r g1, one two-base g1_multi_exp of 80-bit scalars.
 
 Sums k_1 B_1 + ... + k_n B_n run on one engine: width-w NAF digits
 (intmath.wnaf: odd, within +-2^(w-1)) pick entries of per-base affine
-tables of odd multiples.  The entries that land on each bit are summed
-pairwise in affine rounds, each one add_pairs call (one inversion) across
-all bits, and one run of doublings then adds what is left of each bit.
+tables of odd multiples, and the record's sum_bits (intmath.CurveOps)
+adds them up: the entries that land on each bit are summed pairwise in
+affine rounds, each one add_pairs call (one inversion) across all bits,
+and one run of doublings then adds what is left of each bit.  The same
+routine is every record's fold, so comb walks and aggregates sum that way.
 Every G1 sum splits a scalar of more than 80 bits into its two GLV halves
 (the endomorphism phi(x, y) = (beta x, y) = [lambda]P), so ~80 doublings
 serve 160-bit scalars; phi's entries are the base's with x scaled by beta,
@@ -42,7 +44,6 @@ from __future__ import annotations
 import hashlib
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter, ne
 from typing import Optional
 
 from ..intmath import Comb, CurveOps, invert_all, jacobian_ops, wnaf
@@ -159,57 +160,6 @@ def glv_split(k: int) -> tuple[int, int]:
     )
 
 
-# An affine round sums pairs of entries through one add_pairs call, and each
-# pair it sums is a mixed addition saved.  Timed against leaving the same
-# entries to add_mixed (one CPU of a 2-vCPU Xeon VM, Python 3.11), a round
-# costs about 24 us fixed, mostly its inversion, and saves about 0.9 us a
-# pair, so it repays itself from about 26 pairs; a smaller round is skipped.
-# Finding the pairs costs about 0.5 us a bit that holds two entries or more,
-# so a sum that averages fewer than two entries a bit runs no round at all:
-# 8 bases of 80-bit scalars (1.6 a bit) ran 1.5% slower with their one
-# round, 16 (3.2 a bit) 2.5% faster.  g1_mul, SAV's two-base blinding and
-# g2_mul average under 0.5.
-_ROUND_MIN_PAIRS = 26
-_ROUND_MIN_ENTRIES_PER_BIT = 2
-_X = itemgetter(0)  # an affine point's x
-
-
-def _affine_rounds(ops: CurveOps, adds):
-    """Sum each bit's entries in place, pairwise, in rounds of one add_pairs
-    call across all bits, until a round would have too few pairs to repay
-    its inversion.  A pair with equal x (P = +-Q, which add_pairs cannot
-    take) stays behind for add_mixed, which doubles or cancels it."""
-    if sum(map(len, adds)) < _ROUND_MIN_ENTRIES_PER_BIT * len(adds):
-        return
-    held = {}
-    live = [j for j, entries in enumerate(adds) if len(entries) > 1]
-    while True:
-        firsts, seconds = [], []
-        for j in live:
-            paired = adds[j][: len(adds[j]) & ~1]
-            firsts += paired[::2]
-            seconds += paired[1::2]
-        if len(firsts) < _ROUND_MIN_PAIRS:
-            break
-        if all(map(ne, map(_X, firsts), map(_X, seconds))):  # no pair has equal x
-            sums = ops.add_pairs(list(zip(firsts, seconds)))
-            at = 0
-            for j in live:
-                entries = adds[j]
-                n = len(entries) >> 1
-                adds[j] = sums[at : at + n] + entries[2 * n :]
-                at += n
-        else:
-            for j in live:
-                entries, rest = adds[j], []
-                for a, b in zip(entries[::2], entries[1::2]):
-                    (held.setdefault(j, []) if a[0] == b[0] else rest).extend((a, b))
-                adds[j] = rest + entries[len(entries) & ~1 :]
-        live = [j for j in live if len(adds[j]) > 1]
-    for j, entries in held.items():
-        adds[j] += entries
-
-
 def _multi_exp(ops: CurveOps, rows, scalars, w, glv=False):
     """sum k_i * B_i by interleaved width-w NAFs over the rows of
     _odd_multiples.  Scalars are taken mod n, the order of G1 and G2.
@@ -220,8 +170,8 @@ def _multi_exp(ops: CurveOps, rows, scalars, w, glv=False):
     fewer entries than a half has digits (w = 4) is scaled once, a longer
     one (w = 8) entry by entry as digits pick them.  A negative half walks
     its row reversed, the negated base's row.  The entries that land on
-    each bit are summed by _affine_rounds, then one run of doublings adds
-    what is left of each bit with a mixed addition."""
+    each bit go to ops.sum_bits: affine rounds, then one run of doublings
+    and mixed additions."""
     if len(scalars) != len(rows):
         raise ValueError("scalar count does not match base count")
     scalars = [k % N for k in scalars]
@@ -243,15 +193,7 @@ def _multi_exp(ops: CurveOps, rows, scalars, w, glv=False):
             else:
                 for j, d in wnaf(abs(half), w):
                     adds[j].append(picks[d >> 1])
-    _affine_rounds(ops, adds)
-    dbl, add = ops.dbl, ops.add_mixed
-    X, Y, Z = ops.identity
-    for entries in reversed(adds):
-        if Z:
-            X, Y, Z = dbl(X, Y, Z)
-        for x, y in entries:
-            X, Y, Z = add(X, Y, Z, x, y)
-    return ops.to_affine(X, Y, Z)
+    return ops.sum_bits(adds)
 
 
 _CACHED_WINDOW = 8

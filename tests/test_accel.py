@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from ndnkit import accel
 from ndnkit.accel import (
     AggregateSignature,
     BatchInstance,
@@ -17,6 +18,7 @@ from ndnkit.accel import (
     verify_aggregate,
 )
 from ndnkit.pairing import G1Point, hash_to_g1, pairing_call_count
+from ndnkit.pairing.curve import G1
 from ndnkit.signatures import (
     SCHEME_BLS,
     SCHEME_DSA,
@@ -181,6 +183,32 @@ def test_aggregate_sixteen_signatures(bls_keys):
     agg = aggregate(sigs, covers)
     assert verify_aggregate(agg)
     assert len(agg.to_bytes()) == 21
+
+
+def test_aggregate_of_sixty_runs_rounds_and_catches_a_swapped_message(bls_keys, monkeypatch):
+    # one signer: the sigma fold and the signer's hash fold both sum 60
+    # points, past the 52 at which G1's fold runs affine rounds
+    key = bls_keys[0]
+    covers = [(key.public(), b"segment %d" % i) for i in range(60)]
+    sigs = [sign(key, msg) for _, msg in covers]
+    rounds = []
+
+    def add_pairs(pairs):
+        rounds.append(len(pairs))
+        return G1.add_pairs(pairs)
+
+    monkeypatch.setattr(accel, "G1", G1._replace(add_pairs=add_pairs))
+    agg = aggregate(sigs, covers)
+    assert rounds
+    del rounds[:]
+    assert verify_aggregate(agg)
+    assert rounds
+    covers[17] = (key.public(), b"segment 60")
+    assert not verify_aggregate(AggregateSignature(agg.element, tuple(covers)))
+
+
+def test_empty_aggregate_does_not_verify():
+    assert not verify_aggregate(AggregateSignature(G1Point(None), ()))
 
 
 def test_aggregate_size_constant(bls_keys):

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from ndnkit.intmath import _SMALL_PRIMES, is_probable_prime, wnaf
-from ndnkit.pairing import ate
+from ndnkit.pairing import ate, curve
 from ndnkit.pairing.fields import N, X_PARAM
 from ndnkit.signatures import dlgroup, ecdsa
 from ndnkit.signatures.params import DL_G, DL_P, DL_Q, SECP160R1
@@ -185,3 +185,57 @@ def test_comb_rejects_a_negative_scalar():
     for comb in (dlgroup._table(DL_G), ecdsa._comb(SECP160R1.gx, SECP160R1.gy)):
         with pytest.raises(ValueError, match="negative scalar"):
             comb.mul(-1)
+
+
+# --- the one point-summing routine -------------------------------------------
+
+
+def _chain(ops, points):
+    """The sum of points by a left-to-right chain of two-point additions."""
+    acc = None
+    for pt in points:
+        acc = ops.add(acc, pt)
+    return acc
+
+
+@pytest.mark.parametrize("name", ["bn160-g1", "secp160r1"])
+def test_long_folds_match_a_chain_of_additions(name):
+    # a Jacobian record folds 2 * fold_pairs = 52 points or more in affine
+    # rounds of add_pairs, which must leave equal and negated pairs, in the
+    # first round or a later one, to add_mixed
+    if name == "secp160r1":
+        ops, mul, order = ecdsa._OPS, ecdsa.base_mul, SECP160R1.n
+    else:
+        g = curve.g1_generator().point
+        ops, mul, order = curve.G1, lambda k: curve.g1_mul(g, k), N
+    rng = random.Random(len(name))
+    pool = [mul(rng.randrange(1, order)) for _ in range(70)]
+    rounds = []
+
+    def add_pairs(pairs):
+        rounds.append(len(pairs))
+        return ops.add_pairs(pairs)
+
+    counted = ops._replace(add_pairs=add_pairs)
+    assert 2 * counted.fold_pairs == 52
+    for n in range(51, 71):
+        half, odd = pool[: n // 2], pool[n // 2 : n // 2 + n % 2]
+        mixed = half + half[: n // 4] + [ops.negate(pt) for pt in half[: n - n // 2 - n // 4]]
+        rng.shuffle(mixed)
+        cases = [
+            pool[:n],
+            [q for pt in half for q in (pt, pt)] + odd,
+            [q for pt in half for q in (pt, ops.negate(pt))] + odd,
+            pool[:2] * (n // 2) + pool[2 : 2 + n % 2],  # equal pairs after the first round
+            [pool[n - 51]] * n,
+            mixed,
+        ]
+        for points in cases:
+            assert len(points) == n
+            before = list(points)
+            assert counted.fold(points) == _chain(ops, points)
+            assert points == before
+        # random points: a round from 52 on, and no add_pairs call below that
+        del rounds[:]
+        counted.fold(pool[:n])
+        assert bool(rounds) == (n >= 52)

@@ -11,6 +11,7 @@ import random
 
 import pytest
 
+from ndnkit import intmath
 from ndnkit.accel import LocalPairingServer, sav_verify
 from ndnkit.intmath import jacobian_ops
 from ndnkit.netcoding import Generation, nc_keygen, nc_sign, split_and_augment
@@ -416,10 +417,27 @@ def test_cached_multi_exp_is_reusable():
 @pytest.fixture(params=["every_round", "measured_threshold"])
 def round_threshold(request, monkeypatch):
     """Runs a test twice: once with every affine round taken, so that small
-    sums reach the round code, and once at the engine's own thresholds."""
-    if request.param == "every_round":
-        monkeypatch.setattr(curve, "_ROUND_MIN_PAIRS", 1)
-        monkeypatch.setattr(curve, "_ROUND_MIN_ENTRIES_PER_BIT", 0)
+    sums reach the round code, and once at the records' own thresholds.
+    With every round taken, the test must have run a round of add_pairs in
+    a multi-exp's sum, one over more than one bit."""
+    if request.param == "measured_threshold":
+        yield
+        return
+    monkeypatch.setattr(intmath.CurveOps, "fold_pairs", 1)
+    monkeypatch.setattr(intmath, "_ROUND_MIN_ENTRIES_PER_BIT", 0)
+    round_bits = []  # per add_pairs call in a sum, that sum's bit count
+    sum_bits = intmath.CurveOps.sum_bits
+
+    def counted_sum_bits(ops, adds):
+        def add_pairs(pairs):
+            round_bits.append(len(adds))
+            return ops.add_pairs(pairs)
+
+        return sum_bits(ops._replace(add_pairs=add_pairs), adds)
+
+    monkeypatch.setattr(intmath.CurveOps, "sum_bits", counted_sum_bits)
+    yield
+    assert any(bits > 1 for bits in round_bits)
 
 
 def test_affine_rounds_meet_a_negated_or_equal_sum(round_threshold):
@@ -458,7 +476,7 @@ def test_cached_combine_adds_once_per_bit(monkeypatch):
     # the affine rounds leave one entry per bit for add_mixed, over ~80
     # doublings: without them a 40-base combine made ~710 mixed additions
     # over ~160 doublings.  A round too small to repay its inversion is
-    # skipped, which leaves fewer than 2 * _ROUND_MIN_PAIRS entries more.
+    # skipped, which leaves fewer than 2 * fold_pairs entries more.
     bases = _random_bases(40)
     cached = curve.G1MultiExp(bases)
     scalars = [rand_scalar() for _ in bases]
@@ -476,8 +494,9 @@ def test_cached_combine_adds_once_per_bit(monkeypatch):
 
     monkeypatch.setattr(curve, "G1", curve.G1._replace(**{n: counted(n) for n in calls}))
     bits = 81  # GLV halves are below 2^80, and a width-w NAF may carry one bit more
-    for threshold, slack in ((1, 0), (curve._ROUND_MIN_PAIRS, 2 * (curve._ROUND_MIN_PAIRS - 1))):
-        monkeypatch.setattr(curve, "_ROUND_MIN_PAIRS", threshold)
+    measured = curve.G1.fold_pairs
+    for threshold, slack in ((1, 0), (measured, 2 * (measured - 1))):
+        monkeypatch.setattr(intmath.CurveOps, "fold_pairs", threshold)
         calls.update(add_mixed=0, dbl=0)
         assert cached.combine(scalars) == expected
         # random bases leave no equal-x pairs behind
