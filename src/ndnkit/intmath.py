@@ -179,7 +179,7 @@ class CurveOps(NamedTuple):
         adds what is left of each bit with mixed additions, and one
         conversion goes back to affine.  A round puts a new list in adds[j],
         so adds changes but the caller's lists do not."""
-        if sum(map(len, adds)) >= max(2 * self.fold_pairs, _ROUND_MIN_ENTRIES_PER_BIT * len(adds)):
+        if 2 * self.fold_pairs <= sum(map(len, adds)) >= _ROUND_MIN_ENTRIES_PER_BIT * len(adds):
             held = {}
             live = [j for j, entries in enumerate(adds) if len(entries) > 1]
             while True:
