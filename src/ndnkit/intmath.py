@@ -1,7 +1,8 @@
 """Integer and group-arithmetic helpers shared by the crypto modules: the
 primality test, the signed-digit recoder wnaf, the curve group record
-CurveOps, whose sum_bits is the one routine that sums curve points, and
-the fixed-base comb Comb."""
+CurveOps, whose pair_off is the one round loop that sums curve points
+pairwise (sum_bits runs it over a multi-exp's bits, sums over independent
+sums), and the fixed-base comb Comb."""
 
 import hashlib
 import random
@@ -102,6 +103,8 @@ def invert_all(values, p: int) -> list[int]:
     """The inverses mod p of a list of values, none 0 mod p, with one
     inversion: Montgomery's trick inverts the product of the values, then
     peels off one value at a time."""
+    if len(values) == 1:  # a lone value, as one ECDSA signature inverts, skips the trick
+        return [pow(values[0], -1, p)]
     prefix = []
     acc = 1
     for v in values:
@@ -124,6 +127,7 @@ def invert_all(values, p: int) -> list[int]:
 # blinding and g2_mul average under 0.5.
 _ROUND_MIN_ENTRIES_PER_BIT = 2
 _X = itemgetter(0)  # an affine point's x
+_Z = itemgetter(2)  # a Jacobian point's Z
 
 
 class CurveOps(NamedTuple):
@@ -147,7 +151,7 @@ class CurveOps(NamedTuple):
     add_pairs: Callable
     neg: Callable
     identity: tuple
-    # the fewest pairs a round of add_pairs in sum_bits must sum to repay its
+    # the fewest pairs a round of add_pairs in pair_off must sum to repay its
     # inversion.  Timed on G1 against leaving the same entries to add_mixed
     # (one CPU of a 2-vCPU Xeon VM, Python 3.11), a round costs about 24 us
     # fixed, mostly its inversion, and saves about 0.9 us a pair, so it
@@ -170,43 +174,11 @@ class CurveOps(NamedTuple):
     def sum_bits(self, adds):
         """The sum over j of 2^j times the sum of adds[j], affine, where
         each adds[j] is a list of affine points, none the identity.  First
-        each bit's entries are summed pairwise, in rounds of one add_pairs
-        call across all bits, while a round has fold_pairs pairs; a pair
-        with equal x (P = +-Q, which add_pairs cannot take) stays behind for
-        add_mixed, which doubles or cancels it.  A sum too small for its
-        first round, or of fewer than _ROUND_MIN_ENTRIES_PER_BIT entries a
-        bit, runs none.  Then one run of doublings, from the top bit down,
-        adds what is left of each bit with mixed additions, and one
-        conversion goes back to affine.  A round puts a new list in adds[j],
-        so adds changes but the caller's lists do not."""
-        if 2 * self.fold_pairs <= sum(map(len, adds)) >= _ROUND_MIN_ENTRIES_PER_BIT * len(adds):
-            held = {}
-            live = [j for j, entries in enumerate(adds) if len(entries) > 1]
-            while True:
-                firsts, seconds = [], []
-                for j in live:
-                    paired = adds[j][: len(adds[j]) & ~1]
-                    firsts += paired[::2]
-                    seconds += paired[1::2]
-                if len(firsts) < self.fold_pairs:
-                    break
-                if all(map(ne, map(_X, firsts), map(_X, seconds))):  # no pair has equal x
-                    sums = self.add_pairs(list(zip(firsts, seconds)))
-                    at = 0
-                    for j in live:
-                        entries = adds[j]
-                        n = len(entries) >> 1
-                        adds[j] = sums[at : at + n] + entries[2 * n :]
-                        at += n
-                else:
-                    for j in live:
-                        entries, rest = adds[j], []
-                        for a, b in zip(entries[::2], entries[1::2]):
-                            (held.setdefault(j, []) if a[0] == b[0] else rest).extend((a, b))
-                        adds[j] = rest + entries[len(entries) & ~1 :]
-                live = [j for j in live if len(adds[j]) > 1]
-            for j, entries in held.items():
-                adds[j] += entries
+        pair_off sums each bit's entries pairwise; then one run of
+        doublings, from the top bit down, adds what is left of each bit with
+        mixed additions, and one conversion goes back to affine.  adds
+        changes but the caller's lists do not."""
+        self.pair_off(adds)
         dbl, add = self.dbl, self.add_mixed
         X, Y, Z = self.identity
         for entries in reversed(adds):
@@ -215,6 +187,66 @@ class CurveOps(NamedTuple):
             for x, y in entries:
                 X, Y, Z = add(X, Y, Z, x, y)
         return self.to_affine(X, Y, Z)
+
+    def sums(self, lists):
+        """The sum of each of lists, affine (None for an empty or cancelling
+        list), where each list holds affine points, none the identity.
+        pair_off sums each list's entries pairwise as it would a bit's; then
+        each list's rest is a chain of mixed additions, and one normalize
+        takes every sum back to affine.  lists changes but the caller's
+        lists do not."""
+        self.pair_off(lists)
+        add, start = self.add_mixed, self.identity
+        zero = start[2]
+        jac = []
+        for entries in lists:
+            X, Y, Z = start
+            for x, y in entries:
+                X, Y, Z = add(X, Y, Z, x, y)
+            jac.append((X, Y, Z))
+        if zero not in map(_Z, jac):
+            return self.normalize(jac)
+        affine = iter(self.normalize([pt for pt in jac if pt[2] != zero]))
+        return [None if pt[2] == zero else next(affine) for pt in jac]
+
+    def pair_off(self, adds):
+        """Sum the entries of each list in adds pairwise, in rounds of one
+        add_pairs call across all lists, while a round has fold_pairs pairs;
+        a pair with equal x (P = +-Q, which add_pairs cannot take) stays
+        behind for add_mixed, which doubles or cancels it.  A total too
+        small for the first round, or of fewer than
+        _ROUND_MIN_ENTRIES_PER_BIT entries a list, runs none.  A round puts
+        a new list in adds[j], so adds changes but the caller's lists do
+        not, and each adds[j] keeps the sum it had."""
+        if not 2 * self.fold_pairs <= sum(map(len, adds)) >= _ROUND_MIN_ENTRIES_PER_BIT * len(adds):
+            return
+        held = {}
+        live = [j for j, entries in enumerate(adds) if len(entries) > 1]
+        while True:
+            firsts, seconds = [], []
+            for j in live:
+                paired = adds[j][: len(adds[j]) & ~1]
+                firsts += paired[::2]
+                seconds += paired[1::2]
+            if len(firsts) < self.fold_pairs:
+                break
+            if all(map(ne, map(_X, firsts), map(_X, seconds))):  # no pair has equal x
+                sums = self.add_pairs(list(zip(firsts, seconds)))
+                at = 0
+                for j in live:
+                    entries = adds[j]
+                    n = len(entries) >> 1
+                    adds[j] = sums[at : at + n] + entries[2 * n :]
+                    at += n
+            else:
+                for j in live:
+                    entries, rest = adds[j], []
+                    for a, b in zip(entries[::2], entries[1::2]):
+                        (held.setdefault(j, []) if a[0] == b[0] else rest).extend((a, b))
+                    adds[j] = rest + entries[len(entries) & ~1 :]
+            live = [j for j in live if len(adds[j]) > 1]
+        for j, entries in held.items():
+            adds[j] += entries
 
     def comb_rows(self, base, w: int, count: int, nrows: int):
         """Row j < nrows holds d * 2^(wj) * base for d = 1..count, affine

@@ -14,6 +14,14 @@ inversion.  The first verify under a new key also pays for its table
 built for it.  Signature integers are emitted at the curve's fixed width,
 with the nonce resampled in the (astronomically rare) case an integer does
 not fit.
+
+A nonce's pair (r, k^-1) does not depend on the message, so it can be made
+ahead (Naccache-M'Raihi-Vaudenay-Raphaeli, "Can D.S.A. be improved?",
+EUROCRYPT '94).  precompute_nonces makes a batch of pairs: the comb picks
+of all its k are summed as independent sums through shared affine rounds
+and one normalize, and all its k are inverted together.  sign takes one
+pair from it per signature, or from a NoncePool that a long-lived signer
+refills a batch at a time; the signature bytes are the same either way.
 """
 
 from __future__ import annotations
@@ -23,11 +31,12 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 
-from ..intmath import Comb, i2osp, jacobian_ops, os2ip
+from ..intmath import Comb, i2osp, invert_all, jacobian_ops, os2ip
 from .params import SCHEME_ECDSA, SECP160R1, SchemeParams
 
 _P, _A, _B, _N = SECP160R1.p, SECP160R1.a, SECP160R1.b, SECP160R1.n
 _WIDTH = SECP160R1.scalar_bytes
+_BOUND = 1 << (8 * _WIDTH)  # r and s must fit the signature's fixed width
 _OPS = jacobian_ops(_P, _A)
 _DIGEST_SHIFT = 256 - _N.bit_length()  # sha256 truncated to the order's bits
 
@@ -94,19 +103,49 @@ def keygen(params: SchemeParams, rng: random.Random | None = None) -> EcdsaPriva
     return EcdsaPrivateKey(d=d, qx=qx, qy=qy)
 
 
-def sign(key: EcdsaPrivateKey, msg: bytes, rng: random.Random | None = None) -> bytes:
+def precompute_nonces(rng: random.Random, count: int) -> list[tuple[int, int]]:
+    """count pairs (r, k^-1 mod n) for nonces k drawn from rng in turn, r
+    being the x of k * G mod n; a k whose r is 0 or does not fit the
+    signature's width is dropped for the next draw, so a batch holds the
+    pairs that count single calls would give.  The generator comb's picks
+    of all the nonces are summed as independent sums (CurveOps.sums: the
+    affine rounds of add_pairs across the batch, then one normalize), and
+    every k is inverted by one invert_all mod n."""
+    ks = [rng.randrange(1, _N) for _ in range(count)]
+    points = _OPS.sums(list(map(_gen_comb().picks, ks)))
+    pairs = [(r, k_inv) for (x, _), k_inv in zip(points, invert_all(ks, _N))
+             if 0 < (r := x % _N) < _BOUND]
+    if len(pairs) < count:
+        pairs += precompute_nonces(rng, count - len(pairs))
+    return pairs
+
+
+class NoncePool:
+    """A signer's nonces, precomputed size at a time from one rng: sign
+    takes a pool in place of an rng and uses its pairs in the order drawn,
+    so the pool signs as that rng would, one nonce at a time."""
+
+    def __init__(self, rng: random.Random, size: int):
+        self.rng = rng
+        self.size = size
+        self.pairs: list[tuple[int, int]] = []  # the next pair last
+
+    def take(self) -> tuple[int, int]:
+        if not self.pairs:
+            self.pairs = precompute_nonces(self.rng, self.size)[::-1]
+        return self.pairs.pop()
+
+
+def sign(key: EcdsaPrivateKey, msg: bytes,
+         rng: random.Random | NoncePool | None = None) -> bytes:
+    pool = rng if isinstance(rng, NoncePool) else None
     rng = rng or random.SystemRandom()
     z = _digest(msg)
-    bound = 1 << (8 * _WIDTH)
     while True:
-        k = rng.randrange(1, _N)
-        r = base_mul(k)[0] % _N
-        if r == 0 or r >= bound:
-            continue
-        s = pow(k, -1, _N) * (z + r * key.d) % _N
-        if s == 0 or s >= bound:
-            continue
-        return i2osp(r, _WIDTH) + i2osp(s, _WIDTH)
+        r, k_inv = pool.take() if pool else precompute_nonces(rng, 1)[0]
+        s = k_inv * (z + r * key.d) % _N
+        if 0 < s < _BOUND:
+            return i2osp(r, _WIDTH) + i2osp(s, _WIDTH)
 
 
 def verify(key: EcdsaPublicKey, msg: bytes, sig: bytes) -> bool:

@@ -126,7 +126,8 @@ def test_bench_files_give_medians_iqr_and_marks(tmp_path, spec_file):
     lines, flagged = bench_compare.compare_bench(parent, change, spec_file)
     rows = {line.split()[0]: line for line in lines[2:]}
     assert lines[0] == "== crypto_suite seeds=1,2,3 vs 1,2,3"
-    assert "failed: parent 0/300, change 0/300; digests: 0 of 3 shared units differ" in lines[1]
+    assert lines[1].endswith(
+        "failed: parent 0/300, change 0/300; digests: 0 of 3 shared seeds differ in their first 10 units")
     assert set(rows) == {"sign_us.bls", "verify_us.bls", "requests_per_s"}
     assert "850 iqr 10" in rows["sign_us.bls"] and "600 iqr 12" in rows["sign_us.bls"]
     assert rows["sign_us.bls"].endswith("-29.4% gain")
@@ -150,4 +151,36 @@ def test_bench_files_through_the_command_line(tmp_path, capsys):
     assert bench_compare.main([str(parent), str(other)]) == 1
     out = capsys.readouterr().out
     assert out.startswith("!! different machines")
-    assert "change 1/300; digests: 3 of 3 shared units differ" in out
+    assert "change 1/300; digests: 3 of 3 shared seeds differ in their first 10 units" in out
+
+
+def test_one_changed_unit_among_the_first_ten_is_flagged(tmp_path, spec_file):
+    # the parent lists every unit's digests, as BENCH_9 and earlier files do;
+    # the change keeps bench_record's one digest per seed
+    units = [{"unit": u, "requests": 100, "trace_sha256": f"t{u}", "counters_sha256": f"c{u}"}
+             for u in range(14)]
+    parent = _bench(tmp_path / "BENCH_9.json", {"sign_us.bls": (850.0, 10.0)})
+    doc = json.loads(parent.read_text())
+    doc["workloads"]["crypto_suite"]["digests"] = {str(s): units for s in (1, 2, 3)}
+    parent.write_text(json.dumps(doc))
+    change = tmp_path / "BENCH_10.json"
+
+    def compare_with(seed_units):
+        doc["workloads"]["crypto_suite"]["digests"] = {
+            str(s): bench_compare.prefix_digest(u) for s, u in zip((1, 2, 3), seed_units)}
+        change.write_text(json.dumps(doc))
+        lines, flagged = bench_compare.compare_bench(parent, change, spec_file)
+        return lines[1].split("digests: ")[1], flagged
+
+    assert bench_compare.DIGEST_UNITS == 10
+    assert compare_with([units, units, units[::-1]]) == (
+        "0 of 3 shared seeds differ in their first 10 units", False)
+    for unit in range(10):
+        changed = [dict(d, trace_sha256="x") if d["unit"] == unit else d for d in units]
+        assert compare_with([units, units, changed]) == (
+            "1 of 3 shared seeds differ in their first 10 units", True)
+    # units past the first ten are not kept, and a seed whose run reached
+    # fewer units than the other's is not compared
+    changed = [dict(d, counters_sha256="x") if d["unit"] == 12 else d for d in units]
+    assert compare_with([units, units[:9], changed]) == (
+        "0 of 2 shared seeds differ in their first 10 units", False)

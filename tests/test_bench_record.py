@@ -1,5 +1,6 @@
 """tools/bench_record.py's summary, on synthetic perfbench run records."""
 
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -51,8 +52,9 @@ def test_summary_of_seeded_runs(tmp_path):
     # seed 9 and the traced run are not among the chosen runs
     assert summary["metrics"]["sign_us.bls"] == {
         "unit": "us", "median": 30.0, "iqr": 30.0, "raw_median": 60.0, "raw_iqr": 60.0, "n": 5}
-    assert summary["digests"]["3"] == [
-        {"unit": 0, "requests": 100, "trace_sha256": "t3", "counters_sha256": "c3"}]
+    # one digest per seed, over its first units' trace and counter digests
+    assert summary["digests"]["3"] == {
+        "units": 1, "sha256": hashlib.sha256(b"t3c3").hexdigest()}
 
 
 def test_a_missing_run_is_an_error(tmp_path):

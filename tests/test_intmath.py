@@ -1,9 +1,11 @@
+import functools
 import random
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ndnkit.intmath import _SMALL_PRIMES, is_probable_prime, wnaf
 from ndnkit.pairing import ate, curve
@@ -239,3 +241,83 @@ def test_long_folds_match_a_chain_of_additions(name):
         del rounds[:]
         counted.fold(pool[:n])
         assert bool(rounds) == (n >= 52)
+
+
+@functools.lru_cache(maxsize=None)
+def _pool(name):
+    """The named record and 40 random points on it."""
+    if name == "secp160r1":
+        ops, mul, order = ecdsa._OPS, ecdsa.base_mul, SECP160R1.n
+    else:
+        g = curve.g1_generator().point
+        ops, mul, order = curve.G1, lambda k: curve.g1_mul(g, k), N
+    rng = random.Random(len(name) + 40)
+    return ops, [mul(rng.randrange(1, order)) for _ in range(40)]
+
+
+def _sums_and_rounds(ops, lists):
+    """ops.sums(lists), with the pair count of each add_pairs call it made."""
+    rounds = []
+
+    def add_pairs(pairs):
+        rounds.append(len(pairs))
+        return ops.add_pairs(pairs)
+
+    inner, before = list(lists), [list(entries) for entries in lists]
+    sums = ops._replace(add_pairs=add_pairs).sums(list(lists))
+    assert inner == before  # the caller's lists are left as they were
+    return sums, rounds
+
+
+@pytest.mark.parametrize("name", ["bn160-g1", "secp160r1"])
+def test_independent_sums_of_edge_shapes_match_chains(name):
+    ops, pool = _pool(name)
+    p, q = pool[:2]
+    lists = [
+        [], [p], [p, p], [p, ops.negate(p)], [p, q, ops.negate(p)], [q, p, p, q, q],
+        [p] * 7,
+    ]
+    sums, rounds = _sums_and_rounds(ops, [list(entries) for entries in lists])
+    assert sums == [_chain(ops, entries) for entries in lists]
+    assert sums[0] is None and sums[3] is None and sums[1] == p
+    assert rounds == []  # 20 entries: below 2 * fold_pairs
+    assert ops.sums([]) == []
+    # 30 two-entry lists: one round of 30 pairs, after which each is one entry;
+    # two lists of 30: a round of 30 pairs, then 15 pairs, below fold_pairs
+    for shape in ([2] * 30, [30, 30]):
+        lists = [pool[i : i + n] for i, n in enumerate(shape)]
+        sums, rounds = _sums_and_rounds(ops, lists)
+        assert rounds == [30]
+        assert sums == [_chain(ops, entries) for entries in lists]
+    # equal and negated pairs in a round are held for add_mixed, in the first
+    # round and after it
+    lists = [[pt, pt] for pt in pool[:14]] + [[pt, ops.negate(pt)] for pt in pool[14:28]]
+    lists += [pool[:2] * 8, [pool[5]] * 16]
+    sums, rounds = _sums_and_rounds(ops, lists)
+    assert sums == [_chain(ops, entries) for entries in lists]
+    assert sums[14:28] == [None] * 14
+
+
+@pytest.mark.parametrize("name", ["bn160-g1", "secp160r1"])
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_independent_sums_match_chains_and_run_rounds_only_past_the_gate(name, data):
+    ops, pool = _pool(name)
+    n = st.integers(0, len(pool) - 1)
+    entry = st.one_of(
+        n.map(lambda i: [pool[i]]),
+        n.map(lambda i: [pool[i], pool[i]]),  # P + P
+        n.map(lambda i: [pool[i], ops.negate(pool[i])]),  # P + -P
+    )
+    count = data.draw(st.integers(0, 20))
+    sizes = data.draw(st.lists(st.integers(0, 12), min_size=count, max_size=count))
+    lists = [sum(data.draw(st.lists(entry, min_size=k, max_size=k)), []) for k in sizes]
+    sums, rounds = _sums_and_rounds(ops, lists)
+    assert sums == [_chain(ops, entries) for entries in lists]
+    total = sum(map(len, lists))
+    gate = 2 * ops.fold_pairs <= total >= 2 * len(lists)
+    assert not rounds or gate
+    assert all(size >= ops.fold_pairs for size in rounds)
+    if gate and all(len({pt[0] for pt in entries}) == len(entries) for entries in lists):
+        # no equal x anywhere: a first round of fold_pairs pairs always runs
+        assert bool(rounds) == (sum(len(entries) // 2 for entries in lists) >= ops.fold_pairs)

@@ -394,6 +394,64 @@ def test_ecdsa_fresh_nonces(ecdsa_key):
     assert len({ecdsa.sign(ecdsa_key, MSG) for _ in range(8)}) == 8
 
 
+def test_ecdsa_signatures_from_seeded_streams_are_pinned(ecdsa_key):
+    # three signatures from each of twelve seeded streams; the digest was
+    # taken before signing drew its nonces through precompute_nonces
+    digest = hashlib.sha256()
+    for seed in range(12):
+        rng = random.Random(seed)
+        for i in range(3):
+            digest.update(ecdsa.sign(ecdsa_key, b"msg/%d/%d" % (seed, i), rng))
+    assert digest.hexdigest() == "50204d9b1b4f0bcf3632a7511c786656768c93a33dcaaa6960fecc678f0a5531"
+
+
+def _reference_nonce(k):
+    """(r, k^-1 mod n) by one base_mul and one pow."""
+    return ecdsa.base_mul(k)[0] % SECP160R1.n, pow(k, -1, SECP160R1.n)
+
+
+@pytest.mark.parametrize("count", [1, 2, 16, 33])
+def test_a_nonce_batch_equals_single_draws(count):
+    batch = ecdsa.precompute_nonces(random.Random(count), count)
+    rng = random.Random(count)
+    assert batch == [ecdsa.precompute_nonces(rng, 1)[0] for _ in range(count)]
+    rng = random.Random(count)
+    assert batch == [_reference_nonce(rng.randrange(1, SECP160R1.n)) for _ in range(count)]
+
+
+def test_a_nonce_batch_drops_an_r_of_zero_or_past_the_width(monkeypatch):
+    # no findable k has x(kG) = 0, so the sums are doctored: the third draw's
+    # point gets x = 0, the sixth's an x of 2^160, which does not fit 20 bytes
+    n = SECP160R1.n
+    rng = random.Random(5)
+    draws = [rng.randrange(1, n) for _ in range(10)]
+    doctored = {ecdsa.base_mul(draws[2]): 0, ecdsa.base_mul(draws[5]): 1 << 160}
+    ops = ecdsa._OPS
+
+    class Doctored:
+        def sums(self, lists):
+            return [(doctored.get(pt, pt[0]), pt[1]) for pt in ops.sums(lists)]
+
+    monkeypatch.setattr(ecdsa, "_OPS", Doctored())
+    batch = ecdsa.precompute_nonces(random.Random(5), 8)
+    assert all(0 < r < 1 << 160 for r, _ in batch)
+    assert batch == [_reference_nonce(k) for i, k in enumerate(draws) if i not in (2, 5)]
+    # single draws skip the same nonces
+    rng = random.Random(5)
+    assert [ecdsa.precompute_nonces(rng, 1)[0] for _ in range(8)] == batch
+
+
+def test_a_nonce_pool_signs_as_its_rng_would(ecdsa_key):
+    pool = ecdsa.NoncePool(random.Random(17), 4)
+    rng = random.Random(17)
+    msgs = [b"%d" % i for i in range(6)]
+    assert [ecdsa.sign(ecdsa_key, m, pool) for m in msgs] == [
+        ecdsa.sign(ecdsa_key, m, rng) for m in msgs]
+    assert len(pool.pairs) == 2  # two refills of four, two pairs left
+    pub = ecdsa_key.public()
+    assert all(ecdsa.verify(pub, m, ecdsa.sign(ecdsa_key, m, pool)) for m in msgs)
+
+
 def test_ecdsa_rejects_malformed(ecdsa_key):
     pub = ecdsa_key.public()
     sig = ecdsa.sign(ecdsa_key, MSG)

@@ -5,6 +5,7 @@ from collections import Counter
 
 import pytest
 
+from ndnkit import signatures as sigs
 from ndnkit import simnet
 from ndnkit.naming import Name, parse_name
 from ndnkit.simnet import (
@@ -18,7 +19,8 @@ from ndnkit.simnet import (
     producer_payload,
     run,
 )
-from ndnkit.wire import CodecError, Interest, encode
+from ndnkit.signatures import ecdsa
+from ndnkit.wire import CodecError, Interest, encode, signed_portion
 
 CONTENT_NAME = "/snnu/images/a.jpg/v1/s1"
 
@@ -658,27 +660,65 @@ def test_benchmark_shaped_runs_replay_to_pinned_digests(shape, expected):
     ) == expected
 
 
-def test_a_producer_re_signs_evicted_data_to_the_same_bytes(monkeypatch):
-    signed = Counter()
-    sign = simnet.sigs.sign
+def _record_signing(monkeypatch) -> list:
+    """(producer's public key, Data) for each Data a producer signs from now on."""
+    signed = []
+    sign = simnet._Producer.sign
 
-    def counting_sign(key, portion, rng):
-        signed[portion] += 1
-        return sign(key, portion, rng)
+    def recording_sign(producer, name, content):
+        data = sign(producer, name, content)
+        signed.append((producer.key.public(), data))
+        return data
 
-    monkeypatch.setattr(simnet.sigs, "sign", counting_sign)
+    monkeypatch.setattr(simnet._Producer, "sign", recording_sign)
+    return signed
+
+
+def _fresh_signatures(signed) -> bool:
+    """Every Data verifies under its producer's key, and no two share r."""
+    rs = [data.signature[:20] for _, data in signed]
+    return len(set(rs)) == len(rs) and all(
+        sigs.verify(pub, signed_portion(data), data.signature) for pub, data in signed)
+
+
+def test_a_producer_re_signs_evicted_data_with_a_fresh_nonce(monkeypatch):
+    signed = _record_signing(monkeypatch)
     config = json.loads(_bench_tree("ecdsa", False, ZIPF_NAMES, True, 7, 100))
     # one-entry caches send repeated names back to the producer
     for node in config["nodes"]:
         node["cs_capacity"] = 1
     kept = run(*load_config(config))
-    assert set(signed.values()) == {1}
+    assert set(Counter(data.name for _, data in signed).values()) == {1}
     signed.clear()
     monkeypatch.setattr(simnet, "CODEC_MEMO_ENTRIES", 2)
     evicted = run(*load_config(config))
-    assert max(signed.values()) > 1
+    assert max(Counter(data.name for _, data in signed).values()) > 1
+    # a Data signed again verifies, with an r not used before; no trace
+    # record or counter holds signature bytes
+    assert _fresh_signatures(signed)
     assert evicted.to_jsonl() == kept.to_jsonl()
     assert evicted.counters == kept.counters
+
+
+@pytest.mark.parametrize("scheme", ["ecdsa", "dsa"])
+def test_producers_sign_each_data_with_a_fresh_nonce(monkeypatch, scheme):
+    signed = _record_signing(monkeypatch)
+    batches = []
+    precompute = ecdsa.precompute_nonces
+
+    def counted(rng, count):
+        batches.append(count)
+        return precompute(rng, count)
+
+    monkeypatch.setattr(ecdsa, "precompute_nonces", counted)
+    trace = run(*load_config(_bench_tree(scheme, False, CHURN_NAMES, False, 7, 100)))
+    assert all(r.delivered is not None for r in trace.requests)
+    assert len(signed) > 90 and _fresh_signatures(signed)
+    # an ECDSA producer draws its nonces NONCE_BATCH at a time
+    if scheme == "ecdsa":
+        assert batches == [simnet.NONCE_BATCH] * -(-len(signed) // simnet.NONCE_BATCH)
+    else:
+        assert batches == []
 
 
 def test_each_packet_is_encoded_once_and_each_blob_decoded_once(monkeypatch):

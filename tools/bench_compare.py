@@ -17,10 +17,14 @@ runs of the same seed. The exit status is 1 if anything was flagged.
 
 Given two ``BENCH_<n>.json`` files (see ``tools/bench_record.py``), it prints
 the same table from their summaries: each side's median and interquartile
-range, the relative change, ``WORSE`` past a bound and the failures and
-digests of the seeds both ran. A summary keeps no per-seed values, so no
-pairs are counted: ``gain`` marks a better median by more than the parent's
-IQR, and a line warns when the two files come from different machines.
+range, the relative change, ``WORSE`` past a bound and the failures of
+both sides. A summary keeps no per-seed values, so no pairs are counted:
+``gain`` marks a better median by more than the parent's IQR, and a line
+warns when the two files come from different machines. A BENCH file keeps
+one digest per seed over its first ``DIGEST_UNITS`` sim units
+(``prefix_digest``); for a file that lists every unit's digests (BENCH_9 and
+before), the same value is derived from the list, and the seeds both files
+ran are compared by it.
 
 The records are only read; nothing under ``perfbench/`` is run or changed.
 """
@@ -28,6 +32,7 @@ The records are only read; nothing under ``perfbench/`` is run or changed.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import statistics
 import sys
@@ -35,6 +40,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 GAIN_SHARE = 0.9
+# sim units per seed that a BENCH file's digest covers: every 30 s run in
+# BENCH_0..BENCH_9 reached 14 or more (crypto_suite, whose sim units are its
+# companion's, had the fewest)
+DIGEST_UNITS = 10
 
 
 def load_records(path: Path) -> dict:
@@ -101,6 +110,25 @@ def _digest_mismatches(parent: dict, change: dict) -> tuple[int, int]:
     return shared, differ
 
 
+def prefix_digest(units: list) -> dict:
+    """One seed's unit digests as a BENCH file keeps them: the sha256 over the
+    trace and counter digests of its first DIGEST_UNITS units, in unit order,
+    and the number of units it covers."""
+    first = sorted(units, key=lambda d: d["unit"])[:DIGEST_UNITS]
+    text = "".join(d["trace_sha256"] + d["counters_sha256"] for d in first)
+    return {"units": len(first), "sha256": hashlib.sha256(text.encode()).hexdigest()}
+
+
+def _seed_mismatches(parent: dict, change: dict) -> tuple[int, int]:
+    """(shared seeds, seeds whose digests differ) of two BENCH summaries'
+    digests; a seed is shared when both digests cover as many units."""
+    seeds = [{s: d if isinstance(d, dict) else prefix_digest(d) for s, d in side.items()}
+             for side in (parent, change)]
+    shared = [s for s in seeds[0].keys() & seeds[1].keys()
+              if seeds[0][s]["units"] == seeds[1][s]["units"]]
+    return len(shared), sum(seeds[0][s] != seeds[1][s] for s in shared)
+
+
 def compare(parent_dir: Path, change_dir: Path, benchmark: Path = ROOT / "BENCHMARK.json"):
     """Lines of the report, and whether anything was flagged."""
     specs = load_metric_specs(benchmark)
@@ -144,11 +172,12 @@ def compare_bench(parent_file: Path, change_file: Path, benchmark: Path = ROOT /
         lines.append(f"!! different machines: {parent['machine']} vs {change['machine']}")
     for workload in sorted(parent["workloads"].keys() & change["workloads"].keys()):
         p, c = parent["workloads"][workload], change["workloads"][workload]
-        shared, differ = _digest_mismatches(p["digests"], c["digests"])
+        shared, differ = _seed_mismatches(p["digests"], c["digests"])
         lines.append(f"== {workload} seeds={','.join(map(str, p['seeds']))}"
                      f" vs {','.join(map(str, c['seeds']))}")
         lines.append(f"   failed: parent {p['failed']}/{p['attempted']}, change {c['failed']}/"
-                     f"{c['attempted']}; digests: {differ} of {shared} shared units differ")
+                     f"{c['attempted']}; digests: {differ} of {shared} shared seeds differ"
+                     f" in their first {DIGEST_UNITS} units")
         flagged |= c["failed"] * p["attempted"] > p["failed"] * c["attempted"] or differ > 0
         for name in sorted(p["metrics"].keys() & c["metrics"].keys()):
             spec = specs.get(name, {"better": "lower", "bound": None})

@@ -12,7 +12,8 @@ root of this repository, n being the first unused index. The file holds the
 checkout's git SHA (and whether its tree had uncommitted changes), the
 machine (CPU model, nproc, Python version) and, per workload, every metric's
 median, interquartile range and count, both scaled to reference speed and
-raw, and the trace and counter digests of each sim unit of each seed.
+raw, and per seed one sha256 over the trace and counter digests of its first
+``bench_compare.DIGEST_UNITS`` (10) sim units, which every 30 s run reaches.
 Three workloads over five seeds at 30 s take about nine minutes.
 """
 
@@ -54,7 +55,8 @@ def summarize(by_seed: dict) -> dict:
         "attempted": sum(r["result"]["attempted"] for r in records),
         "failed": sum(r["result"]["failed"] for r in records),
         "metrics": metrics,
-        "digests": {str(s): by_seed[s]["digests"] for s in sorted(by_seed)},
+        "digests": {str(s): bench_compare.prefix_digest(by_seed[s]["digests"])
+                    for s in sorted(by_seed)},
     }
 
 
