@@ -22,11 +22,10 @@ local relation.
 
 from __future__ import annotations
 
-import queue
 import random
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Protocol, Sequence
+from typing import Protocol, Sequence
 
 from .pairing import (
     G1Point,
@@ -69,10 +68,6 @@ from .signatures.dlgroup import element_bytes
 from .signatures.rsa import RsaPublicKey, domain_digest
 
 ELL = 80
-
-
-class ServerUnavailable(RuntimeError):
-    """The pairing server did not answer."""
 
 
 # --- batch verification ------------------------------------------------------
@@ -292,44 +287,6 @@ class LocalPairingServer:
         p = G1Point.from_bytes(g1_blob)
         q = G2Point.from_bytes(g2_blob, check_subgroup=False)
         return gt_serialize(pairing(p, q))
-
-
-class QueuePairingServer:
-    """Message-passing server: requests and replies travel over queues, with
-    a worker thread standing in for the remote helper."""
-
-    TIMEOUT_S = 5.0
-
-    def __init__(self, worker: Callable[[bytes, bytes], bytes] | None = None):
-        self._requests: queue.Queue = queue.Queue()
-        self._worker = worker or LocalPairingServer().query
-        self._thread = threading.Thread(target=self._serve, daemon=True)
-        self._thread.start()
-
-    def _serve(self):
-        while True:
-            item = self._requests.get()
-            if item is None:
-                return
-            g1_blob, g2_blob, reply = item
-            try:
-                reply.put(self._worker(g1_blob, g2_blob))
-            except Exception:
-                reply.put(None)
-
-    def query(self, g1_blob: bytes, g2_blob: bytes) -> bytes:
-        reply: queue.Queue = queue.Queue()
-        self._requests.put((g1_blob, g2_blob, reply))
-        try:
-            answer = reply.get(timeout=self.TIMEOUT_S)
-        except queue.Empty:
-            raise ServerUnavailable("pairing server timed out") from None
-        if answer is None:
-            raise ServerUnavailable("pairing server failed")
-        return answer
-
-    def close(self):
-        self._requests.put(None)
 
 
 def sav_verify(

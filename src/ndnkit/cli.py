@@ -14,9 +14,6 @@ at matched strength, warm up with ten untimed iterations, read a monotonic
 clock, and pin themselves to one logical core where the platform allows.
 Timing tables report microseconds. Absolute numbers are hardware-specific;
 only orderings and ratios are meaningful across machines.
-
-Key generation at deliberately undersized parameters (for fast fixtures) is
-refused unless NDNKIT_ALLOW_TOY_PARAMS=1 is set in the environment.
 """
 
 from __future__ import annotations
@@ -29,13 +26,12 @@ import random
 import statistics
 import sys
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 from . import signatures as sigs
 from . import simnet
 
-TOY_ENV_VAR = "NDNKIT_ALLOW_TOY_PARAMS"
 OPERATIONS = ("keygen", "sign", "verify")
 BENCH_HEADER = ("scheme", "operation", "iterations", "mean_us", "stdev_us", "msg_size")
 WARMUP = 10
@@ -82,24 +78,23 @@ class _SchemeHarness:
     def __init__(self, name: str, rng: random.Random):
         self.name = name
         scheme_id = _scheme_id(name)
-        params = sigs.reference_params(scheme_id)
         self.rng = rng
         if name == "group":
-            setup = sigs.group_setup(params, rng)
+            setup = sigs.group_setup(rng=rng)
             cred = setup.credentials[0]
             self.keygen = setup.add_member
             self.sign = lambda msg: sigs.group_sign(cred, setup.group_key, msg, rng)
             self.verify = lambda msg, sig: sigs.group_verify(setup.group_key, msg, sig)
         elif name == "ring":
-            keys = [sigs.keygen(scheme_id, params, rng) for _ in range(params.ring_size)]
+            keys = [sigs.keygen(scheme_id, rng=rng) for _ in range(sigs.SchemeParams.ring_size)]
             pubs = [k.public() for k in keys]
-            self.keygen = lambda: sigs.keygen(scheme_id, params, rng)
+            self.keygen = lambda: sigs.keygen(scheme_id, rng=rng)
             self.sign = lambda msg: sigs.ring_sign(pubs, 0, keys[0], msg, rng)
             self.verify = lambda msg, sig: sigs.ring_verify(pubs, msg, sig)
         else:
-            key = sigs.keygen(scheme_id, params, rng)
+            key = sigs.keygen(scheme_id, rng=rng)
             pub = key.public()
-            self.keygen = lambda: sigs.keygen(scheme_id, params, rng)
+            self.keygen = lambda: sigs.keygen(scheme_id, rng=rng)
             self.sign = lambda msg: sigs.sign(key, msg, rng).data
             self.verify = lambda msg, sig: sigs.verify(pub, msg, sig)
 
@@ -246,28 +241,14 @@ def cmd_sim(args) -> int:
     return 0
 
 
-def _keygen_params(scheme_id: int, toy: bool) -> sigs.SchemeParams:
-    params = sigs.reference_params(scheme_id)
-    if toy:
-        params = replace(params, rsa_bits=512, allow_insecure=True)
-    return params
-
-
 def cmd_keygen(args) -> int:
-    if args.toy and os.environ.get(TOY_ENV_VAR) != "1":
-        print(
-            f"toy parameters are insecure; set {TOY_ENV_VAR}=1 to allow them",
-            file=sys.stderr,
-        )
-        return 2
     scheme_id = _scheme_id(args.scheme)
-    params = _keygen_params(scheme_id, args.toy)
     rng = random.Random(args.seed) if args.seed is not None else None
     if args.scheme == "group":
-        setup = sigs.group_setup(replace(params, group_size=1), rng)
+        setup = sigs.group_setup(rng=rng, members=1)
         private, public = setup.credentials[0], setup.group_key
     else:
-        private = sigs.keygen(scheme_id, params, rng)
+        private = sigs.keygen(scheme_id, rng=rng)
         public = private.public()
     out = Path(args.out)
     out.write_bytes(sigs.serialize_private(private))
@@ -329,9 +310,6 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="private key file; public half goes to FILE.pub")
     keygen.add_argument("--seed", type=int, default=None,
                         help="deterministic generation for reproducible fixtures")
-    keygen.add_argument("--toy", action="store_true",
-                        help=f"512-bit RSA for fast throwaway keys; DSA keeps the "
-                             f"fixed 1024-bit group (requires {TOY_ENV_VAR}=1)")
     keygen.set_defaults(func=cmd_keygen)
     return parser
 

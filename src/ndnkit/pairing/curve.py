@@ -89,13 +89,6 @@ _H2G1_TAG = b"ndnkit/hash-to-g1/v1"
 # --- G1 arithmetic (ints, Jacobian hot paths) --------------------------------
 
 
-def g1_on_curve(pt) -> bool:
-    if pt is None:
-        return True
-    x, y = pt
-    return (y * y - x * x * x - CURVE_B) % P == 0
-
-
 G1 = jacobian_ops(P, 0)
 
 

@@ -281,18 +281,6 @@ def f12_inv(x):
     return (tuple((c0 % P, c1 % P) for c0, c1 in f6_mul(a0, di)), f6_neg(f6_mul(a1, di)))
 
 
-def f12_pow(x, e):
-    """Generic square-and-multiply; slow path for tests and odd exponents."""
-    if e < 0:
-        raise ValueError("negative exponent needs a unitary base; use cyc_exp")
-    r = F12_ONE
-    for bit in bin(e)[2:]:
-        r = f12_sqr(r)
-        if bit == "1":
-            r = f12_mul(r, x)
-    return r
-
-
 # coefficient view: f = sum g_k w^k with g_k in Fp2,
 # (d0, d1) = ((g0, g2, g4), (g1, g3, g5))
 

@@ -166,7 +166,7 @@ def _group_public_ok(key: GroupPublicKey) -> bool:
 class _Scheme:
     public: type
     private: type
-    keygen: Callable | None  # (params, rng) -> private key
+    keygen: Callable | None  # (rng) -> private key
     sign: Callable | None  # (private key, msg, rng) -> signature bytes
     verify: Callable | None  # (public key, msg, signature bytes) -> bool
     public_ok: Callable  # loaded public key -> passes validation
@@ -222,13 +222,12 @@ def keygen(
     params: SchemeParams | None = None,
     rng: random.Random | None = None,
 ):
-    """Generate a key pair; group membership runs through group_setup instead."""
+    """Generate a key pair; group membership runs through group_setup instead.
+    A passed params must name scheme_id."""
     rec = _record(scheme_id, "keygen", ParameterError)
-    if params is None:
-        params = reference_params(scheme_id)
-    elif params.scheme_id != scheme_id:
+    if params is not None and params.scheme_id != scheme_id:
         raise SchemeMismatch("params carry a different scheme id")
-    return rec.keygen(params, rng)
+    return rec.keygen(rng)
 
 
 def sign(key, msg: bytes, rng: random.Random | None = None) -> Signature:

@@ -16,7 +16,7 @@ from ..pairing import (
     prepare_g2,
 )
 from ..pairing.curve import g1_mul, g2_mul_gen
-from .params import SCHEME_BLS, SchemeParams
+from .params import SCHEME_BLS
 
 SIGNATURE_BYTES = G1Point.SIZE
 
@@ -39,7 +39,7 @@ class BlsPrivateKey:
         return BlsPublicKey(self.point)
 
 
-def keygen(params: SchemeParams, rng: random.Random | None = None) -> BlsPrivateKey:
+def keygen(rng: random.Random | None = None) -> BlsPrivateKey:
     rng = rng or random.SystemRandom()
     x = rng.randrange(1, CURVE_ORDER)
     return BlsPrivateKey(x=x, point=G2Point(g2_mul_gen(x)))

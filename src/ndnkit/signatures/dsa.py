@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 from ..intmath import i2osp, os2ip
 from .dlgroup import gen_pow, key_pow, rand_scalar
-from .params import DL_P, DL_Q, SCHEME_DSA, SchemeParams
+from .params import DL_P, DL_Q, SCHEME_DSA
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,7 @@ def _digest(msg: bytes) -> int:
     return os2ip(hashlib.sha256(msg).digest()[:20])
 
 
-def keygen(params: SchemeParams, rng: random.Random | None = None) -> DsaPrivateKey:
+def keygen(rng: random.Random | None = None) -> DsaPrivateKey:
     rng = rng or random.SystemRandom()
     x = rand_scalar(rng)
     return DsaPrivateKey(x=x, y=gen_pow(x))

@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from ..intmath import Comb, i2osp, invert_all, jacobian_ops, os2ip
-from .params import SCHEME_ECDSA, SECP160R1, SchemeParams
+from .params import SCHEME_ECDSA, SECP160R1
 
 _P, _A, _B, _N = SECP160R1.p, SECP160R1.a, SECP160R1.b, SECP160R1.n
 _WIDTH = SECP160R1.scalar_bytes
@@ -96,7 +96,7 @@ def _digest(msg: bytes) -> int:
     return os2ip(hashlib.sha256(msg).digest()) >> _DIGEST_SHIFT
 
 
-def keygen(params: SchemeParams, rng: random.Random | None = None) -> EcdsaPrivateKey:
+def keygen(rng: random.Random | None = None) -> EcdsaPrivateKey:
     rng = rng or random.SystemRandom()
     d = rng.randrange(1, _N)
     qx, qy = base_mul(d)

@@ -75,9 +75,7 @@ class GroupPublicKey:
 class GroupSetup:
     """Manager-side state: issued credentials and the identity registry."""
 
-    def __init__(self, params: SchemeParams, rng: random.Random | None = None):
-        if params.scheme_id != SCHEME_GROUP:
-            raise ParameterError("params are not for the group scheme")
+    def __init__(self, rng: random.Random | None, members: int):
         rng = rng or random.SystemRandom()
         self._rng = rng
         self._manager_x = rand_scalar(rng)
@@ -85,7 +83,7 @@ class GroupSetup:
         self.credentials: list[MemberCredential] = []
         self._registry: dict[int, int] = {}
         self._active: set[int] = set()
-        for _ in range(params.group_size):
+        for _ in range(members):
             self.add_member()
 
     def add_member(self) -> MemberCredential:
@@ -121,8 +119,16 @@ class GroupSetup:
         return self._registry[y]
 
 
-def group_setup(params: SchemeParams, rng: random.Random | None = None) -> GroupSetup:
-    return GroupSetup(params, rng)
+def group_setup(
+    params: SchemeParams | None = None,
+    rng: random.Random | None = None,
+    members: int = 5,
+) -> GroupSetup:
+    """A manager with members credentials issued; a passed params must name
+    the group scheme."""
+    if params is not None and params.scheme_id != SCHEME_GROUP:
+        raise ParameterError("params are not for the group scheme")
+    return GroupSetup(rng, members)
 
 
 def group_sign(

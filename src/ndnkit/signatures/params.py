@@ -37,7 +37,8 @@ SCHEME_NAMES = {
 
 
 class ParameterError(ValueError):
-    """Scheme parameters are inconsistent or insecure without an override."""
+    """Inputs a scheme cannot use: an unknown scheme id, a malformed or
+    inconsistent key or key record, or an ill-formed ring, batch or generation."""
 
 
 class SchemeMismatch(ValueError):
@@ -108,28 +109,20 @@ SECP160R1 = CurveSpec(
 
 @dataclass(frozen=True)
 class SchemeParams:
-    """Sizes and choices for one scheme instance.
+    """Names the scheme a key is drawn for.
 
-    The defaults are the suite's 80-bit strengths; smaller RSA moduli are
-    for unit tests only and must be unlocked with allow_insecure=True.
+    Every size is fixed at the suite's 80-bit strength, so the record holds
+    nothing to choose; it stays only for perfbench's calls
+    (reference_params, keygen(sid, params, rng), group_setup(params, rng)
+    and params.ring_size) until that benchmark reads the API without it.
     """
 
     scheme_id: int
-    rsa_bits: int = 1024
-    group_size: int = 5
-    allow_insecure: bool = False
     ring_size: ClassVar[int] = 5  # members of every ring the suite builds
 
     def __post_init__(self):
         if self.scheme_id not in SCHEME_NAMES:
             raise ParameterError(f"unknown scheme id {self.scheme_id}")
-        if self.group_size < 1:
-            raise ParameterError("group must have at least one member")
-        if not self.allow_insecure and self.rsa_bits < 1024:
-            raise ParameterError(
-                f"{self.rsa_bits}-bit RSA is a toy size; "
-                "pass allow_insecure=True in tests"
-            )
 
 
 def reference_params(scheme_id: int) -> SchemeParams:

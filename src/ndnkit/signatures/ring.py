@@ -28,7 +28,7 @@ from .dlgroup import (
     hash_to_scalar,
     rand_scalar,
 )
-from .params import IndexOutOfRing, ParameterError, SCHEME_RING, SchemeParams
+from .params import IndexOutOfRing, ParameterError, SCHEME_RING
 
 _RING_TAG = b"ndnkit/ring-sig/v1"
 
@@ -51,7 +51,7 @@ class RingPrivateKey:
         return RingPublicKey(self.y)
 
 
-def keygen(params: SchemeParams, rng: random.Random | None = None) -> RingPrivateKey:
+def keygen(rng: random.Random | None = None) -> RingPrivateKey:
     rng = rng or random.SystemRandom()
     x = rand_scalar(rng)
     return RingPrivateKey(x=x, y=gen_pow(x))

@@ -15,10 +15,13 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from ..intmath import i2osp, mgf1, os2ip, random_prime
-from .params import SCHEME_RSA, ParameterError, SchemeParams
+from .params import SCHEME_RSA, ParameterError
 
 _FDH_TAG = b"ndnkit/rsa-fdh/v1"
 PUBLIC_EXPONENT = 65537  # F4, for every key the suite generates
+MODULUS_BITS = 1024  # the suite's 80-bit strength
+# the factors must sit further apart than this, defeating Fermat-style factoring
+PRIME_DISTANCE = 1 << 412
 
 
 @dataclass(frozen=True)
@@ -47,24 +50,15 @@ class RsaPrivateKey:
         return RsaPublicKey(self.n, self.e)
 
 
-def _prime_distance_floor(bits: int) -> int:
-    # at 1024-bit moduli the factors must sit further apart than 2^412,
-    # defeating Fermat-style factoring; scale the exponent with the modulus
-    return max(0, bits - 612)
-
-
-def keygen(params: SchemeParams, rng: random.Random | None = None) -> RsaPrivateKey:
+def keygen(rng: random.Random | None = None) -> RsaPrivateKey:
     rng = rng or random.SystemRandom()
-    bits = params.rsa_bits
-    half = bits // 2
-    distance = 1 << _prime_distance_floor(bits)
     while True:
-        p = random_prime(half, rng)
-        q = random_prime(bits - half, rng)
-        if p == q or abs(p - q) <= distance:
+        p = random_prime(MODULUS_BITS // 2, rng)
+        q = random_prime(MODULUS_BITS // 2, rng)
+        if abs(p - q) <= PRIME_DISTANCE:
             continue
         n = p * q
-        if n.bit_length() != bits:
+        if n.bit_length() != MODULUS_BITS:
             continue
         phi = (p - 1) * (q - 1)
         try:

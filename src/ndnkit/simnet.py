@@ -52,7 +52,7 @@ import hashlib
 import heapq
 import json
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from . import signatures as sigs
@@ -149,7 +149,6 @@ class Scenario:
     attacks: tuple[AttackSpec, ...]
     seed: int
     tick_limit: int
-    known_nodes: frozenset[str]
 
 
 @dataclass
@@ -387,7 +386,6 @@ def build_scenario(cfg: dict, specs: dict[str, NodeSpec]) -> Scenario:
         attacks=tuple(attacks),
         seed=_int_field(cfg, "seed", 0, "config", bits=64),
         tick_limit=_int_field(cfg, "tick_limit", DEFAULT_TICK_LIMIT, "config", minimum=0),
-        known_nodes=frozenset(specs),
     )
 
 
@@ -395,14 +393,6 @@ def load_config(config) -> tuple[Topology, Scenario]:
     cfg = _as_dict(config)
     topology = build_topology(cfg)
     return topology, build_scenario(cfg, topology.specs)
-
-
-def inject_poison(scenario: Scenario, tick: int, router: str, name: Name) -> Scenario:
-    """Return a scenario that additionally plants a forged Data at the router."""
-    if router not in scenario.known_nodes:
-        raise UnknownNode(f"no node {router!r} in this topology")
-    attack = AttackSpec(tick=tick, node=router, name=name)
-    return replace(scenario, attacks=scenario.attacks + (attack,))
 
 
 # --- deterministic content ---------------------------------------------------

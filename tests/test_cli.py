@@ -182,6 +182,7 @@ def test_keygen_group_pair_signs_and_verifies(tmp_path):
     assert cli.main(["keygen", "--scheme", "group", "--seed", "5", "--out", str(out)]) == 0
     pub = sigs.load_public((tmp_path / "k.grp.pub").read_bytes())
     cred = sigs.load_private(out.read_bytes())
+    assert pub.members == (cred.y,)
     sig = sigs.group_sign(cred, pub, b"msg")
     assert sigs.group_verify(pub, b"msg", sig)
 
@@ -197,19 +198,6 @@ def test_keygen_unknown_scheme_exits_2(tmp_path, capsys):
     assert cli.main(["keygen", "--scheme", "sphincs", "--out", str(tmp_path / "x")]) == 2
     assert "unknown scheme" in capsys.readouterr().err
     assert cli.main(["keygen", "--scheme", "nc", "--out", str(tmp_path / "x")]) == 2
-
-
-def test_toy_parameters_gated_by_environment(tmp_path, monkeypatch, capsys):
-    out = tmp_path / "t.rsa"
-    monkeypatch.delenv(cli.TOY_ENV_VAR, raising=False)
-    assert cli.main(["keygen", "--scheme", "rsa", "--toy", "--out", str(out)]) == 2
-    assert cli.TOY_ENV_VAR in capsys.readouterr().err
-    monkeypatch.setenv(cli.TOY_ENV_VAR, "1")
-    assert cli.main(
-        ["keygen", "--scheme", "rsa", "--toy", "--seed", "5", "--out", str(out)]
-    ) == 0
-    pub = sigs.load_public((tmp_path / "t.rsa.pub").read_bytes())
-    assert pub.n.bit_length() == 512
 
 
 # --- sim ---------------------------------------------------------------------

@@ -59,6 +59,24 @@ def rand_unitary():
     return fields.f12_mul(fields.f12_frob(t, 2), t)
 
 
+def f12_pow(x, e):
+    """Oracle: plain square-and-multiply in Fp12 for e >= 0."""
+    r = fields.F12_ONE
+    for bit in bin(e)[2:]:
+        r = fields.f12_sqr(r)
+        if bit == "1":
+            r = fields.f12_mul(r, x)
+    return r
+
+
+def g1_on_curve(pt) -> bool:
+    """Oracle: pt is the identity (None) or satisfies y^2 = x^3 + b."""
+    if pt is None:
+        return True
+    x, y = pt
+    return (y * y - x * x * x - curve.CURVE_B) % P == 0
+
+
 # --- parameters and generators ----------------------------------------------
 
 
@@ -73,7 +91,7 @@ def test_bn_parameter_relations():
 
 def test_g1_generator_has_order_n():
     g = g1_generator().point
-    assert curve.g1_on_curve(g)
+    assert g1_on_curve(g)
     assert curve.g1_mul(g, N) is None
     assert curve.g1_mul(g, 1) == g
 
@@ -580,7 +598,7 @@ def test_hash_to_g1_lands_on_curve_and_is_deterministic():
     h1 = hash_to_g1(b"/snnu/images/a.jpg")
     h2 = hash_to_g1(b"/snnu/images/a.jpg")
     h3 = hash_to_g1(b"/snnu/images/b.jpg")
-    assert curve.g1_on_curve(h1)
+    assert g1_on_curve(h1)
     assert h1 == h2
     assert h1 != h3
     assert curve.g1_mul(h1, N) is None  # cofactor 1: always in the big subgroup
@@ -733,7 +751,7 @@ def test_cyclotomic_exponentiation_matches_generic():
     u = rand_unitary()
     dense = (RNG.getrandbits(80), RNG.getrandbits(160))
     for e in (0, 1, 2, 3, 7, 16, fields.X_PARAM, N - 1) + dense:
-        assert fields.cyc_exp(u, e) == fields.f12_pow(u, e), e
+        assert fields.cyc_exp(u, e) == f12_pow(u, e), e
 
 
 def test_identity_exponentiations_are_exact():
@@ -768,7 +786,7 @@ def test_final_exponentiation_matches_raw_exponent():
     raw = fields.f12_from_coeffs(
         [(RNG.randrange(P), RNG.randrange(P)) for _ in range(6)]
     )
-    want = fields.f12_pow(raw, (P**12 - 1) // N)
+    want = f12_pow(raw, (P**12 - 1) // N)
     assert final_exponentiation(raw) == want
 
 

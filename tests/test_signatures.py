@@ -5,7 +5,7 @@ import random
 import pytest
 import sympy
 
-from ndnkit import intmath
+from ndnkit import cli, intmath
 from ndnkit.intmath import i2osp, jacobian_ops, os2ip
 from ndnkit.pairing import CURVE_ORDER, G2Point
 from ndnkit.signatures import (
@@ -22,7 +22,6 @@ from ndnkit.signatures import (
     OpenFailure,
     ParameterError,
     SchemeMismatch,
-    SchemeParams,
     Signature,
     chameleon_collide,
     chameleon_hash,
@@ -184,8 +183,7 @@ def test_rsa_signature_is_fdh_root(rsa_key):
 
 def test_rsa_crt_signature_is_the_full_exponentiation(rsa_key):
     rng = random.Random(104)
-    small = SchemeParams(scheme_id=SCHEME_RSA, rsa_bits=512, allow_insecure=True)
-    keys = [rsa_key, keygen(SCHEME_RSA, small, rng)]
+    keys = [rsa_key, keygen(SCHEME_RSA, rng=rng)]
     for key in keys:
         for _ in range(8):
             msg = rng.randbytes(rng.randrange(1, 200))
@@ -224,15 +222,15 @@ def test_rsa_rejects_malformed(rsa_key):
 
 
 def test_rsa_toy_oracle():
-    """256-bit toy modulus, small enough to factor-check every invariant."""
-    params = SchemeParams(scheme_id=SCHEME_RSA, rsa_bits=256, allow_insecure=True)
-    key = keygen(SCHEME_RSA, params, rng=random.Random(3))
-    assert key.n.bit_length() == 256
+    """Every invariant of a fresh key, checked against its factors."""
+    key = keygen(SCHEME_RSA, rng=random.Random(3))
+    assert key.n.bit_length() == 1024
     assert sympy.isprime(key.p) and sympy.isprime(key.q)
     assert key.p * key.q == key.n
+    assert abs(key.p - key.q) > 1 << 412
     assert key.d == pow(key.e, -1, (key.p - 1) * (key.q - 1))
     sig = rsa.sign(key, b"toy")
-    assert len(sig) == 32
+    assert len(sig) == 128
     assert rsa.verify(key.public(), b"toy", sig)
 
 
@@ -608,8 +606,7 @@ def test_group_pseudonym_outside_the_subgroup_rejected(group):
 
 
 def test_group_single_member_degenerate():
-    params = SchemeParams(scheme_id=SCHEME_GROUP, group_size=1)
-    setup = group_setup(params, rng=random.Random(16))
+    setup = group_setup(rng=random.Random(16), members=1)
     sig = group_sign(setup.credentials[0], setup.group_key, MSG)
     assert group_verify(setup.group_key, MSG, sig)
     assert group_open(setup, sig) == 0
@@ -725,7 +722,9 @@ def test_keygen_guards():
     with pytest.raises(SchemeMismatch):
         keygen(SCHEME_RSA, params=reference_params(SCHEME_DSA))
     with pytest.raises(ParameterError):
-        SchemeParams(scheme_id=SCHEME_RSA, rsa_bits=256)  # toy size needs opt-in
+        group_setup(reference_params(SCHEME_DSA))
+    with pytest.raises(ParameterError):
+        reference_params(99)
 
 
 def test_keygen_draws_are_distinct():
@@ -941,6 +940,59 @@ def test_key_records_match_pinned_digests(rsa_key, dsa_key, ecdsa_key, bls_key, 
         assert digests == _KEY_RECORD_DIGESTS[name], name
 
 
+def _records_digest(keys) -> str:
+    h = hashlib.sha256()
+    for key in keys:
+        h.update(serialize_private(key))
+    return h.hexdigest()
+
+
+# sha256 over the serialize_private records of each draw below.
+_KEY_DRAW_DIGESTS = {
+    "rsa": "c86e454f88ba6cdd908b76fab6f7088256be1f5ba0060a553c6aa5f711fda541",
+    "dsa": "5e4a3e053fe63ae88b10601e12634aa0c397161811e3df15859f0789161d55fe",
+    "ecdsa": "05596f87bf64aeb5f1f8c40ef52efc4dec2ca894c35922d3f464008ca1ff9d08",
+    "bls": "bc520ce6526d7facd906332f8ef0add15272984bb05041588ad17599f08e24c7",
+    "ring": "bc431a6a41e4a983dd2781a37da100593db62f1a8008b333c27732aa1150b49b",
+    "group/1": "3da1b0d806cedd030791f4c6e84943b28726b051b433725b38d126c727e4d3bf",
+    "group/5": "e0da246848b9ac785b7366d0ea1faa791ef3eb2d5b0f47247d3192daaa2a16fb",
+    "perfbench": "c30d85f0df0a434d58da8d32bb0742bd8b7eceb25472725c417c95ad2a4515bb",
+}
+
+
+def test_key_draws_are_pinned(tmp_path):
+    """What each keygen draws from a seeded rng, byte for byte: one key per
+    scheme, a group of one member (`ndnkit keygen`) and of five
+    (group_setup's default), and the key sequence perfbench's CryptoSuite
+    makes through reference_params, group_setup(params, rng),
+    keygen(sid, params, rng) and params.ring_size."""
+    got = {
+        name: _records_digest([keygen(sid, rng=random.Random(f"pin/{name}"))])
+        for name, sid in (("rsa", SCHEME_RSA), ("dsa", SCHEME_DSA), ("ecdsa", SCHEME_ECDSA),
+                          ("bls", SCHEME_BLS), ("ring", SCHEME_RING))
+    }
+    out = tmp_path / "member"
+    assert cli.main(["keygen", "--scheme", "group", "--seed", "26", "--out", str(out)]) == 0
+    got["group/1"] = _records_digest([load_private(out.read_bytes())])
+    setup = group_setup(reference_params(SCHEME_GROUP), random.Random("pin/group"))
+    got["group/5"] = _records_digest(setup.credentials)
+
+    rng = random.Random("ndnkit-perfbench/keys")
+    suite = []
+    for sid in (SCHEME_RSA, SCHEME_DSA, SCHEME_ECDSA, SCHEME_BLS, SCHEME_GROUP, SCHEME_RING):
+        params = reference_params(sid)
+        if sid == SCHEME_GROUP:
+            suite += group_setup(params, rng).credentials
+        elif sid == SCHEME_RING:
+            suite += [keygen(sid, params, rng) for _ in range(params.ring_size)]
+        else:
+            suite.append(keygen(sid, params, rng))
+    bls_params = reference_params(SCHEME_BLS)
+    suite += [keygen(SCHEME_BLS, bls_params, rng) for _ in range(4)]  # the batch signers
+    got["perfbench"] = _records_digest(suite)
+    assert got == _KEY_DRAW_DIGESTS
+
+
 @pytest.mark.parametrize("sid", sorted(set(SCHEME_NAMES) - {SCHEME_NC}))
 def test_every_scheme_runs_through_the_table(sid):
     """keygen (or group_setup), sign, verify, serialize and load for each scheme."""
@@ -1000,7 +1052,7 @@ def test_load_public_validates_group_roster(group):
 
 
 def test_serialize_refuses_a_fully_revoked_group():
-    setup = group_setup(SchemeParams(scheme_id=SCHEME_GROUP, group_size=2), random.Random(17))
+    setup = group_setup(rng=random.Random(17), members=2)
     setup.revoke(0)
     assert load_public(serialize_public(setup.group_key)) == setup.group_key
     setup.revoke(1)

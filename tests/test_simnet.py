@@ -14,7 +14,6 @@ from ndnkit.simnet import (
     UnknownNode,
     build_topology,
     forged_payload,
-    inject_poison,
     load_config,
     producer_payload,
     run,
@@ -876,20 +875,6 @@ def test_verified_deliveries_match_published_bytes():
     published = {str(r.name): producer_payload(7, r.name) for r in trace.requests}
     for req in trace.requests:
         assert req.delivered == published[str(req.name)]
-
-
-def test_inject_poison_appends_attack():
-    topo, scenario = load_config(config())
-    poisoned = inject_poison(scenario, 0, "r1", parse_name(CONTENT_NAME))
-    assert scenario.attacks == ()
-    assert len(poisoned.attacks) == 1
-    assert poisoned.attacks[0].node == "r1"
-
-
-def test_inject_poison_rejects_unknown_node():
-    _, scenario = load_config(config())
-    with pytest.raises(UnknownNode):
-        inject_poison(scenario, 0, "ghost", parse_name(CONTENT_NAME))
 
 
 def test_attack_config_rejects_unknown_node():
