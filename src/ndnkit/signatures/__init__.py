@@ -25,7 +25,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, fields
-from typing import Callable, Sequence
+from typing import Callable
 
 from ..pairing import CURVE_ORDER, G2Point
 from ..pairing.curve import g2_mul_gen
@@ -254,7 +254,7 @@ def verify(key, msg: bytes, sig: Signature | bytes) -> bool:
 
 def verifier_for(context) -> Callable[[bytes, bytes], bool]:
     """Close over a public key (or ring key list) as a (msg, sig) predicate."""
-    if isinstance(context, Sequence) and not isinstance(context, (bytes, str)):
+    if isinstance(context, (list, tuple)):
         ring_keys = tuple(context)
         return lambda msg, sig: ring_verify(ring_keys, msg, sig)
     return lambda msg, sig: verify(context, msg, sig)

@@ -10,12 +10,21 @@ in the order they were pushed; the heap keys a node by its rank in the
 sorted node ids, an integer that orders like the id itself.
 
 Packets cross links as encoded wire bytes, but a packet is immutable and the
-codec canonical, so a run encodes each distinct packet once and decodes each
-distinct blob once: a Data forwarded unchanged, or answered from a cache,
-reuses its bytes, and every hop that receives those bytes shares one decoded
-object. The two memos hold at most CODEC_MEMO_ENTRIES packets and start over
-when full, together with the memo of name texts, and every SWEEP_TICKS ticks
-each node drops its expired PIT, duplicate-nonce and CS entries. Producers
+codec canonical, so a run builds each distinct packet's bytes once and
+decodes each distinct blob once. Each hop event carries its packet's bytes
+and the text of its name: a node re-sends the bytes it received whenever it
+emits that same packet, with the same text, and every hop that receives
+those bytes shares one decoded object. A producer frames a new Data around
+the signed portion it has just signed (wire.frame_data), so only a cache hit
+and a consumer's fresh Interest look their bytes up in the codec memo
+(to_wire), and the memo of name texts is read only where a name enters the
+run: a request, its timeout or give-up, a poisoning. The text belongs to
+the bytes it travels with. A link attack that alters bytes in flight
+(ROADMAP item 12) must therefore derive the text again from the decoded
+packet instead of passing it on. The two codec memos hold at most
+CODEC_MEMO_ENTRIES packets and start over when full, together with the memo
+of name texts, and every SWEEP_TICKS ticks each node drops its expired PIT,
+duplicate-nonce and CS entries. Producers
 keep at most CODEC_MEMO_ENTRIES signed Data and drop the least recently
 served; a Data signed again carries a fresh signature, which no trace
 record or counter holds. The ledger of requests holds only the outstanding
@@ -59,7 +68,8 @@ from . import signatures as sigs
 from .naming import Name, longest_prefix_match, parse_name
 from .node import DEFAULT_CS_CAPACITY, DEFAULT_FRESHNESS_MS, Node
 from .signatures.ecdsa import NoncePool
-from .wire import DEFAULT_LIFETIME_MS, Data, Interest, Packet, decode, encode, signed_portion
+from .wire import (DEFAULT_LIFETIME_MS, Data, Interest, Packet, decode, encode, frame_data,
+                   signed_portion)
 
 APP_FACE = 0
 MAX_ATTEMPTS = 3
@@ -241,6 +251,9 @@ def build_topology(config) -> Topology:
         role = entry.get("role", "router")
         if role not in _ROLES:
             raise ConfigError(f"node {node_id!r} has unknown role {role!r}")
+        verify = entry.get("verify", role == "consumer")
+        if not isinstance(verify, bool):
+            raise ConfigError(f"node {node_id!r}.verify must be true or false")
         specs[node_id] = NodeSpec(
             node_id=node_id,
             role=role,
@@ -248,7 +261,7 @@ def build_topology(config) -> Topology:
                 entry, "cs_capacity", 0 if role == "consumer" else DEFAULT_CS_CAPACITY,
                 f"node {node_id!r}",
             ),
-            verify=bool(entry.get("verify", role == "consumer")),
+            verify=verify,
             freshness_ms=_int_field(
                 entry, "freshness_ms", DEFAULT_FRESHNESS_MS, f"node {node_id!r}", minimum=1
             ),
@@ -435,7 +448,9 @@ class _Producer(NamedTuple):
     key: object
     rng: random.Random | NoncePool
 
-    def sign(self, name: Name, content: bytes) -> Data:
+    def sign(self, name: Name, content: bytes) -> tuple[Data, bytes]:
+        """The signed Data and its encoding, framed around the very bytes
+        that were signed."""
         blank = Data(
             name=name,
             content=content,
@@ -443,7 +458,9 @@ class _Producer(NamedTuple):
             scheme_id=self.binding.scheme_id,
             signature=b"",
         )
-        return blank.with_signature(sigs.sign(self.key, signed_portion(blank), self.rng).data)
+        portion = signed_portion(blank)
+        signature = sigs.sign(self.key, portion, self.rng).data
+        return blank.with_signature(signature), frame_data(portion, signature)
 
 
 class _Runner:
@@ -489,11 +506,13 @@ class _Runner:
             if b.scheme_id == sigs.SCHEME_ECDSA:
                 rng = NoncePool(rng, NONCE_BATCH)
             self.producers[b.prefix] = _Producer(b, key, rng)
+        anchors = [(b.key_name, b.scheme_id, key.public())
+                   for b, key, _ in self.producers.values()]
         for node in self.nodes.values():
-            for b, key, _ in self.producers.values():
-                node.trust.add(b.key_name, b.scheme_id, key.public())
-        # name -> its signed Data, least recently served first
-        self.published: dict[Name, Data] = {}
+            for anchor in anchors:
+                node.trust.add(*anchor)
+        # name -> its signed Data and their encoding, least recently served first
+        self.published: dict[Name, tuple[Data, bytes]] = {}
 
     # -- plumbing --
 
@@ -514,8 +533,7 @@ class _Runner:
         blob = self.blobs.get(packet)
         if blob is None:
             blob = encode(packet)
-            self.make_room()
-            self.blobs[packet] = blob
+            self.remember(packet, blob)
         return blob
 
     def from_wire(self, blob: bytes) -> Packet:
@@ -524,12 +542,16 @@ class _Runner:
             packet = decode(blob)
             self.make_room()
             self.packets[blob] = packet
-            # the decoded packet replaces an equal key: every hop that
-            # forwards it, or answers with it from a cache, finds it by
-            # identity instead of comparing it field by field
+            # the decoded packet replaces an equal key: every cache that
+            # answers with it finds it by identity instead of comparing it
+            # field by field
             self.blobs.pop(packet, None)
             self.blobs[packet] = blob
         return packet
+
+    def remember(self, packet: Packet, blob: bytes) -> None:
+        self.make_room()
+        self.blobs[packet] = blob
 
     def make_room(self) -> None:
         # every packets entry has its inverse in blobs, so blobs bounds both;
@@ -539,25 +561,26 @@ class _Runner:
             self.packets.clear()
             self.texts.clear()
 
-    def log(self, tick: int, node_id: str, event: str, name: Name,
+    def log(self, tick: int, node_id: str, event: str, text: str,
             face: Optional[int], nonce: Optional[int] = None) -> None:
-        record = {"tick": tick, "node": node_id, "event": event,
-                  "name": self.text(name), "face": face}
+        record = {"tick": tick, "node": node_id, "event": event, "name": text, "face": face}
         if nonce is not None:
             record["nonce"] = nonce
         self.records.append(record)
 
-    def route_emissions(self, node_id: str, emissions, tick: int, answers: dict) -> None:
+    def route_emissions(self, node_id: str, emissions, tick: int, answers: dict,
+                        sent: Packet, blob: Optional[bytes], text: str) -> None:
         """Send each emission on its face; answers maps a face to the nonce
-        that a Data leaving on it answers."""
+        that a Data leaving on it answers. Every emission has the name of
+        sent, the packet the node just processed: text is that name's text,
+        and blob is sent's encoding, or None for a consumer's fresh Interest."""
         for face, packet in emissions:
             if face == APP_FACE:
                 if isinstance(packet, Data):
-                    self.deliver(node_id, packet, tick)
+                    self.deliver(node_id, packet, text, tick)
                 else:
-                    self.answer(node_id, packet, tick)
+                    self.answer(node_id, packet, text, tick)
                 continue
-            text = self.texts.get(packet.name) or self.text(packet.name)
             if isinstance(packet, Interest):
                 nonce = packet.nonce
                 self.records.append({"tick": tick, "node": node_id, "event": "emit_interest",
@@ -570,8 +593,9 @@ class _Runner:
             if owner is not None and owner.delivered is None:
                 owner.hops += 1
             peer, peer_face, latency = self.topology.faces[node_id][face]
-            self.push(tick + latency, peer, self.arrive, peer, peer_face,
-                      self.blobs.get(packet) or self.to_wire(packet))
+            # a cache hit, or a consumer's fresh Interest, needs its encoding
+            wire = blob if packet is sent and blob is not None else self.to_wire(packet)
+            self.push(tick + latency, peer, self.arrive, peer, peer_face, wire, text)
 
     # -- applications --
 
@@ -581,10 +605,11 @@ class _Runner:
         result.attempts += 1
         nonce = self.nonce_rng.randrange(1, 2**32)
         self.owners[nonce] = result
-        self.log(tick, spec.consumer, "request", spec.name, APP_FACE, nonce)
+        text = self.text(spec.name)
+        self.log(tick, spec.consumer, "request", text, APP_FACE, nonce)
         interest = Interest(name=spec.name, nonce=nonce, lifetime_ms=spec.lifetime_ms)
         emissions = self.nodes[spec.consumer].process_interest(APP_FACE, interest, tick)
-        self.route_emissions(spec.consumer, emissions, tick, {})
+        self.route_emissions(spec.consumer, emissions, tick, {}, interest, None, text)
         self.push(tick + spec.lifetime_ms + 1, spec.consumer, self.expire, spec, result, nonce)
 
     def expire(self, spec: RequestSpec, result: RequestResult, nonce: int,
@@ -595,10 +620,10 @@ class _Runner:
         if result.delivered is not None:
             return
         if result.attempts < MAX_ATTEMPTS:
-            self.log(tick, spec.consumer, "timeout", spec.name, APP_FACE)
+            self.log(tick, spec.consumer, "timeout", self.text(spec.name), APP_FACE)
             self.issue(spec, result, tick)
             return
-        self.log(tick, spec.consumer, "give_up", spec.name, APP_FACE)
+        self.log(tick, spec.consumer, "give_up", self.text(spec.name), APP_FACE)
         # later deliveries go to the requests still waiting; RequestResult
         # compares by value, so remove this one by identity
         key = (spec.consumer, spec.name)
@@ -607,30 +632,31 @@ class _Runner:
         if not waiting:
             del self.pending[key]
 
-    def deliver(self, node_id: str, data: Data, tick: int) -> None:
-        self.log(tick, node_id, "deliver", data.name, APP_FACE)
+    def deliver(self, node_id: str, data: Data, text: str, tick: int) -> None:
+        self.log(tick, node_id, "deliver", text, APP_FACE)
         # the consumer's PIT merged its requests for the name into one entry,
         # so the Data answers every one still waiting
         for result in self.pending.pop((node_id, data.name), ()):
             result.delivered = data.content
             result.delivered_tick = tick
 
-    def answer(self, node_id: str, interest: Interest, tick: int) -> None:
+    def answer(self, node_id: str, interest: Interest, text: str, tick: int) -> None:
         prefix = longest_prefix_match(self.producers.keys(), interest.name)
         if prefix is None or self.producers[prefix].binding.node != node_id:
-            self.log(tick, node_id, "no_binding", interest.name, APP_FACE, interest.nonce)
+            self.log(tick, node_id, "no_binding", text, APP_FACE, interest.nonce)
             return
-        data = self.published.pop(interest.name, None)
-        if data is None:
-            data = self.producers[prefix].sign(
-                interest.name,
-                _stretch(_CONTENT_TAG, self.scenario.seed, self.text(interest.name)),
-            )
+        served = self.published.pop(interest.name, None)
+        if served is None:
+            served = self.producers[prefix].sign(
+                interest.name, _stretch(_CONTENT_TAG, self.scenario.seed, text))
+            # a cache that answers with this Data finds its encoding
+            self.remember(*served)
             if len(self.published) >= CODEC_MEMO_ENTRIES:
                 del self.published[next(iter(self.published))]
-        self.published[interest.name] = data
-        self.log(tick, node_id, "publish", data.name, APP_FACE)
-        self.take_data(node_id, APP_FACE, data, tick)
+        self.published[interest.name] = served
+        data, blob = served
+        self.log(tick, node_id, "publish", text, APP_FACE)
+        self.take_data(node_id, APP_FACE, data, blob, text, tick)
 
     def plant_poison(self, spec: AttackSpec, tick: int) -> None:
         prefix = longest_prefix_match(self.producers.keys(), spec.name)
@@ -649,31 +675,33 @@ class _Runner:
         )
         forger = _Producer(binding, forged_key,
                            _rng_for(self.scenario.seed, "forged-sig", str(spec.name)))
-        data = forger.sign(spec.name, forged_payload(self.scenario.seed, spec.name))
-        self.log(tick, spec.node, "poison", spec.name, None)
+        data, _ = forger.sign(spec.name, forged_payload(self.scenario.seed, spec.name))
+        self.log(tick, spec.node, "poison", self.text(spec.name), None)
         self.nodes[spec.node].cs.put(data, tick)
 
-    def arrive(self, node_id: str, face: int, blob: bytes, tick: int) -> None:
+    def arrive(self, node_id: str, face: int, blob: bytes, text: str, tick: int) -> None:
+        """blob reaches node_id on face; text is its name's text, carried
+        from the hop that sent it."""
         packet = self.packets.get(blob) or self.from_wire(blob)
-        text = self.texts.get(packet.name) or self.text(packet.name)
         if isinstance(packet, Interest):
             self.records.append({"tick": tick, "node": node_id, "event": "recv_interest",
                                  "name": text, "face": face, "nonce": packet.nonce})
             # a cache hit answers on the arrival face
             self.route_emissions(node_id,
                                  self.nodes[node_id].process_interest(face, packet, tick),
-                                 tick, {face: packet.nonce})
+                                 tick, {face: packet.nonce}, packet, blob, text)
         else:
             self.records.append({"tick": tick, "node": node_id, "event": "recv_data",
                                  "name": text, "face": face})
-            self.take_data(node_id, face, packet, tick)
+            self.take_data(node_id, face, packet, blob, text, tick)
 
-    def take_data(self, node_id: str, face: int, data: Data, tick: int) -> None:
+    def take_data(self, node_id: str, face: int, data: Data, blob: bytes, text: str,
+                  tick: int) -> None:
         # the node erases the PIT entry it satisfies, so read its in-records first
         node = self.nodes[node_id]
         entry = node.pit.get(data.name)
         self.route_emissions(node_id, node.process_data(face, data, tick), tick,
-                             entry.in_records if entry is not None else {})
+                             entry.in_records if entry is not None else {}, data, blob, text)
 
     # -- the loop --
 

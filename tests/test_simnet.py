@@ -6,7 +6,7 @@ from collections import Counter
 import pytest
 
 from ndnkit import signatures as sigs
-from ndnkit import simnet
+from ndnkit import simnet, wire
 from ndnkit.naming import Name, parse_name
 from ndnkit.simnet import (
     ConfigError,
@@ -76,6 +76,15 @@ def test_consumer_defaults_differ_from_router_defaults():
     assert topo.specs["c1"].verify is True
     assert topo.specs["r1"].cs_capacity == 64
     assert topo.specs["r1"].verify is False
+
+
+@pytest.mark.parametrize("value", ["false", 0, []])
+def test_verify_must_be_a_json_boolean(value):
+    nodes = [dict(LINE["nodes"][0], verify=value)] + LINE["nodes"][1:]
+    with pytest.raises(ConfigError, match=r"node 'c1'\.verify must be true or false"):
+        load_config(config(nodes=nodes))
+    nodes[0]["verify"] = False
+    assert load_config(config(nodes=nodes))[0].specs["c1"].verify is False
 
 
 def test_dangling_link_rejected():
@@ -660,48 +669,79 @@ def test_benchmark_shaped_runs_replay_to_pinned_digests(shape, expected):
 
 
 def _record_signing(monkeypatch) -> list:
-    """(producer's public key, Data) for each Data a producer signs from now on."""
+    """(producer's public key, Data, its framed bytes) for each Data a
+    producer signs from now on."""
     signed = []
     sign = simnet._Producer.sign
 
     def recording_sign(producer, name, content):
-        data = sign(producer, name, content)
-        signed.append((producer.key.public(), data))
-        return data
+        data, blob = sign(producer, name, content)
+        signed.append((producer.key.public(), data, blob))
+        return data, blob
 
     monkeypatch.setattr(simnet._Producer, "sign", recording_sign)
     return signed
 
 
+def _count_framing(monkeypatch) -> Counter:
+    """The Data encodings that simnet frames from a signed portion from now on."""
+    framed = Counter()
+
+    def counting_frame(portion, signature):
+        blob = wire.frame_data(portion, signature)
+        framed[blob] += 1
+        return blob
+
+    monkeypatch.setattr(simnet, "frame_data", counting_frame)
+    return framed
+
+
 def _fresh_signatures(signed) -> bool:
     """Every Data verifies under its producer's key, and no two share r."""
-    rs = [data.signature[:20] for _, data in signed]
+    rs = [data.signature[:20] for _, data, _ in signed]
     return len(set(rs)) == len(rs) and all(
-        sigs.verify(pub, signed_portion(data), data.signature) for pub, data in signed)
+        sigs.verify(pub, signed_portion(data), data.signature) for pub, data, _ in signed)
 
 
 def test_a_producer_re_signs_evicted_data_with_a_fresh_nonce(monkeypatch):
     signed = _record_signing(monkeypatch)
+    framed = _count_framing(monkeypatch)
     config = json.loads(_bench_tree("ecdsa", False, ZIPF_NAMES, True, 7, 100))
     # one-entry caches send repeated names back to the producer
     for node in config["nodes"]:
         node["cs_capacity"] = 1
     kept = run(*load_config(config))
-    assert set(Counter(data.name for _, data in signed).values()) == {1}
+    assert set(Counter(data.name for _, data, _ in signed).values()) == {1}
     signed.clear()
+    framed.clear()
     monkeypatch.setattr(simnet, "CODEC_MEMO_ENTRIES", 2)
     evicted = run(*load_config(config))
-    assert max(Counter(data.name for _, data in signed).values()) > 1
-    # a Data signed again verifies, with an r not used before; no trace
-    # record or counter holds signature bytes
+    assert max(Counter(data.name for _, data, _ in signed).values()) > 1
+    # a Data signed again verifies, with an r not used before, and is
+    # framed afresh; no trace record or counter holds signature bytes
     assert _fresh_signatures(signed)
+    assert framed == Counter(blob for _, _, blob in signed)
+    assert set(framed.values()) == {1}
     assert evicted.to_jsonl() == kept.to_jsonl()
     assert evicted.counters == kept.counters
+
+
+@pytest.mark.parametrize("scheme", ["rsa", "dsa", "ecdsa", "bls"])
+def test_a_produced_data_is_framed_as_encode_frames_it(monkeypatch, scheme):
+    signed = _record_signing(monkeypatch)
+    trace = run_config(producers=[dict(LINE["producers"][0], scheme=scheme)])
+    assert [r.delivered for r in trace.requests] == [
+        producer_payload(7, parse_name(CONTENT_NAME))] * 2
+    # the second request is a cache hit, so one Data was signed
+    [(_, data, blob)] = signed
+    assert blob == encode(data)
+    assert wire.decode(blob) == data
 
 
 @pytest.mark.parametrize("scheme", ["ecdsa", "dsa"])
 def test_producers_sign_each_data_with_a_fresh_nonce(monkeypatch, scheme):
     signed = _record_signing(monkeypatch)
+    framed = _count_framing(monkeypatch)
     batches = []
     precompute = ecdsa.precompute_nonces
 
@@ -713,6 +753,9 @@ def test_producers_sign_each_data_with_a_fresh_nonce(monkeypatch, scheme):
     trace = run(*load_config(_bench_tree(scheme, False, CHURN_NAMES, False, 7, 100)))
     assert all(r.delivered is not None for r in trace.requests)
     assert len(signed) > 90 and _fresh_signatures(signed)
+    # each produced Data is framed once, around the bytes its signature covers
+    assert framed == Counter(blob for _, _, blob in signed)
+    assert all(blob == encode(data) for _, data, blob in signed)
     # an ECDSA producer draws its nonces NONCE_BATCH at a time
     if scheme == "ecdsa":
         assert batches == [simnet.NONCE_BATCH] * -(-len(signed) // simnet.NONCE_BATCH)
@@ -734,14 +777,52 @@ def test_each_packet_is_encoded_once_and_each_blob_decoded_once(monkeypatch):
 
     monkeypatch.setattr(simnet, "encode", counting_encode)
     monkeypatch.setattr(simnet, "decode", counting_decode)
+    signed = _record_signing(monkeypatch)
+    framed = _count_framing(monkeypatch)
     trace = run(*load_config(_bench_tree("ecdsa", False, CHURN_NAMES, False, 7, 100)))
     assert all(r.delivered is not None for r in trace.requests)
     assert set(encoded.values()) == {1}
+    # a produced Data is framed once, when it is signed, and never encoded:
+    # every hop and every cache re-sends bytes built before
+    assert set(framed.values()) == {1} and len(framed) == len(signed)
+    assert all(isinstance(packet, Interest) for packet in encoded)
+    built = {encode(packet) for packet in encoded} | set(framed)
+    assert len(built) == len(encoded) + len(framed)
     assert set(decoded.values()) == {1}
     # every blob that arrived is the encoding of one of those packets
-    assert set(decoded) == {encode(packet) for packet in encoded}
+    assert set(decoded) == built
     emits = sum(r["event"] in ("emit_interest", "emit_data") for r in trace.records)
-    assert emits > 4 * len(encoded)
+    assert emits > 4 * len(built)
+
+
+def test_name_texts_are_looked_up_per_request_not_per_hop():
+    lookups = Counter()
+
+    class CountingTexts(dict):
+        def get(self, name, default=None):
+            lookups[name] += 1
+            return super().get(name, default)
+
+        def __getitem__(self, name):
+            lookups[name] += 1
+            return super().__getitem__(name)
+
+        def __contains__(self, name):
+            lookups[name] += 1
+            return super().__contains__(name)
+
+    runner = simnet._Runner(*load_config(
+        _bench_tree("ecdsa", False, CHURN_NAMES, False, 7, 100)))
+    runner.texts = CountingTexts()
+    trace = runner.run()
+    assert all(r.delivered is not None for r in trace.requests)
+    events = Counter(r["event"] for r in trace.records)
+    # a name's text is looked up where the name enters the run, once per
+    # attempt and per timeout or give-up record; every hop takes it from
+    # the hop before, and a produced Data from the Interest it answers
+    assert sum(lookups.values()) == events["request"] + events["timeout"] + events["give_up"]
+    assert events["publish"] > 90
+    assert events["recv_interest"] + events["recv_data"] > 10 * sum(lookups.values())
 
 
 def test_a_malformed_blob_is_decoded_afresh_each_time(monkeypatch):
@@ -758,7 +839,7 @@ def test_a_malformed_blob_is_decoded_afresh_each_time(monkeypatch):
     blob = encode(Interest(parse_name(CONTENT_NAME), nonce=5))[:-1]
     for _ in range(2):
         with pytest.raises(CodecError):
-            runner.arrive("r1", 1, blob, 0)
+            runner.arrive("r1", 1, blob, CONTENT_NAME, 0)
     assert calls == 2
     assert not runner.packets and not runner.blobs
 
