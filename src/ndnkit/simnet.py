@@ -10,12 +10,14 @@ in the order they were pushed; the heap keys a node by its rank in the
 sorted node ids, an integer that orders like the id itself.
 
 Packets cross links as encoded wire bytes, but a packet is immutable and the
-codec canonical, so a run builds each distinct packet's bytes once and
-decodes each distinct blob once. Each hop event carries its packet's bytes
-and the text of its name: a node re-sends the bytes it received whenever it
-emits that same packet, with the same text, and every hop that receives
-those bytes shares one decoded object. A producer frames a new Data around
-the signed portion it has just signed (wire.frame_data), so only a cache hit
+codec canonical, so a run builds each distinct packet's bytes once and never
+decodes bytes it built: it files the packet under its bytes when it builds
+them (remember), and every hop that receives those bytes shares that very
+object. Only bytes the run did not build, or built before the memo started
+over, reach decode. Each hop event carries its packet's bytes and the text
+of its name: a node re-sends the bytes it received whenever it emits that
+same packet, with the same text. A producer frames a new Data around the
+signed portion it has just signed (wire.frame_data), so only a cache hit
 and a consumer's fresh Interest look their bytes up in the codec memo
 (to_wire), and the memo of name texts is read only where a name enters the
 run: a request, its timeout or give-up, a poisoning. The text belongs to
@@ -537,21 +539,19 @@ class _Runner:
         return blob
 
     def from_wire(self, blob: bytes) -> Packet:
-        packet = self.packets.get(blob)
-        if packet is None:
-            packet = decode(blob)
-            self.make_room()
-            self.packets[blob] = packet
-            # the decoded packet replaces an equal key: every cache that
-            # answers with it finds it by identity instead of comparing it
-            # field by field
-            self.blobs.pop(packet, None)
-            self.blobs[packet] = blob
+        """The packet of a blob the memo does not hold: bytes the run did
+        not build, or built before the memo started over."""
+        packet = decode(blob)
+        self.remember(packet, blob)
         return packet
 
     def remember(self, packet: Packet, blob: bytes) -> None:
+        # the codec is canonical, so the packet the bytes were built from is
+        # the one they decode to: every hop that receives them shares it, and
+        # the run never decodes bytes it built
         self.make_room()
         self.blobs[packet] = blob
+        self.packets[blob] = packet
 
     def make_room(self) -> None:
         # every packets entry has its inverse in blobs, so blobs bounds both;
@@ -649,7 +649,8 @@ class _Runner:
         if served is None:
             served = self.producers[prefix].sign(
                 interest.name, _stretch(_CONTENT_TAG, self.scenario.seed, text))
-            # a cache that answers with this Data finds its encoding
+            # a cache that answers with this Data finds its encoding, and
+            # every hop that receives the encoding finds this Data
             self.remember(*served)
             if len(self.published) >= CODEC_MEMO_ENTRIES:
                 del self.published[next(iter(self.published))]

@@ -16,6 +16,7 @@ _spec.loader.exec_module(bench_pairs)
 # logs each run, then writes a record of the checkout's fixed rate
 STUB = """
 import argparse, json, pathlib
+WORKLOADS = ("sim_churn_forward", "sim_zipf_bls", "w")
 parser = argparse.ArgumentParser()
 for flag in ("--workload", "--seed", "--seconds", "--trace"):
     parser.add_argument(flag)
@@ -76,7 +77,7 @@ def test_pairs_alternate_and_only_their_runs_are_compared(tmp_path, capsys):
 def test_a_failed_run_stops_the_pairs(tmp_path):
     parent = _checkout(tmp_path, "parent", 100.0)
     change = _checkout(tmp_path, "change", 110.0)
-    (change / "perfbench" / "run.py").write_text("raise SystemExit(2)")
+    (change / "perfbench" / "run.py").write_text('WORKLOADS = ("w",)\nraise SystemExit(2)')
     with pytest.raises(subprocess.CalledProcessError):
         bench_pairs.main([str(parent), str(change), "--workload", "w", "--seeds", "1..2",
                           "--seconds", "1"])
@@ -92,3 +93,58 @@ def test_seeds_must_be_a_range(text):
 def test_seeds_include_both_ends():
     assert bench_pairs.parse_seeds("11..20") == list(range(11, 21))
     assert bench_pairs.parse_seeds("7..7") == [7]
+
+
+def test_each_workload_runs_its_pairs_in_turn_and_prints_its_table(tmp_path, capsys):
+    parent = _checkout(tmp_path, "parent", 100.0)
+    change = _checkout(tmp_path, "change", 90.0)
+    status = bench_pairs.main([str(parent), str(change), "--workload",
+                               "sim_zipf_bls,sim_churn_forward", "--seeds", "1..2",
+                               "--seconds", "1"])
+    assert (tmp_path / "log").read_text().splitlines() == [
+        "parent sim_zipf_bls 1 1.0 0", "change sim_zipf_bls 1 1.0 0",
+        "change sim_zipf_bls 2 1.0 0", "parent sim_zipf_bls 2 1.0 0",
+        "parent sim_churn_forward 1 1.0 0", "change sim_churn_forward 1 1.0 0",
+        "change sim_churn_forward 2 1.0 0", "parent sim_churn_forward 2 1.0 0",
+    ]
+    out = capsys.readouterr().out.splitlines()
+    tables = [line for line in out if line.startswith("== ")]
+    assert tables == ["== sim_zipf_bls trace=0 seeds=1,2", "== sim_churn_forward trace=0 seeds=1,2"]
+    # 90 + seed against 100 + seed is worse than the 25% bound on neither,
+    # so the rows are not flagged, and the status is 0
+    assert all("WORSE" not in line for line in out)
+    assert status == 0
+
+
+def test_a_flagged_table_sets_the_exit_status(tmp_path, capsys):
+    parent = _checkout(tmp_path, "parent", 100.0)
+    change = _checkout(tmp_path, "change", 50.0)
+    status = bench_pairs.main([str(parent), str(change), "--workload", "w,sim_zipf_bls",
+                               "--seeds", "1..1", "--seconds", "1"])
+    out = capsys.readouterr().out.splitlines()
+    assert [line for line in out if line.startswith("== ")] == [
+        "== w trace=0 seeds=1", "== sim_zipf_bls trace=0 seeds=1"]
+    assert status == 1
+
+
+@pytest.mark.parametrize("workloads", ["sim_churn_forwrd", "w,sim_churn_forwrd"])
+def test_an_unknown_workload_fails_before_anything_runs(tmp_path, capsys, workloads):
+    parent = _checkout(tmp_path, "parent", 100.0)
+    change = _checkout(tmp_path, "change", 110.0)
+    with pytest.raises(SystemExit) as exit_info:
+        bench_pairs.main([str(parent), str(change), "--workload", workloads,
+                          "--seeds", "1..2", "--seconds", "1"])
+    assert exit_info.value.code == 2
+    assert "declares no workload sim_churn_forwrd" in capsys.readouterr().err
+    assert not (tmp_path / "log").exists()
+
+
+@pytest.mark.parametrize("text", ["", "w,", "w,,x", "w,w"])
+def test_workloads_must_be_distinct_names(text):
+    with pytest.raises(argparse.ArgumentTypeError):
+        bench_pairs.parse_workloads(text)
+
+
+def test_the_declared_workloads_are_read_from_the_benchmark_itself():
+    assert bench_pairs.declared_workloads(_PATH.parent.parent) == (
+        "sim_zipf_bls", "sim_churn_forward", "crypto_suite")

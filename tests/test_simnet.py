@@ -696,6 +696,18 @@ def _count_framing(monkeypatch) -> Counter:
     return framed
 
 
+def _count_decoding(monkeypatch) -> Counter:
+    """The blobs that simnet decodes from now on."""
+    decoded = Counter()
+
+    def counting_decode(blob):
+        decoded[blob] += 1
+        return wire.decode(blob)
+
+    monkeypatch.setattr(simnet, "decode", counting_decode)
+    return decoded
+
+
 def _fresh_signatures(signed) -> bool:
     """Every Data verifies under its producer's key, and no two share r."""
     rs = [data.signature[:20] for _, data, _ in signed]
@@ -763,20 +775,22 @@ def test_producers_sign_each_data_with_a_fresh_nonce(monkeypatch, scheme):
         assert batches == []
 
 
-def test_each_packet_is_encoded_once_and_each_blob_decoded_once(monkeypatch):
-    encoded, decoded = Counter(), Counter()
-    decode = simnet.decode
+def test_each_packet_is_encoded_once_and_no_built_blob_is_decoded(monkeypatch):
+    encoded, arrived = Counter(), Counter()
 
     def counting_encode(packet):
         encoded[packet] += 1
         return encode(packet)
 
-    def counting_decode(blob):
-        decoded[blob] += 1
-        return decode(blob)
-
     monkeypatch.setattr(simnet, "encode", counting_encode)
-    monkeypatch.setattr(simnet, "decode", counting_decode)
+    decoded = _count_decoding(monkeypatch)
+    arrive = simnet._Runner.arrive
+
+    def spied_arrive(runner, node_id, face, blob, text, tick):
+        arrived[blob] += 1
+        return arrive(runner, node_id, face, blob, text, tick)
+
+    monkeypatch.setattr(simnet._Runner, "arrive", spied_arrive)
     signed = _record_signing(monkeypatch)
     framed = _count_framing(monkeypatch)
     trace = run(*load_config(_bench_tree("ecdsa", False, CHURN_NAMES, False, 7, 100)))
@@ -788,11 +802,87 @@ def test_each_packet_is_encoded_once_and_each_blob_decoded_once(monkeypatch):
     assert all(isinstance(packet, Interest) for packet in encoded)
     built = {encode(packet) for packet in encoded} | set(framed)
     assert len(built) == len(encoded) + len(framed)
-    assert set(decoded.values()) == {1}
-    # every blob that arrived is the encoding of one of those packets
-    assert set(decoded) == built
+    # the blobs that arrived are exactly those, and none was decoded: every
+    # hop shares the packet its bytes were built from
+    assert set(arrived) == built
+    assert not decoded
     emits = sum(r["event"] in ("emit_interest", "emit_data") for r in trace.records)
     assert emits > 4 * len(built)
+    assert sum(arrived.values()) == emits
+
+
+def _record_memo(monkeypatch) -> list:
+    """(packet, blob) for each pair the runner files in its codec memo from
+    now on."""
+    filed = []
+    remember = simnet._Runner.remember
+
+    def recording_remember(runner, packet, blob):
+        filed.append((packet, blob))
+        return remember(runner, packet, blob)
+
+    monkeypatch.setattr(simnet._Runner, "remember", recording_remember)
+    return filed
+
+
+@pytest.mark.parametrize("shape", ["churn", "zipf", "poison"])
+def test_every_packet_the_memo_files_is_what_its_bytes_decode_to(monkeypatch, shape):
+    filed = _record_memo(monkeypatch)
+    if shape == "poison":
+        # criterion 10's config: r1 answers with the forged Data from its CS,
+        # which is encoded there
+        trace = run_config(seed=19, nodes=POISON_NODES, schedule=POISON_SCHEDULE,
+                           attacks=POISON_ATTACKS)
+        name = parse_name(CONTENT_NAME)
+        assert trace.requests[0].delivered == producer_payload(19, name)
+        assert any(isinstance(p, wire.Data) and p.content == forged_payload(19, name)
+                   for p, _ in filed)
+    else:
+        churn = shape == "churn"
+        trace = run(*load_config(_bench_tree("ecdsa" if churn else "bls", not churn,
+                                             CHURN_NAMES if churn else ZIPF_NAMES,
+                                             not churn, 7, 100)))
+        assert all(r.delivered is not None for r in trace.requests)
+    kinds = Counter(type(p) for p, _ in filed)
+    assert kinds[Interest] > 0 and kinds[wire.Data] > 0
+    for packet, blob in filed:
+        decoded = wire.decode(blob)
+        assert type(decoded) is type(packet)
+        assert decoded == packet
+
+
+def test_bytes_built_outside_the_run_are_decoded_once(monkeypatch):
+    decoded = _count_decoding(monkeypatch)
+    runner = simnet._Runner(*load_config(config()))
+    received = []
+    process_interest = runner.nodes["r1"].process_interest
+
+    def recording(face, interest, tick):
+        received.append(interest)
+        return process_interest(face, interest, tick)
+
+    runner.nodes["r1"].process_interest = recording
+    blob = encode(Interest(parse_name(CONTENT_NAME), nonce=5))
+    runner.arrive("r1", 1, blob, CONTENT_NAME, 0)
+    runner.arrive("r1", 1, blob, CONTENT_NAME, 1)
+    assert decoded == {blob: 1}
+    first, second = received
+    assert second is first and first == wire.decode(blob)
+    assert runner.packets[blob] is first and runner.blobs[first] == blob
+
+
+def test_a_memo_that_starts_over_changes_no_trace_byte(monkeypatch):
+    shaped = _bench_tree("ecdsa", False, CHURN_NAMES, False, 7, 100)
+    kept = run(*load_config(shaped))
+    decoded = _count_decoding(monkeypatch)
+    monkeypatch.setattr(simnet, "CODEC_MEMO_ENTRIES", 2)
+    small = run(*load_config(shaped))
+    # blobs in flight when the memo started over reach decode
+    assert decoded
+    assert small.to_jsonl() == kept.to_jsonl()
+    assert small.counters == kept.counters
+    assert ([(r.delivered, r.delivered_tick, r.hops) for r in small.requests]
+            == [(r.delivered, r.delivered_tick, r.hops) for r in kept.requests])
 
 
 def test_name_texts_are_looked_up_per_request_not_per_hop():

@@ -1,21 +1,25 @@
 #!/usr/bin/env python3
 """Run two checkouts' benchmark in alternating pairs, then compare them.
 
-    python3 tools/bench_pairs.py PARENT CHANGE --workload W --seeds A..B --seconds S
+    python3 tools/bench_pairs.py PARENT CHANGE --workload W[,W...] --seeds A..B --seconds S
 
-For each seed from A to B, in order, runs the ``perfbench/run.py`` of both
-checkouts on workload W for S seconds, untraced, one run after the other.
-The parent runs first on odd pairs (the first, the third, ...) and the
-change first on even ones, so that a drift in machine speed falls on both
-sides alike. Each run writes its record to its own checkout's
-``.perfbench_results/``. The records of exactly these runs are then compared
-by ``tools/bench_compare.py``, whose table is printed; the exit status is
-bench_compare's. Nothing under ``perfbench/`` is changed.
+Each workload W must be one that both checkouts' ``perfbench/run.py``
+declare in ``WORKLOADS``; that is checked before any run starts. Then, for
+each W in the order given and each seed from A to B, in order, runs the
+``perfbench/run.py`` of both checkouts on W for S seconds, untraced, one run
+after the other. The parent runs first on odd pairs (the first, the third,
+...) and the change first on even ones, so that a drift in machine speed
+falls on both sides alike. Each run writes its record to its own checkout's
+``.perfbench_results/``. Once a workload's pairs are done, the records of
+exactly those runs are compared by ``tools/bench_compare.py`` and its table
+is printed. The exit status is 1 when any table is flagged, else 0. Nothing
+under ``perfbench/`` is changed.
 """
 
 from __future__ import annotations
 
 import argparse
+import ast
 import importlib.util
 import shutil
 import subprocess
@@ -42,6 +46,27 @@ def parse_seeds(text: str) -> list[int]:
     return seeds
 
 
+def parse_workloads(text: str) -> list[str]:
+    """The comma-separated workload names, each given once."""
+    names = text.split(",")
+    if not all(names) or len(set(names)) < len(names):
+        raise argparse.ArgumentTypeError(
+            f"workloads must be distinct names separated by commas, not {text!r}")
+    return names
+
+
+def declared_workloads(checkout: Path) -> tuple[str, ...]:
+    """The WORKLOADS that a checkout's perfbench/run.py assigns, read
+    without running it."""
+    tree = ast.parse((checkout / "perfbench" / "run.py").read_text())
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+                isinstance(target, ast.Name) and target.id == "WORKLOADS"
+                for target in node.targets):
+            return tuple(ast.literal_eval(node.value))
+    return ()
+
+
 def run_pairs(parent: Path, change: Path, workload: str, seeds: list[int],
               seconds: float) -> None:
     for pair, seed in enumerate(seeds, 1):
@@ -64,19 +89,28 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("parent", type=Path)
     parser.add_argument("change", type=Path)
-    parser.add_argument("--workload", required=True)
+    parser.add_argument("--workload", type=parse_workloads, required=True, help="W[,W...]")
     parser.add_argument("--seeds", type=parse_seeds, required=True, help="A..B")
     parser.add_argument("--seconds", type=float, required=True)
     args = parser.parse_args(argv)
     parent, change = args.parent.resolve(), args.change.resolve()
-    run_pairs(parent, change, args.workload, args.seeds, args.seconds)
-    with tempfile.TemporaryDirectory() as tmp:
-        sides = [Path(tmp) / "parent", Path(tmp) / "change"]
-        for checkout, into in zip((parent, change), sides):
-            copy_records(checkout, args.workload, args.seeds, into)
-        lines, flagged = bench_compare.compare(*sides)
-    print("\n".join(lines))
-    return 1 if flagged else 0
+    for checkout in (parent, change):
+        declared = declared_workloads(checkout)
+        unknown = [w for w in args.workload if w not in declared]
+        if unknown:
+            parser.error(f"{checkout / 'perfbench' / 'run.py'} declares no workload "
+                         f"{', '.join(unknown)} (WORKLOADS: {', '.join(declared) or 'none'})")
+    any_flagged = False
+    for workload in args.workload:
+        run_pairs(parent, change, workload, args.seeds, args.seconds)
+        with tempfile.TemporaryDirectory() as tmp:
+            sides = [Path(tmp) / "parent", Path(tmp) / "change"]
+            for checkout, into in zip((parent, change), sides):
+                copy_records(checkout, workload, args.seeds, into)
+            lines, flagged = bench_compare.compare(*sides)
+        print("\n".join(lines), flush=True)
+        any_flagged |= flagged
+    return 1 if any_flagged else 0
 
 
 if __name__ == "__main__":
