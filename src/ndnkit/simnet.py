@@ -10,30 +10,28 @@ in the order they were pushed; the heap keys a node by its rank in the
 sorted node ids, an integer that orders like the id itself.
 
 Packets cross links as encoded wire bytes, but a packet is immutable and the
-codec canonical, so a run builds each distinct packet's bytes once and never
-decodes bytes it built: it files the packet under its bytes when it builds
-them (remember), and every hop that receives those bytes shares that very
-object. Only bytes the run did not build, or built before the memo started
-over, reach decode. Each hop event carries its packet's bytes and the text
-of its name: a node re-sends the bytes it received whenever it emits that
-same packet, with the same text. A producer frames a new Data around the
-signed portion it has just signed (wire.frame_data), so only a cache hit
-and a consumer's fresh Interest look their bytes up in the codec memo
-(to_wire), and the memo of name texts is read only where a name enters the
-run: a request, its timeout or give-up, a poisoning. The text belongs to
-the bytes it travels with. A link attack that alters bytes in flight
-(ROADMAP item 12) must therefore derive the text again from the decoded
-packet instead of passing it on. The two codec memos hold at most
-CODEC_MEMO_ENTRIES packets and start over when full, together with the memo
-of name texts, and every SWEEP_TICKS ticks each node drops its expired PIT,
-duplicate-nonce and CS entries. Producers
-keep at most CODEC_MEMO_ENTRIES signed Data and drop the least recently
-served; a Data signed again carries a fresh signature, which no trace
-record or counter holds. The ledger of requests holds only the outstanding
-ones: a request joins it on its first attempt and leaves once delivered or
-given up. So a run's state does not grow with its length.
-None of this changes a trace: expired entries already count as absent. Each
-event on the heap carries its handler.
+codec canonical, so a run never decodes bytes it built: each hop event
+carries the packet together with the bytes built from it and the text of its
+name, and a node re-sends the bytes and the text it received whenever it
+emits that same packet. A consumer's fresh Interest is encoded once, and a
+producer frames a new Data around the signed portion it has just signed
+(wire.frame_data). A cache that answers with a Data takes its bytes from the
+producer while the producer still keeps that very Data, and encodes a forgery
+or a Data the producer has since dropped. Only bytes the run did not build
+arrive without their packet and reach decode. The memo of name texts is read
+only where a name enters the run: a request, its timeout or give-up, a
+poisoning. The text belongs to the bytes it travels with. A link attack that
+alters bytes in flight (ROADMAP item 12) must therefore send them without
+their packet and derive the text again from the decoded packet instead of
+passing it on. Producers keep at most KEPT_NAMES signed Data and drop the
+least recently served; a Data signed again carries a fresh signature, which
+no trace record or counter holds. The memo of name texts holds at most
+KEPT_NAMES names and starts over when full, and every SWEEP_TICKS ticks each
+node drops its expired PIT, duplicate-nonce and CS entries. The ledger of
+requests holds only the outstanding ones: a request joins it on its first
+attempt and leaves once delivered or given up. So a run's state does not
+grow with its length. None of this changes a trace: expired entries already
+count as absent. Each event on the heap carries its handler.
 
 A request's hops are credited as its packets are emitted. Each attempt's
 nonce names its request while the attempt's lifetime lasts: an Interest
@@ -77,9 +75,9 @@ APP_FACE = 0
 MAX_ATTEMPTS = 3
 DEFAULT_TICK_LIMIT = 100_000
 PAYLOAD_BYTES = 64
-# distinct packets the codec memos hold before they start over, and signed
-# Data the producers keep
-CODEC_MEMO_ENTRIES = 4096
+# names whose signed Data the producers keep, and whose texts the runner
+# keeps before its memo of name texts starts over
+KEPT_NAMES = 4096
 # ticks between two sweeps of every node's expired state
 SWEEP_TICKS = 1000
 # nonces an ECDSA producer precomputes at a time (ecdsa.NoncePool).  Against
@@ -300,7 +298,8 @@ def build_topology(config) -> Topology:
         if any(b.prefix == prefix for b in bindings):
             raise ConfigError(f"duplicate producer prefix {entry.get('prefix')!r}")
         scheme = entry.get("scheme", "bls")
-        if scheme not in _PRODUCER_SCHEMES:
+        # a list or object is not hashable, so look at its type first
+        if not isinstance(scheme, str) or scheme not in _PRODUCER_SCHEMES:
             raise ConfigError(f"producers cannot sign with scheme {scheme!r}")
         key_name = (
             _parse_config_name(entry["key_name"], "producer key name")
@@ -477,9 +476,6 @@ class _Runner:
         # nonce of each attempt whose lifetime lasts -> its request
         self.owners: dict[int, RequestResult] = {}
         self.texts: dict[Name, str] = {}
-        # packet -> its encoding, and blob -> its decoded packet; see to_wire
-        self.blobs: dict[Packet, bytes] = {}
-        self.packets: dict[bytes, Packet] = {}
         # (tick, node rank, seq, handler, args); seq is unique, so the heap
         # never compares handlers
         self.heap: list[tuple] = []
@@ -526,40 +522,10 @@ class _Runner:
     def text(self, name: Name) -> str:
         text = self.texts.get(name)
         if text is None:
+            if len(self.texts) >= KEPT_NAMES:
+                self.texts.clear()
             text = self.texts[name] = str(name)
         return text
-
-    def to_wire(self, packet: Packet) -> bytes:
-        # encode and decode are looked up as module globals on every miss, so
-        # a patched codec still sees each real call; a CodecError stores nothing
-        blob = self.blobs.get(packet)
-        if blob is None:
-            blob = encode(packet)
-            self.remember(packet, blob)
-        return blob
-
-    def from_wire(self, blob: bytes) -> Packet:
-        """The packet of a blob the memo does not hold: bytes the run did
-        not build, or built before the memo started over."""
-        packet = decode(blob)
-        self.remember(packet, blob)
-        return packet
-
-    def remember(self, packet: Packet, blob: bytes) -> None:
-        # the codec is canonical, so the packet the bytes were built from is
-        # the one they decode to: every hop that receives them shares it, and
-        # the run never decodes bytes it built
-        self.make_room()
-        self.blobs[packet] = blob
-        self.packets[blob] = packet
-
-    def make_room(self) -> None:
-        # every packets entry has its inverse in blobs, so blobs bounds both;
-        # name texts are a memo too and start over with them
-        if len(self.blobs) >= CODEC_MEMO_ENTRIES:
-            self.blobs.clear()
-            self.packets.clear()
-            self.texts.clear()
 
     def log(self, tick: int, node_id: str, event: str, text: str,
             face: Optional[int], nonce: Optional[int] = None) -> None:
@@ -573,7 +539,8 @@ class _Runner:
         """Send each emission on its face; answers maps a face to the nonce
         that a Data leaving on it answers. Every emission has the name of
         sent, the packet the node just processed: text is that name's text,
-        and blob is sent's encoding, or None for a consumer's fresh Interest."""
+        and blob is sent's encoding, or None for a consumer's fresh Interest,
+        which is encoded here once."""
         for face, packet in emissions:
             if face == APP_FACE:
                 if isinstance(packet, Data):
@@ -593,9 +560,16 @@ class _Runner:
             if owner is not None and owner.delivered is None:
                 owner.hops += 1
             peer, peer_face, latency = self.topology.faces[node_id][face]
-            # a cache hit, or a consumer's fresh Interest, needs its encoding
-            wire = blob if packet is sent and blob is not None else self.to_wire(packet)
-            self.push(tick + latency, peer, self.arrive, peer, peer_face, wire, text)
+            if packet is sent:
+                if blob is None:
+                    blob = encode(packet)
+                wire = blob
+            else:
+                # a cache hit: the producer's bytes while it keeps this very
+                # Data; a forgery, or a Data it has since dropped, is encoded
+                served = self.published.get(packet.name)
+                wire = served[1] if served is not None and served[0] is packet else encode(packet)
+            self.push(tick + latency, peer, self.arrive, peer, peer_face, packet, wire, text)
 
     # -- applications --
 
@@ -649,10 +623,7 @@ class _Runner:
         if served is None:
             served = self.producers[prefix].sign(
                 interest.name, _stretch(_CONTENT_TAG, self.scenario.seed, text))
-            # a cache that answers with this Data finds its encoding, and
-            # every hop that receives the encoding finds this Data
-            self.remember(*served)
-            if len(self.published) >= CODEC_MEMO_ENTRIES:
+            if len(self.published) >= KEPT_NAMES:
                 del self.published[next(iter(self.published))]
         self.published[interest.name] = served
         data, blob = served
@@ -680,10 +651,15 @@ class _Runner:
         self.log(tick, spec.node, "poison", self.text(spec.name), None)
         self.nodes[spec.node].cs.put(data, tick)
 
-    def arrive(self, node_id: str, face: int, blob: bytes, text: str, tick: int) -> None:
-        """blob reaches node_id on face; text is its name's text, carried
-        from the hop that sent it."""
-        packet = self.packets.get(blob) or self.from_wire(blob)
+    def arrive(self, node_id: str, face: int, packet: Optional[Packet], blob: bytes, text: str,
+               tick: int) -> None:
+        """blob reaches node_id on face; packet is the packet it was built
+        from, or None for bytes the run did not build, and text is its
+        name's text, carried from the hop that sent it."""
+        if packet is None:
+            # decode is looked up as a module global, so a patched codec
+            # sees each call
+            packet = decode(blob)
         if isinstance(packet, Interest):
             self.records.append({"tick": tick, "node": node_id, "event": "recv_interest",
                                  "name": text, "face": face, "nonce": packet.nonce})

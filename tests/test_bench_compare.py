@@ -108,8 +108,9 @@ def _bench(path: Path, metrics, failed=0, digest="a", machine=MACHINE) -> Path:
         "seeds": [1, 2, 3], "attempted": 300, "failed": failed,
         "metrics": {k: {"unit": "us", "median": m, "iqr": q, "raw_median": 2 * m,
                         "raw_iqr": 2 * q, "n": 3} for k, (m, q) in metrics.items()},
-        "digests": {str(s): [{"unit": 0, "requests": 100, "trace_sha256": digest,
-                              "counters_sha256": "c"}] for s in (1, 2, 3)},
+        "digests": {str(s): bench_compare.prefix_digest(
+            [{"unit": 0, "requests": 100, "trace_sha256": digest, "counters_sha256": "c"}])
+            for s in (1, 2, 3)},
     }
     path.write_text(json.dumps({"git_sha": path.stem, "dirty": False, "seconds": 30.0,
                                 "machine": machine, "workloads": {"crypto_suite": summary}}))
@@ -155,13 +156,13 @@ def test_bench_files_through_the_command_line(tmp_path, capsys):
 
 
 def test_one_changed_unit_among_the_first_ten_is_flagged(tmp_path, spec_file):
-    # the parent lists every unit's digests, as BENCH_9 and earlier files do;
-    # the change keeps bench_record's one digest per seed
+    # both sides keep bench_record's one digest per seed
     units = [{"unit": u, "requests": 100, "trace_sha256": f"t{u}", "counters_sha256": f"c{u}"}
              for u in range(14)]
     parent = _bench(tmp_path / "BENCH_9.json", {"sign_us.bls": (850.0, 10.0)})
     doc = json.loads(parent.read_text())
-    doc["workloads"]["crypto_suite"]["digests"] = {str(s): units for s in (1, 2, 3)}
+    doc["workloads"]["crypto_suite"]["digests"] = {
+        str(s): bench_compare.prefix_digest(units) for s in (1, 2, 3)}
     parent.write_text(json.dumps(doc))
     change = tmp_path / "BENCH_10.json"
 

@@ -1,6 +1,7 @@
 import hashlib
 import json
 import random
+import re
 from collections import Counter
 
 import pytest
@@ -134,8 +135,10 @@ def test_duplicate_producer_prefix_rejected():
 
 
 def test_producer_scheme_must_support_plain_signing():
-    with pytest.raises(ConfigError, match="cannot sign with scheme 'ring'"):
-        build_topology(config(producers=[dict(LINE["producers"][0], scheme="ring")]))
+    # a list or object is rejected too, not hashed
+    for scheme in ("ring", ["bls"], {"bls": 1}):
+        with pytest.raises(ConfigError, match=f"cannot sign with scheme {re.escape(repr(scheme))}"):
+            build_topology(config(producers=[dict(LINE["producers"][0], scheme=scheme)]))
 
 
 def test_binding_requires_producer_role():
@@ -726,7 +729,7 @@ def test_a_producer_re_signs_evicted_data_with_a_fresh_nonce(monkeypatch):
     assert set(Counter(data.name for _, data, _ in signed).values()) == {1}
     signed.clear()
     framed.clear()
-    monkeypatch.setattr(simnet, "CODEC_MEMO_ENTRIES", 2)
+    monkeypatch.setattr(simnet, "KEPT_NAMES", 2)
     evicted = run(*load_config(config))
     assert max(Counter(data.name for _, data, _ in signed).values()) > 1
     # a Data signed again verifies, with an r not used before, and is
@@ -775,8 +778,21 @@ def test_producers_sign_each_data_with_a_fresh_nonce(monkeypatch, scheme):
         assert batches == []
 
 
+def _record_arrivals(monkeypatch) -> list:
+    """(packet, blob) for each hop event the runner handles from now on."""
+    arrivals = []
+    arrive = simnet._Runner.arrive
+
+    def recording_arrive(runner, node_id, face, packet, blob, text, tick):
+        arrivals.append((packet, blob))
+        return arrive(runner, node_id, face, packet, blob, text, tick)
+
+    monkeypatch.setattr(simnet._Runner, "arrive", recording_arrive)
+    return arrivals
+
+
 def test_each_packet_is_encoded_once_and_no_built_blob_is_decoded(monkeypatch):
-    encoded, arrived = Counter(), Counter()
+    encoded = Counter()
 
     def counting_encode(packet):
         encoded[packet] += 1
@@ -784,13 +800,7 @@ def test_each_packet_is_encoded_once_and_no_built_blob_is_decoded(monkeypatch):
 
     monkeypatch.setattr(simnet, "encode", counting_encode)
     decoded = _count_decoding(monkeypatch)
-    arrive = simnet._Runner.arrive
-
-    def spied_arrive(runner, node_id, face, blob, text, tick):
-        arrived[blob] += 1
-        return arrive(runner, node_id, face, blob, text, tick)
-
-    monkeypatch.setattr(simnet._Runner, "arrive", spied_arrive)
+    arrivals = _record_arrivals(monkeypatch)
     signed = _record_signing(monkeypatch)
     framed = _count_framing(monkeypatch)
     trace = run(*load_config(_bench_tree("ecdsa", False, CHURN_NAMES, False, 7, 100)))
@@ -804,31 +814,26 @@ def test_each_packet_is_encoded_once_and_no_built_blob_is_decoded(monkeypatch):
     assert len(built) == len(encoded) + len(framed)
     # the blobs that arrived are exactly those, and none was decoded: every
     # hop shares the packet its bytes were built from
-    assert set(arrived) == built
+    assert {blob for _, blob in arrivals} == built
     assert not decoded
     emits = sum(r["event"] in ("emit_interest", "emit_data") for r in trace.records)
     assert emits > 4 * len(built)
-    assert sum(arrived.values()) == emits
+    assert len(arrivals) == emits
 
 
-def _record_memo(monkeypatch) -> list:
-    """(packet, blob) for each pair the runner files in its codec memo from
-    now on."""
-    filed = []
-    remember = simnet._Runner.remember
-
-    def recording_remember(runner, packet, blob):
-        filed.append((packet, blob))
-        return remember(runner, packet, blob)
-
-    monkeypatch.setattr(simnet._Runner, "remember", recording_remember)
-    return filed
-
-
-@pytest.mark.parametrize("shape", ["churn", "zipf", "poison"])
-def test_every_packet_the_memo_files_is_what_its_bytes_decode_to(monkeypatch, shape):
-    filed = _record_memo(monkeypatch)
-    if shape == "poison":
+@pytest.mark.parametrize("shape", ["churn", "zipf", "poison", "evicted"])
+def test_every_packet_that_arrives_is_what_its_bytes_decode_to(monkeypatch, shape):
+    arrivals = _record_arrivals(monkeypatch)
+    if shape == "evicted":
+        # one-entry caches and a producer that keeps two Data: caches answer
+        # with Data the producer has since dropped and signed again
+        monkeypatch.setattr(simnet, "KEPT_NAMES", 2)
+        config = json.loads(_bench_tree("ecdsa", False, ZIPF_NAMES, True, 7, 100))
+        for node in config["nodes"]:
+            node["cs_capacity"] = 1
+        trace = run(*load_config(config))
+        assert all(r.delivered is not None for r in trace.requests)
+    elif shape == "poison":
         # criterion 10's config: r1 answers with the forged Data from its CS,
         # which is encoded there
         trace = run_config(seed=19, nodes=POISON_NODES, schedule=POISON_SCHEDULE,
@@ -836,22 +841,22 @@ def test_every_packet_the_memo_files_is_what_its_bytes_decode_to(monkeypatch, sh
         name = parse_name(CONTENT_NAME)
         assert trace.requests[0].delivered == producer_payload(19, name)
         assert any(isinstance(p, wire.Data) and p.content == forged_payload(19, name)
-                   for p, _ in filed)
+                   for p, _ in arrivals)
     else:
         churn = shape == "churn"
         trace = run(*load_config(_bench_tree("ecdsa" if churn else "bls", not churn,
                                              CHURN_NAMES if churn else ZIPF_NAMES,
                                              not churn, 7, 100)))
         assert all(r.delivered is not None for r in trace.requests)
-    kinds = Counter(type(p) for p, _ in filed)
+    kinds = Counter(type(p) for p, _ in arrivals)
     assert kinds[Interest] > 0 and kinds[wire.Data] > 0
-    for packet, blob in filed:
+    for packet, blob in arrivals:
         decoded = wire.decode(blob)
         assert type(decoded) is type(packet)
         assert decoded == packet
 
 
-def test_bytes_built_outside_the_run_are_decoded_once(monkeypatch):
+def test_bytes_built_outside_the_run_are_decoded_on_each_arrival(monkeypatch):
     decoded = _count_decoding(monkeypatch)
     runner = simnet._Runner(*load_config(config()))
     received = []
@@ -863,22 +868,30 @@ def test_bytes_built_outside_the_run_are_decoded_once(monkeypatch):
 
     runner.nodes["r1"].process_interest = recording
     blob = encode(Interest(parse_name(CONTENT_NAME), nonce=5))
-    runner.arrive("r1", 1, blob, CONTENT_NAME, 0)
-    runner.arrive("r1", 1, blob, CONTENT_NAME, 1)
-    assert decoded == {blob: 1}
+    runner.arrive("r1", 1, None, blob, CONTENT_NAME, 0)
+    runner.arrive("r1", 1, None, blob, CONTENT_NAME, 1)
+    assert decoded == {blob: 2}
     first, second = received
-    assert second is first and first == wire.decode(blob)
-    assert runner.packets[blob] is first and runner.blobs[first] == blob
+    assert first == second == wire.decode(blob)
 
 
 def test_a_memo_that_starts_over_changes_no_trace_byte(monkeypatch):
     shaped = _bench_tree("ecdsa", False, CHURN_NAMES, False, 7, 100)
     kept = run(*load_config(shaped))
     decoded = _count_decoding(monkeypatch)
-    monkeypatch.setattr(simnet, "CODEC_MEMO_ENTRIES", 2)
+    encoded = Counter()
+
+    def counting_encode(packet):
+        encoded[type(packet)] += 1
+        return encode(packet)
+
+    monkeypatch.setattr(simnet, "encode", counting_encode)
+    # the memo of name texts starts over every two names, and the producer
+    # drops Data that caches still answer with, so those are encoded
+    monkeypatch.setattr(simnet, "KEPT_NAMES", 2)
     small = run(*load_config(shaped))
-    # blobs in flight when the memo started over reach decode
-    assert decoded
+    assert encoded[wire.Data] > 0
+    assert not decoded
     assert small.to_jsonl() == kept.to_jsonl()
     assert small.counters == kept.counters
     assert ([(r.delivered, r.delivered_tick, r.hops) for r in small.requests]
@@ -929,16 +942,16 @@ def test_a_malformed_blob_is_decoded_afresh_each_time(monkeypatch):
     blob = encode(Interest(parse_name(CONTENT_NAME), nonce=5))[:-1]
     for _ in range(2):
         with pytest.raises(CodecError):
-            runner.arrive("r1", 1, blob, CONTENT_NAME, 0)
+            runner.arrive("r1", 1, None, blob, CONTENT_NAME, 0)
     assert calls == 2
-    assert not runner.packets and not runner.blobs
+    assert not runner.records
 
 
 def _peak_state(requests: int) -> tuple[int, int]:
     """Run a churn-shaped schedule whose every request asks for a new name
     (a sequence-numbered fetch); return the peak over the run of the summed
-    PIT and duplicate-nonce entries of all nodes plus the runner's memo,
-    ledger, name-text and published-Data entries, and the number of
+    PIT and duplicate-nonce entries of all nodes plus the runner's ledger,
+    name-text and published-Data entries, and the number of
     Interests the nodes admitted."""
     config = json.loads(_bench_tree("ecdsa", False, CHURN_NAMES, False, 5, requests))
     for seq, entry in enumerate(config["schedule"]):
@@ -948,8 +961,7 @@ def _peak_state(requests: int) -> tuple[int, int]:
 
     def record_peak() -> None:
         # runner entries are read whole, so nested runner calls count once
-        in_runner = (len(runner.blobs) + len(runner.packets) + len(runner.pending)
-                     + len(runner.texts) + len(runner.published))
+        in_runner = len(runner.pending) + len(runner.texts) + len(runner.published)
         size["peak"] = max(size["peak"], size["nodes"] + in_runner)
 
     def node_tracked(method):
@@ -970,17 +982,19 @@ def _peak_state(requests: int) -> tuple[int, int]:
 
     with pytest.MonkeyPatch.context() as mp:
         # the only methods that add or drop PIT or nonce entries, and the
-        # only runner methods that add memo, ledger, text or published entries
+        # only runner methods that add ledger, text or published entries
         for attr in ("process_interest", "process_data", "sweep"):
             mp.setattr(simnet.Node, attr, node_tracked(getattr(simnet.Node, attr)))
-        for attr in ("to_wire", "from_wire", "issue", "text", "answer"):
+        for attr in ("issue", "text", "answer"):
             mp.setattr(simnet._Runner, attr, runner_tracked(getattr(simnet._Runner, attr)))
         trace = runner.run()
     assert all(r.delivered is not None for r in trace.requests)
     # every request was delivered, so none is left in the ledger
     assert not runner.pending
-    # every name is new, so the producer holds as many Data as it may
-    assert len(runner.published) == min(requests, simnet.CODEC_MEMO_ENTRIES)
+    # every name is new, so the producer holds as many Data as it may, and
+    # the memo of name texts has started over instead of growing past it
+    assert len(runner.published) == min(requests, simnet.KEPT_NAMES)
+    assert len(runner.texts) <= simnet.KEPT_NAMES
     admitted = sum(c["cs_hits"] + c["cs_misses"] for c in trace.counters.values())
     return size["peak"], admitted
 
@@ -995,10 +1009,9 @@ def test_runner_state_stays_under_a_bound_independent_of_run_length():
     # a request stays in the ledger from its first attempt until it is
     # delivered or gives up, at most MAX_ATTEMPTS lifetimes later
     ledger = simnet.MAX_ATTEMPTS * (simnet.DEFAULT_LIFETIME_MS + 1) // REQUEST_GAP_TICKS + 1
-    # the name texts start over with the two codec memos, and each new text
-    # comes with the fresh Interest of a request, a new memo entry; the
-    # producer keeps at most CODEC_MEMO_ENTRIES signed Data
-    memos = 4 * simnet.CODEC_MEMO_ENTRIES
+    # the runner keeps at most KEPT_NAMES name texts, and the producer at
+    # most KEPT_NAMES signed Data
+    memos = 2 * simnet.KEPT_NAMES
     bound = nodes + ledger + memos
     short, _ = _peak_state(2_000)
     long, admitted = _peak_state(8_000)

@@ -22,9 +22,7 @@ both sides. A summary keeps no per-seed values, so no pairs are counted:
 ``gain`` marks a better median by more than the parent's IQR, and a line
 warns when the two files come from different machines. A BENCH file keeps
 one digest per seed over its first ``DIGEST_UNITS`` sim units
-(``prefix_digest``); for a file that lists every unit's digests (BENCH_9 and
-before), the same value is derived from the list, and the seeds both files
-ran are compared by it.
+(``prefix_digest``), and the seeds both files ran are compared by it.
 
 The records are only read; nothing under ``perfbench/`` is run or changed.
 """
@@ -122,11 +120,9 @@ def prefix_digest(units: list) -> dict:
 def _seed_mismatches(parent: dict, change: dict) -> tuple[int, int]:
     """(shared seeds, seeds whose digests differ) of two BENCH summaries'
     digests; a seed is shared when both digests cover as many units."""
-    seeds = [{s: d if isinstance(d, dict) else prefix_digest(d) for s, d in side.items()}
-             for side in (parent, change)]
-    shared = [s for s in seeds[0].keys() & seeds[1].keys()
-              if seeds[0][s]["units"] == seeds[1][s]["units"]]
-    return len(shared), sum(seeds[0][s] != seeds[1][s] for s in shared)
+    shared = [s for s in parent.keys() & change.keys()
+              if parent[s]["units"] == change[s]["units"]]
+    return len(shared), sum(parent[s] != change[s] for s in shared)
 
 
 def compare(parent_dir: Path, change_dir: Path, benchmark: Path = ROOT / "BENCHMARK.json"):
