@@ -9,9 +9,10 @@ Three subcommands:
   keygen  writes a serialized key pair; the public half loads straight into
           a trust store
 
-Benchmarks use the classic 80-bit parameter preset so schemes are compared
-at matched strength, warm up with ten untimed iterations, read a monotonic
-clock, and pin themselves to one logical core where the platform allows.
+Benchmarks run every scheme at the suite's one strength, 80 bits, so schemes
+are compared at matched strength. They warm up with ten untimed iterations,
+read a monotonic clock, and pin themselves to one logical core where the
+platform allows.
 Timing tables report microseconds. Absolute numbers are hardware-specific;
 only orderings and ratios are meaningful across machines.
 """
@@ -208,14 +209,21 @@ def cmd_bench(args) -> int:
     return 0
 
 
-def cmd_sim(args) -> int:
-    config = json.loads(Path(args.topology).read_text())
+def _read_config(path: str, what: str) -> dict:
+    """The JSON object in the file at path; what names the config in errors."""
+    try:
+        config = json.loads(Path(path).read_text())
+    except UnicodeDecodeError as exc:
+        raise simnet.ConfigError(f"{what} config {path} is not UTF-8 text: {exc}") from exc
     if not isinstance(config, dict):
-        raise simnet.ConfigError("topology config must be a JSON object")
+        raise simnet.ConfigError(f"{what} config must be a JSON object")
+    return config
+
+
+def cmd_sim(args) -> int:
+    config = _read_config(args.topology, "topology")
     if args.scenario:
-        overlay = json.loads(Path(args.scenario).read_text())
-        if not isinstance(overlay, dict):
-            raise simnet.ConfigError("scenario config must be a JSON object")
+        overlay = _read_config(args.scenario, "scenario")
         for key in ("schedule", "attacks", "seed", "tick_limit"):
             if key in overlay:
                 config[key] = overlay[key]

@@ -126,5 +126,5 @@ class SchemeParams:
 
 
 def reference_params(scheme_id: int) -> SchemeParams:
-    """The benchmark preset: every scheme at its classic 80-bit strength."""
+    """The record of scheme_id at the suite's one strength, 80 bits."""
     return SchemeParams(scheme_id)

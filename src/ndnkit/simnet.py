@@ -9,25 +9,21 @@ and the outcome of every request. Events run by tick, then by node id, then
 in the order they were pushed; the heap keys a node by its rank in the
 sorted node ids, an integer that orders like the id itself.
 
-Packets cross links as encoded wire bytes, but a packet is immutable and the
-codec canonical, so a run never decodes bytes it built: each hop event
-carries the packet together with the bytes built from it and the text of its
-name, and a node re-sends the bytes and the text it received whenever it
-emits that same packet. A consumer's fresh Interest is encoded once, and a
-producer frames a new Data around the signed portion it has just signed
-(wire.frame_data). A cache that answers with a Data takes its bytes from the
-producer while the producer still keeps that very Data, and encodes a forgery
-or a Data the producer has since dropped. Only bytes the run did not build
-arrive without their packet and reach decode. The memo of name texts is read
-only where a name enters the run: a request, its timeout or give-up, a
-poisoning. The text belongs to the bytes it travels with. A link attack that
-alters bytes in flight (ROADMAP item 12) must therefore send them without
-their packet and derive the text again from the decoded packet instead of
-passing it on. Producers keep at most KEPT_NAMES signed Data and drop the
-least recently served; a Data signed again carries a fresh signature, which
-no trace record or counter holds. The memo of name texts holds at most
-KEPT_NAMES names and starts over when full, and every SWEEP_TICKS ticks each
-node drops its expired PIT, duplicate-nonce and CS entries. The ledger of
+Packets cross links as immutable objects: each hop event carries the packet
+itself and the text of its name, and a node that emits the packet it
+received passes that text on. The codec runs only where a signature needs
+bytes: a producer signs each Data's signed portion, and a verifying node
+checks it. The memo of name texts is read only where a name enters the run:
+a request, its timeout or give-up, a poisoning. A link attack that alters
+packets in flight (ROADMAP item 12) would encode the packet it carries,
+alter the bytes and decode them on arrival, deriving the text again from the
+decoded packet instead of passing it on.
+
+Producers keep at most KEPT_NAMES signed Data and drop the least recently
+served; a Data signed again carries a fresh signature, which no trace
+record or counter holds. The memo of name texts holds at most KEPT_NAMES
+names and starts over when full, and every SWEEP_TICKS ticks each node
+drops its expired PIT, duplicate-nonce and CS entries. The ledger of
 requests holds only the outstanding ones: a request joins it on its first
 attempt and leaves once delivered or given up. So a run's state does not
 grow with its length. None of this changes a trace: expired entries already
@@ -57,7 +53,6 @@ One tick equals one millisecond of pipeline time.
 
 from __future__ import annotations
 
-import hashlib
 import heapq
 import json
 import random
@@ -65,11 +60,14 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 from . import signatures as sigs
+from .intmath import mgf1
 from .naming import Name, longest_prefix_match, parse_name
 from .node import DEFAULT_CS_CAPACITY, DEFAULT_FRESHNESS_MS, Node
 from .signatures.ecdsa import NoncePool
-from .wire import (DEFAULT_LIFETIME_MS, Data, Interest, Packet, decode, encode, frame_data,
-                   signed_portion)
+from .wire import DEFAULT_LIFETIME_MS, Data, Interest, Packet, decode, encode, signed_portion
+
+# re-exported, not used here: perfbench's tracer patches simnet.encode and .decode
+__all__ = ["decode", "encode"]
 
 APP_FACE = 0
 MAX_ATTEMPTS = 3
@@ -416,13 +414,7 @@ _CONTENT_TAG = b"ndnkit/sim-content/v1"
 
 
 def _stretch(tag: bytes, seed: int, text: str) -> bytes:
-    material = tag + seed.to_bytes(8, "big") + text.encode()
-    out = b""
-    counter = 0
-    while len(out) < PAYLOAD_BYTES:
-        out += hashlib.sha256(material + counter.to_bytes(4, "big")).digest()
-        counter += 1
-    return out[:PAYLOAD_BYTES]
+    return mgf1(tag + seed.to_bytes(8, "big") + text.encode(), PAYLOAD_BYTES)
 
 
 def producer_payload(seed: int, name: Name) -> bytes:
@@ -449,9 +441,8 @@ class _Producer(NamedTuple):
     key: object
     rng: random.Random | NoncePool
 
-    def sign(self, name: Name, content: bytes) -> tuple[Data, bytes]:
-        """The signed Data and its encoding, framed around the very bytes
-        that were signed."""
+    def sign(self, name: Name, content: bytes) -> Data:
+        """The Data of name and content, signed under this producer's key."""
         blank = Data(
             name=name,
             content=content,
@@ -459,9 +450,7 @@ class _Producer(NamedTuple):
             scheme_id=self.binding.scheme_id,
             signature=b"",
         )
-        portion = signed_portion(blank)
-        signature = sigs.sign(self.key, portion, self.rng).data
-        return blank.with_signature(signature), frame_data(portion, signature)
+        return blank.with_signature(sigs.sign(self.key, signed_portion(blank), self.rng).data)
 
 
 class _Runner:
@@ -509,8 +498,8 @@ class _Runner:
         for node in self.nodes.values():
             for anchor in anchors:
                 node.trust.add(*anchor)
-        # name -> its signed Data and their encoding, least recently served first
-        self.published: dict[Name, tuple[Data, bytes]] = {}
+        # name -> its signed Data, least recently served first
+        self.published: dict[Name, Data] = {}
 
     # -- plumbing --
 
@@ -535,12 +524,10 @@ class _Runner:
         self.records.append(record)
 
     def route_emissions(self, node_id: str, emissions, tick: int, answers: dict,
-                        sent: Packet, blob: Optional[bytes], text: str) -> None:
+                        text: str) -> None:
         """Send each emission on its face; answers maps a face to the nonce
-        that a Data leaving on it answers. Every emission has the name of
-        sent, the packet the node just processed: text is that name's text,
-        and blob is sent's encoding, or None for a consumer's fresh Interest,
-        which is encoded here once."""
+        that a Data leaving on it answers. Every emission has the name of the
+        packet the node just processed, and text is that name's text."""
         for face, packet in emissions:
             if face == APP_FACE:
                 if isinstance(packet, Data):
@@ -560,16 +547,7 @@ class _Runner:
             if owner is not None and owner.delivered is None:
                 owner.hops += 1
             peer, peer_face, latency = self.topology.faces[node_id][face]
-            if packet is sent:
-                if blob is None:
-                    blob = encode(packet)
-                wire = blob
-            else:
-                # a cache hit: the producer's bytes while it keeps this very
-                # Data; a forgery, or a Data it has since dropped, is encoded
-                served = self.published.get(packet.name)
-                wire = served[1] if served is not None and served[0] is packet else encode(packet)
-            self.push(tick + latency, peer, self.arrive, peer, peer_face, packet, wire, text)
+            self.push(tick + latency, peer, self.arrive, peer, peer_face, packet, text)
 
     # -- applications --
 
@@ -583,7 +561,7 @@ class _Runner:
         self.log(tick, spec.consumer, "request", text, APP_FACE, nonce)
         interest = Interest(name=spec.name, nonce=nonce, lifetime_ms=spec.lifetime_ms)
         emissions = self.nodes[spec.consumer].process_interest(APP_FACE, interest, tick)
-        self.route_emissions(spec.consumer, emissions, tick, {}, interest, None, text)
+        self.route_emissions(spec.consumer, emissions, tick, {}, text)
         self.push(tick + spec.lifetime_ms + 1, spec.consumer, self.expire, spec, result, nonce)
 
     def expire(self, spec: RequestSpec, result: RequestResult, nonce: int,
@@ -619,16 +597,15 @@ class _Runner:
         if prefix is None or self.producers[prefix].binding.node != node_id:
             self.log(tick, node_id, "no_binding", text, APP_FACE, interest.nonce)
             return
-        served = self.published.pop(interest.name, None)
-        if served is None:
-            served = self.producers[prefix].sign(
+        data = self.published.pop(interest.name, None)
+        if data is None:
+            data = self.producers[prefix].sign(
                 interest.name, _stretch(_CONTENT_TAG, self.scenario.seed, text))
             if len(self.published) >= KEPT_NAMES:
                 del self.published[next(iter(self.published))]
-        self.published[interest.name] = served
-        data, blob = served
+        self.published[interest.name] = data
         self.log(tick, node_id, "publish", text, APP_FACE)
-        self.take_data(node_id, APP_FACE, data, blob, text, tick)
+        self.take_data(node_id, APP_FACE, data, text, tick)
 
     def plant_poison(self, spec: AttackSpec, tick: int) -> None:
         prefix = longest_prefix_match(self.producers.keys(), spec.name)
@@ -647,38 +624,31 @@ class _Runner:
         )
         forger = _Producer(binding, forged_key,
                            _rng_for(self.scenario.seed, "forged-sig", str(spec.name)))
-        data, _ = forger.sign(spec.name, forged_payload(self.scenario.seed, spec.name))
+        data = forger.sign(spec.name, forged_payload(self.scenario.seed, spec.name))
         self.log(tick, spec.node, "poison", self.text(spec.name), None)
         self.nodes[spec.node].cs.put(data, tick)
 
-    def arrive(self, node_id: str, face: int, packet: Optional[Packet], blob: bytes, text: str,
-               tick: int) -> None:
-        """blob reaches node_id on face; packet is the packet it was built
-        from, or None for bytes the run did not build, and text is its
-        name's text, carried from the hop that sent it."""
-        if packet is None:
-            # decode is looked up as a module global, so a patched codec
-            # sees each call
-            packet = decode(blob)
+    def arrive(self, node_id: str, face: int, packet: Packet, text: str, tick: int) -> None:
+        """packet reaches node_id on face; text is its name's text, carried
+        from the hop that sent it."""
         if isinstance(packet, Interest):
             self.records.append({"tick": tick, "node": node_id, "event": "recv_interest",
                                  "name": text, "face": face, "nonce": packet.nonce})
             # a cache hit answers on the arrival face
             self.route_emissions(node_id,
                                  self.nodes[node_id].process_interest(face, packet, tick),
-                                 tick, {face: packet.nonce}, packet, blob, text)
+                                 tick, {face: packet.nonce}, text)
         else:
             self.records.append({"tick": tick, "node": node_id, "event": "recv_data",
                                  "name": text, "face": face})
-            self.take_data(node_id, face, packet, blob, text, tick)
+            self.take_data(node_id, face, packet, text, tick)
 
-    def take_data(self, node_id: str, face: int, data: Data, blob: bytes, text: str,
-                  tick: int) -> None:
+    def take_data(self, node_id: str, face: int, data: Data, text: str, tick: int) -> None:
         # the node erases the PIT entry it satisfies, so read its in-records first
         node = self.nodes[node_id]
         entry = node.pit.get(data.name)
         self.route_emissions(node_id, node.process_data(face, data, tick), tick,
-                             entry.in_records if entry is not None else {}, data, blob, text)
+                             entry.in_records if entry is not None else {}, text)
 
     # -- the loop --
 

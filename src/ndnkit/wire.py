@@ -174,11 +174,6 @@ def signed_portion(data: Data) -> bytes:
     )
 
 
-def frame_data(portion: bytes, signature: bytes) -> bytes:
-    """A Data packet's encoding, from its signed portion and its signature."""
-    return _tlv(TYPE_DATA, portion + _tlv(TYPE_SIGNATURE, signature))
-
-
 def encode(packet: Packet) -> bytes:
     if isinstance(packet, Interest):
         body = (
@@ -188,7 +183,7 @@ def encode(packet: Packet) -> bytes:
         )
         return _tlv(TYPE_INTEREST, body)
     if isinstance(packet, Data):
-        return frame_data(signed_portion(packet), packet.signature)
+        return _tlv(TYPE_DATA, signed_portion(packet) + _tlv(TYPE_SIGNATURE, packet.signature))
     raise TypeError(f"not a packet: {packet!r}")
 
 

@@ -246,6 +246,18 @@ def test_sim_missing_file_exits_2(tmp_path):
     assert cli.main(["sim", "--topology", str(missing), "--out", str(tmp_path / "o")]) == 2
 
 
+@pytest.mark.parametrize("what", ["topology", "scenario"])
+def test_sim_config_that_is_not_utf8_exits_2(tmp_path, capsys, what):
+    bad = tmp_path / "utf16.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    topo = bad if what == "topology" else write_topology(tmp_path)
+    argv = ["sim", "--topology", str(topo), "--out", str(tmp_path / "o")]
+    if what == "scenario":
+        argv += ["--scenario", str(bad)]
+    assert cli.main(argv) == 2
+    assert f"error: {what} config {bad} is not UTF-8 text" in capsys.readouterr().err
+
+
 def test_sim_config_error_exits_2(tmp_path):
     topo = write_topology(tmp_path, dict(LINE, links=[]))
     assert cli.main(["sim", "--topology", str(topo), "--out", str(tmp_path / "o")]) == 2

@@ -7,7 +7,7 @@ from collections import Counter
 import pytest
 
 from ndnkit import signatures as sigs
-from ndnkit import simnet, wire
+from ndnkit import simnet
 from ndnkit.naming import Name, parse_name
 from ndnkit.simnet import (
     ConfigError,
@@ -20,7 +20,7 @@ from ndnkit.simnet import (
     run,
 )
 from ndnkit.signatures import ecdsa
-from ndnkit.wire import CodecError, Interest, encode, signed_portion
+from ndnkit.wire import signed_portion
 
 CONTENT_NAME = "/snnu/images/a.jpg/v1/s1"
 
@@ -601,7 +601,7 @@ def test_bookkeeping_formats_each_name_a_bounded_number_of_times(monkeypatch):
     assert calls <= 2 * (len(names) + 1)
 
 
-# --- the benchmark's tree: codec memos, sweeps and pinned digests ------------
+# --- the benchmark's tree: packet hops, sweeps and pinned digests -----------
 
 
 TREE_DEPTH = 5
@@ -662,7 +662,8 @@ def _bench_tree(scheme: str, verify: bool, names, zipf: bool, seed: int, request
     )),
 ])
 def test_benchmark_shaped_runs_replay_to_pinned_digests(shape, expected):
-    # taken before the codec memos and the sweep existed: neither may move a byte
+    # taken when every hop still encoded and decoded its packet, before the
+    # sweep existed: neither packet hops nor the sweep may move a byte
     trace = run(*load_config(_bench_tree(*shape, seed=7, requests=100)))
     assert all(r.delivered is not None for r in trace.requests)
     assert (
@@ -671,92 +672,71 @@ def test_benchmark_shaped_runs_replay_to_pinned_digests(shape, expected):
     ) == expected
 
 
+
+def test_payloads_replay_to_a_pinned_digest():
+    # no trace record or counter holds content, so the digests above do not pin it
+    name = parse_name(CONTENT_NAME)
+    assert hashlib.sha256(producer_payload(7, name) + forged_payload(7, name)).hexdigest() == (
+        "d5e41c289eb8ad3413e2ab4b932bf6188425dde520b5bfb1cf1a5b61eec0bc91")
+
 def _record_signing(monkeypatch) -> list:
-    """(producer's public key, Data, its framed bytes) for each Data a
-    producer signs from now on."""
+    """(producer's public key, Data) for each Data a producer signs from now on."""
     signed = []
     sign = simnet._Producer.sign
 
     def recording_sign(producer, name, content):
-        data, blob = sign(producer, name, content)
-        signed.append((producer.key.public(), data, blob))
-        return data, blob
+        data = sign(producer, name, content)
+        signed.append((producer.key.public(), data))
+        return data
 
     monkeypatch.setattr(simnet._Producer, "sign", recording_sign)
     return signed
 
 
-def _count_framing(monkeypatch) -> Counter:
-    """The Data encodings that simnet frames from a signed portion from now on."""
-    framed = Counter()
-
-    def counting_frame(portion, signature):
-        blob = wire.frame_data(portion, signature)
-        framed[blob] += 1
-        return blob
-
-    monkeypatch.setattr(simnet, "frame_data", counting_frame)
-    return framed
-
-
-def _count_decoding(monkeypatch) -> Counter:
-    """The blobs that simnet decodes from now on."""
-    decoded = Counter()
-
-    def counting_decode(blob):
-        decoded[blob] += 1
-        return wire.decode(blob)
-
-    monkeypatch.setattr(simnet, "decode", counting_decode)
-    return decoded
-
-
 def _fresh_signatures(signed) -> bool:
     """Every Data verifies under its producer's key, and no two share r."""
-    rs = [data.signature[:20] for _, data, _ in signed]
+    rs = [data.signature[:20] for _, data in signed]
     return len(set(rs)) == len(rs) and all(
-        sigs.verify(pub, signed_portion(data), data.signature) for pub, data, _ in signed)
+        sigs.verify(pub, signed_portion(data), data.signature) for pub, data in signed)
+
+
+def _evicted_config() -> dict:
+    """One-entry caches send repeated names back to the producer."""
+    config = json.loads(_bench_tree("ecdsa", False, ZIPF_NAMES, True, 7, 100))
+    for node in config["nodes"]:
+        node["cs_capacity"] = 1
+    return config
 
 
 def test_a_producer_re_signs_evicted_data_with_a_fresh_nonce(monkeypatch):
     signed = _record_signing(monkeypatch)
-    framed = _count_framing(monkeypatch)
-    config = json.loads(_bench_tree("ecdsa", False, ZIPF_NAMES, True, 7, 100))
-    # one-entry caches send repeated names back to the producer
-    for node in config["nodes"]:
-        node["cs_capacity"] = 1
-    kept = run(*load_config(config))
-    assert set(Counter(data.name for _, data, _ in signed).values()) == {1}
+    kept = run(*load_config(_evicted_config()))
+    assert set(Counter(data.name for _, data in signed).values()) == {1}
     signed.clear()
-    framed.clear()
     monkeypatch.setattr(simnet, "KEPT_NAMES", 2)
-    evicted = run(*load_config(config))
-    assert max(Counter(data.name for _, data, _ in signed).values()) > 1
-    # a Data signed again verifies, with an r not used before, and is
-    # framed afresh; no trace record or counter holds signature bytes
+    evicted = run(*load_config(_evicted_config()))
+    assert max(Counter(data.name for _, data in signed).values()) > 1
+    # a Data signed again verifies, with an r not used before; no trace
+    # record or counter holds signature bytes
     assert _fresh_signatures(signed)
-    assert framed == Counter(blob for _, _, blob in signed)
-    assert set(framed.values()) == {1}
     assert evicted.to_jsonl() == kept.to_jsonl()
     assert evicted.counters == kept.counters
 
 
 @pytest.mark.parametrize("scheme", ["rsa", "dsa", "ecdsa", "bls"])
-def test_a_produced_data_is_framed_as_encode_frames_it(monkeypatch, scheme):
+def test_each_producer_scheme_signs_a_data_once_for_two_requests(monkeypatch, scheme):
     signed = _record_signing(monkeypatch)
     trace = run_config(producers=[dict(LINE["producers"][0], scheme=scheme)])
     assert [r.delivered for r in trace.requests] == [
         producer_payload(7, parse_name(CONTENT_NAME))] * 2
     # the second request is a cache hit, so one Data was signed
-    [(_, data, blob)] = signed
-    assert blob == encode(data)
-    assert wire.decode(blob) == data
+    [(pub, data)] = signed
+    assert sigs.verify(pub, signed_portion(data), data.signature)
 
 
 @pytest.mark.parametrize("scheme", ["ecdsa", "dsa"])
 def test_producers_sign_each_data_with_a_fresh_nonce(monkeypatch, scheme):
     signed = _record_signing(monkeypatch)
-    framed = _count_framing(monkeypatch)
     batches = []
     precompute = ecdsa.precompute_nonces
 
@@ -768,9 +748,6 @@ def test_producers_sign_each_data_with_a_fresh_nonce(monkeypatch, scheme):
     trace = run(*load_config(_bench_tree(scheme, False, CHURN_NAMES, False, 7, 100)))
     assert all(r.delivered is not None for r in trace.requests)
     assert len(signed) > 90 and _fresh_signatures(signed)
-    # each produced Data is framed once, around the bytes its signature covers
-    assert framed == Counter(blob for _, _, blob in signed)
-    assert all(blob == encode(data) for _, data, blob in signed)
     # an ECDSA producer draws its nonces NONCE_BATCH at a time
     if scheme == "ecdsa":
         assert batches == [simnet.NONCE_BATCH] * -(-len(signed) // simnet.NONCE_BATCH)
@@ -778,120 +755,39 @@ def test_producers_sign_each_data_with_a_fresh_nonce(monkeypatch, scheme):
         assert batches == []
 
 
-def _record_arrivals(monkeypatch) -> list:
-    """(packet, blob) for each hop event the runner handles from now on."""
-    arrivals = []
-    arrive = simnet._Runner.arrive
-
-    def recording_arrive(runner, node_id, face, packet, blob, text, tick):
-        arrivals.append((packet, blob))
-        return arrive(runner, node_id, face, packet, blob, text, tick)
-
-    monkeypatch.setattr(simnet._Runner, "arrive", recording_arrive)
-    return arrivals
-
-
-def test_each_packet_is_encoded_once_and_no_built_blob_is_decoded(monkeypatch):
-    encoded = Counter()
-
-    def counting_encode(packet):
-        encoded[packet] += 1
-        return encode(packet)
-
-    monkeypatch.setattr(simnet, "encode", counting_encode)
-    decoded = _count_decoding(monkeypatch)
-    arrivals = _record_arrivals(monkeypatch)
-    signed = _record_signing(monkeypatch)
-    framed = _count_framing(monkeypatch)
-    trace = run(*load_config(_bench_tree("ecdsa", False, CHURN_NAMES, False, 7, 100)))
-    assert all(r.delivered is not None for r in trace.requests)
-    assert set(encoded.values()) == {1}
-    # a produced Data is framed once, when it is signed, and never encoded:
-    # every hop and every cache re-sends bytes built before
-    assert set(framed.values()) == {1} and len(framed) == len(signed)
-    assert all(isinstance(packet, Interest) for packet in encoded)
-    built = {encode(packet) for packet in encoded} | set(framed)
-    assert len(built) == len(encoded) + len(framed)
-    # the blobs that arrived are exactly those, and none was decoded: every
-    # hop shares the packet its bytes were built from
-    assert {blob for _, blob in arrivals} == built
-    assert not decoded
-    emits = sum(r["event"] in ("emit_interest", "emit_data") for r in trace.records)
-    assert emits > 4 * len(built)
-    assert len(arrivals) == emits
-
-
 @pytest.mark.parametrize("shape", ["churn", "zipf", "poison", "evicted"])
-def test_every_packet_that_arrives_is_what_its_bytes_decode_to(monkeypatch, shape):
-    arrivals = _record_arrivals(monkeypatch)
+def test_no_run_encodes_or_decodes_a_packet(monkeypatch, shape):
+    def refuse(_):
+        raise AssertionError("a hop reached the codec")
+
+    # hops carry packets; only signing and verifying touch bytes
+    monkeypatch.setattr(simnet, "encode", refuse)
+    monkeypatch.setattr(simnet, "decode", refuse)
     if shape == "evicted":
-        # one-entry caches and a producer that keeps two Data: caches answer
-        # with Data the producer has since dropped and signed again
+        # caches answer with Data the producer has since dropped and signed again
         monkeypatch.setattr(simnet, "KEPT_NAMES", 2)
-        config = json.loads(_bench_tree("ecdsa", False, ZIPF_NAMES, True, 7, 100))
-        for node in config["nodes"]:
-            node["cs_capacity"] = 1
-        trace = run(*load_config(config))
-        assert all(r.delivered is not None for r in trace.requests)
+        trace = run(*load_config(_evicted_config()))
     elif shape == "poison":
-        # criterion 10's config: r1 answers with the forged Data from its CS,
-        # which is encoded there
+        # criterion 10's config: r1 answers with the forged Data from its CS
         trace = run_config(seed=19, nodes=POISON_NODES, schedule=POISON_SCHEDULE,
                            attacks=POISON_ATTACKS)
-        name = parse_name(CONTENT_NAME)
-        assert trace.requests[0].delivered == producer_payload(19, name)
-        assert any(isinstance(p, wire.Data) and p.content == forged_payload(19, name)
-                   for p, _ in arrivals)
+        assert trace.requests[0].delivered == producer_payload(19, parse_name(CONTENT_NAME))
+        assert trace.counters["c1"]["dropped_bogus"] >= 1
     else:
         churn = shape == "churn"
         trace = run(*load_config(_bench_tree("ecdsa" if churn else "bls", not churn,
                                              CHURN_NAMES if churn else ZIPF_NAMES,
                                              not churn, 7, 100)))
-        assert all(r.delivered is not None for r in trace.requests)
-    kinds = Counter(type(p) for p, _ in arrivals)
-    assert kinds[Interest] > 0 and kinds[wire.Data] > 0
-    for packet, blob in arrivals:
-        decoded = wire.decode(blob)
-        assert type(decoded) is type(packet)
-        assert decoded == packet
-
-
-def test_bytes_built_outside_the_run_are_decoded_on_each_arrival(monkeypatch):
-    decoded = _count_decoding(monkeypatch)
-    runner = simnet._Runner(*load_config(config()))
-    received = []
-    process_interest = runner.nodes["r1"].process_interest
-
-    def recording(face, interest, tick):
-        received.append(interest)
-        return process_interest(face, interest, tick)
-
-    runner.nodes["r1"].process_interest = recording
-    blob = encode(Interest(parse_name(CONTENT_NAME), nonce=5))
-    runner.arrive("r1", 1, None, blob, CONTENT_NAME, 0)
-    runner.arrive("r1", 1, None, blob, CONTENT_NAME, 1)
-    assert decoded == {blob: 2}
-    first, second = received
-    assert first == second == wire.decode(blob)
+    assert all(r.delivered is not None for r in trace.requests)
 
 
 def test_a_memo_that_starts_over_changes_no_trace_byte(monkeypatch):
     shaped = _bench_tree("ecdsa", False, CHURN_NAMES, False, 7, 100)
     kept = run(*load_config(shaped))
-    decoded = _count_decoding(monkeypatch)
-    encoded = Counter()
-
-    def counting_encode(packet):
-        encoded[type(packet)] += 1
-        return encode(packet)
-
-    monkeypatch.setattr(simnet, "encode", counting_encode)
     # the memo of name texts starts over every two names, and the producer
-    # drops Data that caches still answer with, so those are encoded
+    # drops Data that caches still answer with
     monkeypatch.setattr(simnet, "KEPT_NAMES", 2)
     small = run(*load_config(shaped))
-    assert encoded[wire.Data] > 0
-    assert not decoded
     assert small.to_jsonl() == kept.to_jsonl()
     assert small.counters == kept.counters
     assert ([(r.delivered, r.delivered_tick, r.hops) for r in small.requests]
@@ -926,25 +822,6 @@ def test_name_texts_are_looked_up_per_request_not_per_hop():
     assert sum(lookups.values()) == events["request"] + events["timeout"] + events["give_up"]
     assert events["publish"] > 90
     assert events["recv_interest"] + events["recv_data"] > 10 * sum(lookups.values())
-
-
-def test_a_malformed_blob_is_decoded_afresh_each_time(monkeypatch):
-    calls = 0
-    decode = simnet.decode
-
-    def counting_decode(blob):
-        nonlocal calls
-        calls += 1
-        return decode(blob)
-
-    monkeypatch.setattr(simnet, "decode", counting_decode)
-    runner = simnet._Runner(*load_config(config()))
-    blob = encode(Interest(parse_name(CONTENT_NAME), nonce=5))[:-1]
-    for _ in range(2):
-        with pytest.raises(CodecError):
-            runner.arrive("r1", 1, None, blob, CONTENT_NAME, 0)
-    assert calls == 2
-    assert not runner.records
 
 
 def _peak_state(requests: int) -> tuple[int, int]:
