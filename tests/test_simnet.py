@@ -20,7 +20,7 @@ from ndnkit.simnet import (
     run,
 )
 from ndnkit.signatures import ecdsa
-from ndnkit.wire import signed_portion
+from ndnkit.wire import Data, Interest, signed_portion
 
 CONTENT_NAME = "/snnu/images/a.jpg/v1/s1"
 
@@ -779,6 +779,34 @@ def test_no_run_encodes_or_decodes_a_packet(monkeypatch, shape):
                                              CHURN_NAMES if churn else ZIPF_NAMES,
                                              not churn, 7, 100)))
     assert all(r.delivered is not None for r in trace.requests)
+
+
+def test_every_hop_shares_a_packet_built_once(monkeypatch):
+    arrived = Counter()
+    arrive = simnet._Runner.arrive
+
+    def spied_arrive(runner, node_id, face, packet, text, tick):
+        arrived[id(packet)] += 1
+        kept.append(packet)
+        return arrive(runner, node_id, face, packet, text, tick)
+
+    kept = []  # holds each arrived packet, so no id is reused during the run
+    monkeypatch.setattr(simnet._Runner, "arrive", spied_arrive)
+    signed = _record_signing(monkeypatch)
+    trace = run(*load_config(_bench_tree("ecdsa", False, CHURN_NAMES, False, 7, 100)))
+    assert all(r.delivered is not None for r in trace.requests)
+    # every emission arrives once, and caches and routers pass on the very
+    # Data object the producer signed rather than a copy
+    emits = sum(r["event"] in ("emit_interest", "emit_data") for r in trace.records)
+    assert sum(arrived.values()) == emits
+    data_ids = {id(p) for p in kept if isinstance(p, Data)}
+    assert data_ids == {id(data) for _, data in signed}
+    interests = {id(p): p for p in kept if isinstance(p, Interest)}
+    requested = {r["nonce"] for r in trace.records if r["event"] == "request"}
+    assert {p.nonce for p in interests.values()} == requested
+    # one Interest object per nonce: a forwarded Interest is not rebuilt
+    assert len(interests) == len(requested)
+    assert emits > 4 * (len(interests) + len(data_ids))
 
 
 def test_a_memo_that_starts_over_changes_no_trace_byte(monkeypatch):
