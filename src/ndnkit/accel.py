@@ -2,22 +2,30 @@
 and server-aided verification.
 
 Batching and aggregation exploit the pairing's linearity.  A batch weights
-each entry by a random exponent of ELL = 80 bits, fixed at the suite's
-strength, which bounds a cheater's escape probability by 2^-80
-(Bellare-Garay-Rabin's small-exponent test, EUROCRYPT '98).  A BLS batch
-checks e(sum t_i sigma_i, g2) against the product over signers of
-e(sum t_i H(m_i), pk): one multi-exponentiation over all the signatures,
-one per signer over its message hashes, and 1 + #signers pairings under a
-single final exponentiation.  Aggregation sums the signatures, and its
-verification each signer's message hashes, with one G1.fold per sum
-(CurveOps.sum_bits: a Jacobian sum and one inversion, after affine rounds
-of add_pairs once a sum has 52 points or more); an aggregate that covers
-nothing does not verify.  Online/offline signing moves the expensive
-base-scheme signature into a preparation phase by signing a chameleon
-hash, whose trapdoor later bends to the real message with two modular
-multiplications.  Server-aided verification ships both pairings of a BLS
-check to an untrusted helper and validates the answers against a blinded
-local relation.
+each entry by a random exponent t drawn from 2^ELL - 1 equally likely
+nonzero values, ELL = 80 fixed at the suite's strength, which bounds a
+cheater's escape probability by 2^-80 (Bellare-Garay-Rabin's small-exponent
+test, EUROCRYPT '98, which asks only for that many distinct exponents mod
+n).  A BLS batch draws t already split for the GLV endomorphism, as
+t = a + b lambda (mod n) with two 40-bit halves 0 <= a, b < 2^40 from
+SystemRandom, the pair (0, 0) redrawn.  Distinct pairs give distinct t:
+two that met would differ by a nonzero (u, v) with u + v lambda = 0 (mod n)
+and |u|, |v| < 2^40, a vector shorter than 2^41, while the shortest vector
+of that lattice is about 2^80 long.  The same argument rules out t = 0, so
+t takes 2^80 - 1 equally likely nonzero values, as a draw from [1, 2^80)
+would, and every sum of the batch needs only ~40 doublings.  The check is
+e(sum t_i sigma_i, g2) against the product over signers of
+e(sum t_i H(m_i), pk): the signatures' sum and every signer's hash sum
+in one g1_multi_exps pass, and 1 + #signers pairings under a single final
+exponentiation.  Aggregation sums the signatures with one G1.fold, and its
+verification every signer's message hashes with one G1.sums (CurveOps:
+Jacobian sums and one inversion, after affine rounds of add_pairs once the
+points number 52 or more); an aggregate that covers nothing does not
+verify.  Online/offline signing moves the expensive base-scheme signature
+into a preparation phase by signing a chameleon hash, whose trapdoor later
+bends to the real message with two modular multiplications.  Server-aided
+verification ships both pairings of a BLS check to an untrusted helper and
+validates the answers against a blinded local relation.
 """
 
 from __future__ import annotations
@@ -43,7 +51,7 @@ from .pairing import (
     pairing_product,
     prepare_g2,
 )
-from .pairing.curve import G1, g1_multi_exp
+from .pairing.curve import G1, g1_multi_exp, g1_multi_exps
 from .signatures import (
     SCHEME_BLS,
     SCHEME_NAMES,
@@ -68,6 +76,7 @@ from .signatures.dlgroup import element_bytes
 from .signatures.rsa import RsaPublicKey, domain_digest
 
 ELL = 80
+_HALF_BITS = ELL // 2  # each GLV half of a batch exponent
 
 
 # --- batch verification ------------------------------------------------------
@@ -79,6 +88,15 @@ class BatchInstance:
 
     scheme_id: int
     entries: Sequence[tuple[object, bytes, Signature | bytes]]
+
+
+def _batch_exponent(rng) -> tuple[int, int]:
+    """A batch exponent as its GLV halves (a, b), t = a + b lambda: two
+    _HALF_BITS-bit draws, redrawn while both are 0."""
+    while True:
+        halves = (rng.getrandbits(_HALF_BITS), rng.getrandbits(_HALF_BITS))
+        if halves != (0, 0):
+            return halves
 
 
 def _batch_verify_bls(batch: BatchInstance) -> bool:
@@ -94,17 +112,16 @@ def _batch_verify_bls(batch: BatchInstance) -> bool:
             sigma = G1Point.from_bytes(raw)
         except ValueError:
             return False
-        t = rng.randrange(1, 1 << ELL)
+        t = _batch_exponent(rng)
         sigmas.append(sigma.point)
         exps.append(t)
         hashes, signer_exps = per_key.setdefault(pk, ([], []))
         hashes.append(hash_to_g1(msg))
         signer_exps.append(t)
-    combined = G1Point(g1_multi_exp(sigmas, exps))
-    pairs = [(combined, prepare_g2(g2_generator()))]
+    combined, *hash_sums = g1_multi_exps([(sigmas, exps), *per_key.values()])
+    pairs = [(G1Point(combined), prepare_g2(g2_generator()))]
     pairs += [
-        (G1Point(g1_multi_exp(hashes, signer_exps)).neg(), prepare_g2(pk.point))
-        for pk, (hashes, signer_exps) in per_key.items()
+        (G1Point(total).neg(), prepare_g2(pk.point)) for pk, total in zip(per_key, hash_sums)
     ]
     return pairing_product(pairs) == GT_ONE
 
@@ -189,13 +206,14 @@ def aggregate(
 def verify_aggregate(agg: AggregateSignature) -> bool:
     if not agg.covers:  # aggregate refuses to build one; its pairing check would pass
         return False
-    # per signer, its message hashes: one sum each
+    # per signer, its message hashes: one sum each, all in one G1.sums
     per_key: dict[BlsPublicKey, list] = {}
     for pk, msg in agg.covers:
         per_key.setdefault(pk, []).append(hash_to_g1(msg))
     pairs = [(agg.element, prepare_g2(g2_generator()))]
     pairs += [
-        (G1Point(G1.fold(hashes)).neg(), prepare_g2(pk.point)) for pk, hashes in per_key.items()
+        (G1Point(total).neg(), prepare_g2(pk.point))
+        for pk, total in zip(per_key, G1.sums(list(per_key.values())))
     ]
     return pairing_product(pairs) == GT_ONE
 

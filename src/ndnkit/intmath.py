@@ -1,8 +1,9 @@
 """Integer and group-arithmetic helpers shared by the crypto modules: the
 primality test, the signed-digit recoder wnaf, the curve group record
 CurveOps, whose pair_off is the one round loop that sums curve points
-pairwise (sum_bits runs it over a multi-exp's bits, sums over independent
-sums), and the fixed-base comb Comb."""
+pairwise (sum_bits_each runs it over the bits of several multi-exps at
+once; sum_bits and sums are its one-output and one-bit cases), and the
+fixed-base comb Comb."""
 
 import hashlib
 import random
@@ -159,10 +160,6 @@ class CurveOps(NamedTuple):
     # sets 1
     fold_pairs = 26
 
-    def to_affine(self, X, Y, Z):
-        """One Jacobian point to affine, None for the identity."""
-        return None if Z == self.identity[2] else self.normalize([(X, Y, Z)])[0]
-
     def add(self, a, b):
         """a + b on affine points."""
         return self.fold([pt for pt in (a, b) if pt is not None])
@@ -172,38 +169,41 @@ class CurveOps(NamedTuple):
         return self.sum_bits([points])
 
     def sum_bits(self, adds):
-        """The sum over j of 2^j times the sum of adds[j], affine, where
-        each adds[j] is a list of affine points, none the identity.  First
-        pair_off sums each bit's entries pairwise; then one run of
-        doublings, from the top bit down, adds what is left of each bit with
-        mixed additions, and one conversion goes back to affine.  adds
-        changes but the caller's lists do not."""
-        self.pair_off(adds)
-        dbl, add = self.dbl, self.add_mixed
-        X, Y, Z = self.identity
-        for entries in reversed(adds):
-            if Z:
-                X, Y, Z = dbl(X, Y, Z)
-            for x, y in entries:
-                X, Y, Z = add(X, Y, Z, x, y)
-        return self.to_affine(X, Y, Z)
+        """The sum over j of 2^j times the sum of adds[j], affine: the
+        one-output case of sum_bits_each.  adds changes but the caller's
+        lists do not."""
+        return self.sum_bits_each(adds, (len(adds),))[0]
 
     def sums(self, lists):
         """The sum of each of lists, affine (None for an empty or cancelling
-        list), where each list holds affine points, none the identity.
-        pair_off sums each list's entries pairwise as it would a bit's; then
-        each list's rest is a chain of mixed additions, and one normalize
-        takes every sum back to affine.  lists changes but the caller's
-        lists do not."""
-        self.pair_off(lists)
-        add, start = self.add_mixed, self.identity
-        zero = start[2]
+        list), where each list holds affine points, none the identity: the
+        case of sum_bits_each where every output has one bit.  lists
+        changes but the caller's lists do not."""
+        return self.sum_bits_each(lists, (1,) * len(lists))
+
+    def sum_bits_each(self, adds, widths):
+        """Per output, the sum over j of 2^j times the sum of its bit list
+        j, affine (None for the identity).  adds holds the bit lists of
+        every output in turn, widths[i] of them for output i, and each bit
+        list holds affine points, none the identity.  One pair_off sums the
+        entries of every output's bits pairwise; then each output runs its
+        own doublings, from its top bit down, adding what is left of each
+        bit with mixed additions, and one normalize takes every output back
+        to affine.  adds changes but the caller's lists do not."""
+        self.pair_off(adds)
+        dbl, add, start = self.dbl, self.add_mixed, self.identity
         jac = []
-        for entries in lists:
+        top = 0
+        for width in widths:
             X, Y, Z = start
-            for x, y in entries:
-                X, Y, Z = add(X, Y, Z, x, y)
+            top += width
+            for entries in reversed(adds[top - width : top]):
+                if Z:
+                    X, Y, Z = dbl(X, Y, Z)
+                for x, y in entries:
+                    X, Y, Z = add(X, Y, Z, x, y)
             jac.append((X, Y, Z))
+        zero = start[2]
         if zero not in map(_Z, jac):
             return self.normalize(jac)
         affine = iter(self.normalize([pt for pt in jac if pt[2] != zero]))

@@ -14,19 +14,24 @@ network-coding key generation costs ~40 affine additions.  No G1 product
 has a fixed base worth a table: server-aided verification blinds with
 delta sigma + r g1, one two-base g1_multi_exp of 80-bit scalars.
 
-Sums k_1 B_1 + ... + k_n B_n run on one engine: width-w NAF digits
-(intmath.wnaf: odd, within +-2^(w-1)) pick entries of per-base affine
-tables of odd multiples, and the record's sum_bits (intmath.CurveOps)
-adds them up: the entries that land on each bit are summed pairwise in
-affine rounds, each one add_pairs call (one inversion) across all bits,
-and one run of doublings then adds what is left of each bit.  The same
-routine is every record's fold, so comb walks and aggregates sum that way.
-Every G1 sum splits a scalar of more than 80 bits into its two GLV halves
-(the endomorphism phi(x, y) = (beta x, y) = [lambda]P), so ~80 doublings
-serve 160-bit scalars; phi's entries are the base's with x scaled by beta,
-derived in each call and never stored.  g1_multi_exp uses its tables once and takes w = 4;
-G1MultiExp keeps them and takes w = 8.  g1_mul (BLS signing, nc_sign) is
-the one-base sum.
+Sums k_1 B_1 + ... + k_n B_n run on one engine, _multi_exp, which takes
+several sums at once: width-w NAF digits (intmath.wnaf: odd, within
++-2^(w-1)) pick entries of per-base affine tables of odd multiples, and
+the record's sum_bits_each (intmath.CurveOps) adds them up: the entries
+that land on each bit of every sum are summed pairwise in affine rounds,
+each one add_pairs call (one inversion) across all of them, then each sum
+runs its own doublings to add what is left of its bits, and one normalize
+serves all the sums.  Its one-output case sum_bits is every record's fold,
+so comb walks and aggregates sum that way.  Every G1 sum splits a scalar
+of more than 80 bits into its two GLV halves (the endomorphism
+phi(x, y) = (beta x, y) = [lambda]P), so ~80 doublings serve 160-bit
+scalars, and takes a scalar already given as halves (k1, k2) as is: a
+batch verification's exponents are drawn as two 40-bit halves and cost
+~40 doublings a sum.  phi's entries are the base's with x scaled by beta,
+derived in each call and never stored.  g1_multi_exps builds one set of
+tables for all its sums, uses them once and takes w = 4; g1_multi_exp
+and g1_mul (BLS signing, nc_sign) are its one-sum and one-base cases.
+G1MultiExp keeps its tables and takes w = 8.
 
 g2_mul is a one-base sum on the same engine over the G2 record, at w = 3;
 each of its doublings and additions pays an Fp inversion.  Subgroup
@@ -142,51 +147,81 @@ _V_SHORT = 2 * X_PARAM + 1
 _V_LONG = 6 * X_PARAM**2 + 2 * X_PARAM
 
 
+# Babai's roundings of k * v / n as (k * m + 2^(s-1)) >> s, with m the
+# nearest integer to 2^s v / n and no division left: for 0 <= k < n < 2^160
+# and s = 2 * 160 + 3, k * m / 2^s is within k / 2^(s+1) < 2^-163 of
+# k * v / n, which lies at least 1 / 2n > 2^-161 from any half-integer (n is
+# odd), so each rounding is the exact one.
+_BABAI_SHIFT = 2 * N.bit_length() + 3
+_BABAI_HALF = 1 << (_BABAI_SHIFT - 1)
+_M_SHORT = ((_V_SHORT << (_BABAI_SHIFT + 1)) + N) // (2 * N)
+_M_LONG = ((_V_LONG << (_BABAI_SHIFT + 1)) + N) // (2 * N)
+
+
 def glv_split(k: int) -> tuple[int, int]:
     """(k1, k2) with k1 + k2 * GLV_LAMBDA = k (mod n), both below 2^80 in
     absolute value for 0 <= k < n."""
-    r1 = (2 * k * _V_SHORT + N) // (2 * N)
-    r2 = (2 * k * _V_LONG + N) // (2 * N)
+    r1 = (k * _M_SHORT + _BABAI_HALF) >> _BABAI_SHIFT
+    r2 = (k * _M_LONG + _BABAI_HALF) >> _BABAI_SHIFT
     return (
         k - r1 * _V_SHORT - r2 * (_V_LONG + _V_SHORT),
         r1 * _V_LONG - r2 * _V_SHORT,
     )
 
 
-def _multi_exp(ops: CurveOps, rows, scalars, w, glv=False):
-    """sum k_i * B_i by interleaved width-w NAFs over the rows of
-    _odd_multiples.  Scalars are taken mod n, the order of G1 and G2.
+def _halves(k, glv):
+    """A scalar as the pair (k1, k2) the engine walks, k1 + k2 lambda: a
+    pair as given, an int taken mod n and, with glv, split by glv_split
+    when it has more than 80 bits."""
+    if isinstance(k, tuple):
+        return k
+    k %= N
+    return glv_split(k) if glv and k >> 80 else (k, 0)
 
-    With glv (G1 only), a scalar of more than 80 bits is taken as its
-    glv_split halves k1 + k2 lambda, and k2's digits pick entries of the
-    same row with x scaled by beta: phi's row, never stored.  A row with
-    fewer entries than a half has digits (w = 4) is scaled once, a longer
-    one (w = 8) entry by entry as digits pick them.  A negative half walks
-    its row reversed, the negated base's row.  The entries that land on
-    each bit go to ops.sum_bits: affine rounds, then one run of doublings
-    and mixed additions."""
-    if len(scalars) != len(rows):
-        raise ValueError("scalar count does not match base count")
-    scalars = [k % N for k in scalars]
-    # adds[j]: the table entries added after the doubling for bit j; every
-    # G1 scalar or GLV half is below 2^80
-    adds = [[] for _ in range(81 if glv else max(scalars, default=0).bit_length() + 1)]
-    for row, k in zip(rows, scalars):
-        if row is None:
-            continue
-        k1, k2 = glv_split(k) if glv and k >> 80 else (k, 0)
-        for half, phi in ((k1, False), (k2, True)):
-            picks = row[::-1] if half < 0 else row
-            if phi and half and len(row) < 80 // (w + 1):
-                picks, phi = [(GLV_BETA * x % P, y) for x, y in picks], False
-            if phi:
-                for j, d in wnaf(abs(half), w):
-                    x, y = picks[d >> 1]
-                    adds[j].append((GLV_BETA * x % P, y))
-            else:
-                for j, d in wnaf(abs(half), w):
-                    adds[j].append(picks[d >> 1])
-    return ops.sum_bits(adds)
+
+def _multi_exp(ops: CurveOps, groups, w, glv=False):
+    """For each (rows, scalars) of groups, sum k_i * B_i by interleaved
+    width-w NAFs over the rows of _odd_multiples; every sum goes to one
+    ops.sum_bits_each.  A scalar is an int, taken mod n (the order of G1
+    and G2), or, with glv (G1 only), a ready pair of GLV halves (k1, k2)
+    for k1 + k2 lambda; an int of more than 80 bits is split by glv_split.
+
+    k2's digits pick entries of the same row with x scaled by beta: phi's
+    row, never stored.  A row with fewer entries than a half has digits
+    (w = 4 against 80-bit halves) is scaled once, a longer one entry by
+    entry as digits pick them.  A negative half walks its row reversed, the
+    negated base's row.  Each sum's bit lists reach one past its longest
+    half of a live base, the most a width-w NAF may carry, and its entries
+    land on them; sum_bits_each then runs one set of affine rounds across
+    every sum's bits, a run of doublings per sum and one normalize."""
+    adds, widths = [], []
+    for rows, scalars in groups:
+        if len(scalars) != len(rows):
+            raise ValueError("scalar count does not match base count")
+        bits = []  # bits[j]: the table entries added after the doubling for bit j
+        for row, pair in zip(rows, [_halves(k, glv) for k in scalars]):
+            if row is None:
+                continue
+            for half, phi in zip(pair, (False, True)):
+                if not half:
+                    continue
+                picks = row[::-1] if half < 0 else row
+                half = abs(half)
+                top = half.bit_length()
+                if top >= len(bits):  # a width-w NAF may carry one bit past the top
+                    bits += [[] for _ in range(top + 1 - len(bits))]
+                if phi and len(row) < top // (w + 1):
+                    picks, phi = [(GLV_BETA * x % P, y) for x, y in picks], False
+                if phi:
+                    for j, d in wnaf(half, w):
+                        x, y = picks[d >> 1]
+                        bits[j].append((GLV_BETA * x % P, y))
+                else:
+                    for j, d in wnaf(half, w):
+                        bits[j].append(picks[d >> 1])
+        adds += bits
+        widths.append(len(bits))
+    return ops.sum_bits_each(adds, widths)
 
 
 _CACHED_WINDOW = 8
@@ -207,7 +242,7 @@ class G1MultiExp:
     it takes w = 8: a 160-bit scalar's two GLV halves pick ~18 entries in
     all instead of ~32 at w = 4, from 64 odd multiples per base (~10 ms to
     build for 40 bases).  phi's entries are derived on use, so the table
-    holds each base's row once.  g1_multi_exp's tables serve one call,
+    holds each base's row once.  g1_multi_exps' tables serve one call,
     where w = 4 costs least in total.
     """
 
@@ -215,19 +250,29 @@ class G1MultiExp:
         self.tables = _odd_multiples(G1, bases, _CACHED_WINDOW)
 
     def combine(self, scalars):
-        return _multi_exp(G1, self.tables, scalars, _CACHED_WINDOW, glv=True)
+        return _multi_exp(G1, [(self.tables, scalars)], _CACHED_WINDOW, glv=True)[0]
+
+
+def g1_multi_exps(groups):
+    """For each (points, scalars) of groups, the sum of k_i * B_i over its
+    points B_i and scalars k_i, in one pass: one _odd_multiples call over
+    every group's points and one _multi_exp over every sum.  A scalar is an
+    int or a ready pair of GLV halves (k1, k2), for k1 + k2 lambda."""
+    rows = iter(_odd_multiples(G1, [b for points, _ in groups for b in points], _ONE_SHOT_WINDOW))
+    groups = [([next(rows) for _ in points], scalars) for points, scalars in groups]
+    return _multi_exp(G1, groups, _ONE_SHOT_WINDOW, glv=True)
 
 
 def g1_multi_exp(points, scalars):
-    rows = _odd_multiples(G1, points, _ONE_SHOT_WINDOW)
-    return _multi_exp(G1, rows, scalars, _ONE_SHOT_WINDOW, glv=True)
+    """The one-group g1_multi_exps."""
+    return g1_multi_exps([(points, scalars)])[0]
 
 
 def g1_mul(pt, k: int):
     """k * pt, the one-base sum.  It calls the engine itself, not
     g1_multi_exp, so that a traced g1_multi_exp counts only its callers."""
     rows = _odd_multiples(G1, [pt], _ONE_SHOT_WINDOW)
-    return _multi_exp(G1, rows, [k], _ONE_SHOT_WINDOW, glv=True)
+    return _multi_exp(G1, [(rows, [k])], _ONE_SHOT_WINDOW, glv=True)[0]
 
 
 # --- G2 arithmetic (over Fp2) ------------------------------------------------
@@ -309,7 +354,7 @@ G2 = _AffineOps(
 def g2_mul(pt, k: int):
     """k * pt for any twist point pt: the twist cofactor's least prime factor
     is 2017, so no entry of pt's row of odd multiples is the identity."""
-    return _multi_exp(G2, _odd_multiples(G2, [pt], _G2_WINDOW), [k], _G2_WINDOW)
+    return _multi_exp(G2, [(_odd_multiples(G2, [pt], _G2_WINDOW), [k])], _G2_WINDOW)[0]
 
 
 # psi = untwist, p-power Frobenius, twist:

@@ -15,7 +15,7 @@ from ndnkit.accel import (
     sav_verify,
     verify_aggregate,
 )
-from ndnkit.pairing import G1Point, hash_to_g1, pairing_call_count
+from ndnkit.pairing import G1Point, curve, hash_to_g1, pairing_call_count
 from ndnkit.pairing.curve import G1
 from ndnkit.signatures import (
     SCHEME_BLS,
@@ -107,6 +107,72 @@ def test_batch_bls_garbage_signature_is_reject_not_error(bls_keys):
     entries = _bls_entries(bls_keys, 3)
     entries[1] = (entries[1][0], entries[1][1], b"\xff" * 21)
     assert not batch_verify(BatchInstance(SCHEME_BLS, entries))
+
+
+def _shortest_vector(b1, b2):
+    """The shortest nonzero vector of the 2-dimensional lattice with basis
+    b1, b2, by Lagrange's reduction."""
+
+    def norm2(v):
+        return v[0] * v[0] + v[1] * v[1]
+
+    if norm2(b1) > norm2(b2):
+        b1, b2 = b2, b1
+    while True:
+        dot = b1[0] * b2[0] + b1[1] * b2[1]
+        q = (2 * dot + norm2(b1)) // (2 * norm2(b1))  # the nearest integer to dot / |b1|^2
+        b2 = (b2[0] - q * b1[0], b2[1] - q * b1[1])
+        if norm2(b2) >= norm2(b1):
+            return b1
+        b1, b2 = b2, b1
+
+
+def test_distinct_exponent_halves_give_distinct_exponents():
+    # two pairs (a, b) with a + b lambda = a' + b' lambda (mod n) differ by a
+    # lattice vector with both entries below 2^40 in absolute value, under
+    # 2^41 long, so a shortest vector longer than 2^41 rules them out
+    lam, n = curve.GLV_LAMBDA, curve.CURVE_ORDER
+    u, v = _shortest_vector((n, 0), (-lam, 1))
+    assert (u + v * lam) % n == 0 and (u, v) != (0, 0)
+    assert u * u + v * v > (1 << 41) ** 2
+    assert accel._HALF_BITS == 40 and 2 * accel._HALF_BITS == accel.ELL
+    shortest = (-824566611935, 1019865146275298193442468)  # about 2^80 long
+    assert (u, v) in {shortest, (-shortest[0], -shortest[1])}
+
+
+def test_batch_exponents_redraw_the_zero_pair(bls_keys, monkeypatch):
+    # the rng's first two draws are the pair (0, 0), which is redrawn; the
+    # next pair weights the first entry on both sides of the check
+    draws = iter([0, 0, 5, 0] + [1] * 14)
+    widths = []
+
+    class Draws:
+        def getrandbits(self, k):
+            widths.append(k)
+            return next(draws)
+
+    seen = []
+    multi_exps = accel.g1_multi_exps
+
+    def spied(groups):
+        seen.append([scalars for _, scalars in groups])
+        return multi_exps(groups)
+
+    monkeypatch.setattr(accel.random, "SystemRandom", Draws)
+    monkeypatch.setattr(accel, "g1_multi_exps", spied)
+    entries = _bls_entries(bls_keys, 8)
+    before = pairing_call_count()
+    assert batch_verify(BatchInstance(SCHEME_BLS, entries))
+    assert pairing_call_count() - before == 1 + len(bls_keys)
+    assert widths == [40] * 18
+    sigma_exps, *signer_exps = seen[0]
+    assert sigma_exps == [(5, 0)] + [(1, 1)] * 7
+    assert [exps[0] for exps in signer_exps] == [(5, 0), (1, 1), (1, 1), (1, 1)]
+    pk, msg, sig = entries[0]
+    entries[0] = (pk, msg, sign(bls_keys[1], msg))
+    draws = iter([0, 0, 0, 0, 0, 3] + [2] * 14)
+    assert not batch_verify(BatchInstance(SCHEME_BLS, entries))
+    assert seen[1][0][0] == (0, 3)
 
 
 def test_batch_rsa_screening(rsa_key):

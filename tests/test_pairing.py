@@ -7,6 +7,7 @@ wrong signature scheme.
 """
 
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -280,10 +281,10 @@ def test_group_record_laws(name):
     for pt in pts:
         assert ops.add(pt, None) == ops.add(None, pt) == pt
         assert ops.add(pt, ops.negate(pt)) is None
-        assert ops.add(pt, pt) == ops.to_affine(*ops.dbl(*pt, one))
+        assert ops.add(pt, pt) == ops.normalize([ops.dbl(*pt, one)])[0]
     jac = [ops.dbl(*pt, one) for pt in pts]
     jac += [ops.add_mixed(*j, *pt) for j, pt in zip(jac, pts[1:])]
-    assert ops.normalize(jac) == [ops.to_affine(*j) for j in jac]
+    assert ops.normalize(jac) == [ops.normalize([j])[0] for j in jac]
     pairs = list(zip(pts, pts[1:]))
     assert ops.add_pairs(pairs) == [ops.add(a, b) for a, b in pairs]
 
@@ -443,17 +444,17 @@ def round_threshold(request, monkeypatch):
         return
     monkeypatch.setattr(intmath.CurveOps, "fold_pairs", 1)
     monkeypatch.setattr(intmath, "_ROUND_MIN_ENTRIES_PER_BIT", 0)
-    round_bits = []  # per add_pairs call in a sum, that sum's bit count
-    sum_bits = intmath.CurveOps.sum_bits
+    round_bits = []  # per add_pairs call in a pass, the bit count of its sums
+    sum_bits_each = intmath.CurveOps.sum_bits_each
 
-    def counted_sum_bits(ops, adds):
+    def counted_sum_bits_each(ops, adds, widths):
         def add_pairs(pairs):
             round_bits.append(len(adds))
             return ops.add_pairs(pairs)
 
-        return sum_bits(ops._replace(add_pairs=add_pairs), adds)
+        return sum_bits_each(ops._replace(add_pairs=add_pairs), adds, widths)
 
-    monkeypatch.setattr(intmath.CurveOps, "sum_bits", counted_sum_bits)
+    monkeypatch.setattr(intmath.CurveOps, "sum_bits_each", counted_sum_bits_each)
     yield
     assert any(bits > 1 for bits in round_bits)
 
@@ -488,6 +489,55 @@ def test_cached_multi_exp_takes_negative_and_zero_glv_halves(round_threshold):
     for at in range(0, len(scalars), len(bases)):
         chunk = (scalars[at : at + len(bases)] + [0] * len(bases))[: len(bases)]
         assert cached.combine(chunk) == _naive_multi_exp(bases, [k % N for k in chunk])
+
+
+def _scalar_value(k):
+    """The scalar mod n that an int or a pair of GLV halves stands for."""
+    return (k[0] + k[1] * curve.GLV_LAMBDA) % N if isinstance(k, tuple) else k % N
+
+
+@pytest.mark.parametrize("sizes, rounds", [((1,), False), ((3, 1, 2), False),
+                                           ((32, 8, 8, 8, 8), True)])
+def test_multi_output_pass_matches_separate_sums(sizes, rounds, monkeypatch):
+    # each group of one g1_multi_exps pass sums as its own g1_multi_exp and
+    # as plain double-and-add would; groups mix int scalars of every width
+    # with ready GLV halves, zero and negative halves and a None base among
+    # them, and the largest pass totals enough entries for affine rounds
+    halves = [(RNG.getrandbits(40), RNG.getrandbits(40)) for _ in range(sum(sizes))]
+    halves += [curve.glv_split(rand_scalar()), (-3, 9), (0, 7), (5, 0), (0, 0)]
+    ints = itertools.cycle([rand_scalar(), (1 << 80) - 1, 0, N - 1, 1, RNG.randrange(1 << 80)])
+    groups = []
+    for size in sizes:
+        bases = _random_bases(size)
+        if size > 2:
+            bases[1] = None
+        groups.append((bases, [halves.pop() if i % 7 else next(ints) for i in range(size)]))
+    took = []
+    pair_off = intmath.CurveOps.pair_off
+
+    def spied_pair_off(ops, adds):
+        before = sum(map(len, adds))
+        pair_off(ops, adds)
+        took.append(sum(map(len, adds)) < before)
+
+    monkeypatch.setattr(intmath.CurveOps, "pair_off", spied_pair_off)
+    sums = curve.g1_multi_exps(groups)
+    assert took == [rounds]
+    monkeypatch.undo()
+    assert len(sums) == len(groups)
+    for total, (bases, scalars) in zip(sums, groups):
+        values = list(map(_scalar_value, scalars))
+        assert total == curve.g1_multi_exp(bases, values) == _naive_multi_exp(bases, values)
+
+
+def test_multi_output_pass_takes_zero_halves_and_empty_groups():
+    b, c = _random_bases(2)
+    lam_b = curve.g1_mul(b, curve.GLV_LAMBDA)
+    sums = curve.g1_multi_exps([([b], [(0, 0)]), ([], []), ([b, c], [(0, 1), (1, 0)]),
+                                ([None], [(2, 3)]), ([b], [(1, 1)])])
+    assert sums == [None, None, curve.G1.add(lam_b, c), None, curve.G1.add(b, lam_b)]
+    with pytest.raises(ValueError):
+        curve.g1_multi_exps([([b], [1]), ([c], [])])
 
 
 def test_cached_combine_adds_once_per_bit(monkeypatch):
@@ -551,6 +601,20 @@ def test_glv_split_identity_and_bound():
     assert {k1 == 0 for k1, _ in halves} == {True, False}
     assert {k2 == 0 for _, k2 in halves} == {True, False}
     assert any(k1 < 0 for k1, _ in halves) and any(k2 < 0 for _, k2 in halves)
+
+
+def test_glv_split_rounds_as_exact_division():
+    # Babai's roundings by multiplier and shift equal round(k v / n) by
+    # division, also for the k that put k v / n within 1 / 2n of a
+    # half-integer, where a multiplier of too few bits would round wrong
+    v_short, v_long = curve._V_SHORT, curve._V_LONG
+    edges = [(N + s) // 2 * pow(v, -1, N) % N for v in (v_short, v_long) for s in (1, -1)]
+    for k in edges + _glv_scalars():
+        k %= N
+        r1 = (2 * k * v_short + N) // (2 * N)
+        r2 = (2 * k * v_long + N) // (2 * N)
+        assert curve.glv_split(k) == (k - r1 * v_short - r2 * (v_long + v_short),
+                                      r1 * v_long - r2 * v_short)
 
 
 def test_glv_mul_matches_double_and_add():
