@@ -1,6 +1,8 @@
 import csv
+import hashlib
 import io
 import json
+import random
 
 import pytest
 
@@ -35,6 +37,21 @@ LINE = {
 @pytest.fixture(scope="module")
 def small_rows():
     return cli.bench_rows(iterations=3, msg_size=64, keygen_iterations=1, seed=1)
+
+
+def test_harness_draws_are_pinned():
+    """Each harness's keys and signatures, drawn as bench_rows draws them,
+    stay byte-identical, so criteria that read bench_rows keep their inputs."""
+    digest = hashlib.sha256()
+    for name in cli.BENCH_SCHEMES:
+        rng = random.Random(f"bench/0/{name}")
+        harness = cli._SchemeHarness(name, rng)
+        for msg in (rng.randbytes(64), rng.randbytes(64)):
+            sig = harness.sign(msg)
+            assert harness.verify(msg, sig)
+            digest.update(name.encode() + sig)
+    assert digest.hexdigest() == (
+        "650ecfe023cc7f4737853f2fe3a49ace29b4e0746d1ef1a1f7cd6fea486b3384")
 
 
 def test_every_pair_measured_once(small_rows):
