@@ -74,30 +74,24 @@ def _pin_to_one_cpu() -> None:
 
 
 class _SchemeHarness:
-    """Keys and closures for timing one scheme's operations."""
+    """Keys and closures for timing one scheme's operations: one signing key,
+    drawn from rng, behind sign, and its public half behind verify."""
 
     def __init__(self, name: str, rng: random.Random):
-        self.name = name
         scheme_id = _scheme_id(name)
-        self.rng = rng
         if name == "group":
             setup = sigs.group_setup(rng=rng)
-            cred = setup.credentials[0]
             self.keygen = setup.add_member
-            self.sign = lambda msg: sigs.group_sign(cred, setup.group_key, msg, rng)
-            self.verify = lambda msg, sig: sigs.group_verify(setup.group_key, msg, sig)
-        elif name == "ring":
-            keys = [sigs.keygen(scheme_id, rng=rng) for _ in range(sigs.SchemeParams.ring_size)]
-            pubs = [k.public() for k in keys]
-            self.keygen = lambda: sigs.keygen(scheme_id, rng=rng)
-            self.sign = lambda msg: sigs.ring_sign(pubs, 0, keys[0], msg, rng)
-            self.verify = lambda msg, sig: sigs.ring_verify(pubs, msg, sig)
+            key = sigs.GroupSigningKey(setup.credentials[0], setup.group_key)
         else:
-            key = sigs.keygen(scheme_id, rng=rng)
-            pub = key.public()
             self.keygen = lambda: sigs.keygen(scheme_id, rng=rng)
-            self.sign = lambda msg: sigs.sign(key, msg, rng).data
-            self.verify = lambda msg, sig: sigs.verify(pub, msg, sig)
+            key = self.keygen()
+            if name == "ring":
+                keys = [key] + [self.keygen() for _ in range(sigs.SchemeParams.ring_size - 1)]
+                key = sigs.RingSigningKey(sigs.RingKeys(tuple(k.public() for k in keys)), 0, key)
+        pub = key.public()
+        self.sign = lambda msg: sigs.sign(key, msg, rng).data
+        self.verify = lambda msg, sig: sigs.verify(pub, msg, sig)
 
 
 def _timed(fn, args_per_iteration) -> list[int]:

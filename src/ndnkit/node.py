@@ -12,10 +12,10 @@ Data is dropped while the PIT entry stays alive to admit the authentic copy.
 
 All state lives in plain dictionaries keyed by name: the FIB maps a prefix
 to its outgoing faces, the trust store a key-name prefix to its scheme id and
-verifier. Once routes and anchors are installed, only process_interest and
-process_data change that state, and sweep drops what has expired, so a node
-is a deterministic single-threaded state machine; times are integer
-milliseconds supplied by the caller.
+the key that signatures.verify checks against. Once routes and anchors are
+installed, only process_interest and process_data change that state, and
+sweep drops what has expired, so a node is a deterministic single-threaded
+state machine; times are integer milliseconds supplied by the caller.
 """
 
 from __future__ import annotations
@@ -23,10 +23,10 @@ from __future__ import annotations
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .naming import Name, longest_prefix_match
-from .signatures import verifier_for
+from .signatures import dispatch, verify
 from .wire import Data, Interest, Packet, signed_portion
 
 DEFAULT_CS_CAPACITY = 64
@@ -121,19 +121,22 @@ class TrustStore:
     """Trust anchors keyed by the longest prefix of a Data's key locator."""
 
     def __init__(self):
-        # key-name prefix -> (scheme id, verifier)
-        self._anchors: dict[Name, tuple[int, Callable[[bytes, bytes], bool]]] = {}
+        # key-name prefix -> (scheme id, the key verify takes)
+        self._anchors: dict[Name, tuple[int, object]] = {}
 
-    def add(self, prefix: Name, scheme_id: int, context) -> None:
-        """Anchor a public key (or ring key list) under a key-name prefix."""
-        self._anchors[prefix] = (scheme_id, verifier_for(context))
+    def add(self, prefix: Name, scheme_id: int, key) -> None:
+        """Anchor a key that signatures.verify takes under a key-name prefix:
+        a public key, or a RingKeys for a ring.  Any other key raises
+        SchemeMismatch here rather than on the first Data it would check."""
+        dispatch(key, "verify")
+        self._anchors[prefix] = (scheme_id, key)
 
     def verify_data(self, data: Data) -> bool:
         prefix = longest_prefix_match(self._anchors.keys(), data.key_locator)
         if prefix is None:
             return False
-        scheme_id, verifier = self._anchors[prefix]
-        return scheme_id == data.scheme_id and verifier(signed_portion(data), data.signature)
+        scheme_id, key = self._anchors[prefix]
+        return scheme_id == data.scheme_id and verify(key, signed_portion(data), data.signature)
 
 
 class Node:

@@ -1,17 +1,20 @@
 """Uniform KeyGen/Sign/Verify façade over the six signature schemes.
 
 Scheme-specific key records live in their own modules; this package level
-adds the shared Signature envelope, the dispatch table, byte serializations
-for keys, and verifier_for, which the node layer uses to turn a stored
-public key into a verifier callable.
+adds the shared Signature envelope, the dispatch table, and byte
+serializations for keys.
 
 _SCHEMES maps each scheme id to one record: the public and private key
-classes; keygen, sign and verify; and one validator each for public and
-private keys, run on every key record written or loaded.  keygen, sign and
-verify are None where a key alone is not enough: group credentials come
-from group_setup and sign through group_sign, and rings sign and verify
-through ring_sign and ring_verify (or verifier_for over the ring's key
-list).  SCHEME_NC has no record: network coding keys live in ndnkit.netcoding.
+record classes; keygen; the class sign takes and sign itself; the class
+verify takes and verify itself; and one validator each for public and
+private key records, run on every record written or loaded.  For every
+scheme, sign(key, msg, rng) and verify(key.public(), msg, sig) go through
+the table.  Group and ring signers carry more than their key record: a
+GroupSigningKey pairs a member's credential with the group key, and a
+RingSigningKey holds the ring (a RingKeys, which is what a ring verifier
+holds), the signer's index in it and its RingPrivateKey.  Only group keygen
+is None: credentials come from group_setup.  SCHEME_NC has no record:
+network coding keys live in ndnkit.netcoding.
 
 A key record is the scheme byte followed by the key dataclass's fields in
 declaration order, each length-prefixed with the packet varint: an int as
@@ -45,8 +48,8 @@ from .ecdsa import EcdsaPrivateKey, EcdsaPublicKey
 from .group import (
     GroupPublicKey,
     GroupSetup,
+    GroupSigningKey,
     MemberCredential,
-    group_open,
     group_setup,
     group_sign,
     group_verify,
@@ -71,7 +74,7 @@ from .params import (
     TokenReused,
     reference_params,
 )
-from .ring import RingPrivateKey, RingPublicKey, ring_sign, ring_verify
+from .ring import RingKeys, RingPrivateKey, RingPublicKey, RingSigningKey, ring_sign, ring_verify
 from .rsa import RsaPrivateKey, RsaPublicKey
 
 __all__ = [
@@ -96,7 +99,7 @@ __all__ = [
     "keygen",
     "sign",
     "verify",
-    "verifier_for",
+    "dispatch",
     "serialize_public",
     "load_public",
     "serialize_private",
@@ -104,14 +107,16 @@ __all__ = [
     "group_setup",
     "group_sign",
     "group_verify",
-    "group_open",
     "ring_sign",
     "ring_verify",
     "GroupSetup",
     "GroupPublicKey",
+    "GroupSigningKey",
     "MemberCredential",
+    "RingKeys",
     "RingPublicKey",
     "RingPrivateKey",
+    "RingSigningKey",
     "ChameleonKey",
     "chameleon_keygen",
     "chameleon_hash",
@@ -164,11 +169,11 @@ def _group_public_ok(key: GroupPublicKey) -> bool:
 
 @dataclass(frozen=True)
 class _Scheme:
-    public: type
+    public: type  # the public and private key record classes
     private: type
     keygen: Callable | None  # (rng) -> private key
-    sign: Callable | None  # (private key, msg, rng) -> signature bytes
-    verify: Callable | None  # (public key, msg, signature bytes) -> bool
+    sign: tuple[type, Callable]  # (the class sign takes, (signer, msg, rng) -> signature bytes)
+    verify: tuple[type, Callable]  # (signer.public()'s class, (that, msg, signature bytes) -> bool)
     public_ok: Callable  # loaded public key -> passes validation
     private_ok: Callable  # loaded private key -> passes validation
 
@@ -176,40 +181,44 @@ class _Scheme:
 _SCHEMES = {
     SCHEME_RSA: _Scheme(
         RsaPublicKey, RsaPrivateKey, rsa.keygen,
-        lambda key, msg, rng: rsa.sign(key, msg), rsa.verify,
+        (RsaPrivateKey, lambda key, msg, rng: rsa.sign(key, msg)), (RsaPublicKey, rsa.verify),
         lambda key: key.n >= 3 and key.e >= 3 and key.e % 2 == 1, _rsa_private_ok,
     ),
     SCHEME_DSA: _Scheme(
         DsaPublicKey, DsaPrivateKey, dsa.keygen,
-        dsa.sign, dsa.verify,
+        (DsaPrivateKey, dsa.sign), (DsaPublicKey, dsa.verify),
         lambda key: element_valid(key.y), _dl_secret_ok,
     ),
     SCHEME_ECDSA: _Scheme(
         EcdsaPublicKey, EcdsaPrivateKey, ecdsa.keygen,
-        ecdsa.sign, ecdsa.verify,
+        (EcdsaPrivateKey, ecdsa.sign), (EcdsaPublicKey, ecdsa.verify),
         lambda key: ecdsa.on_curve(key.qx, key.qy),
         lambda key: 0 < key.d < SECP160R1.n and ecdsa.base_mul(key.d) == (key.qx, key.qy),
     ),
     SCHEME_BLS: _Scheme(
         BlsPublicKey, BlsPrivateKey, bls.keygen,
-        lambda key, msg, rng: bls.sign(key, msg), bls.verify,
+        (BlsPrivateKey, lambda key, msg, rng: bls.sign(key, msg)), (BlsPublicKey, bls.verify),
         # the identity key would accept the identity signature on every message
         lambda key: not key.point.is_identity(), _bls_private_ok,
     ),
     SCHEME_GROUP: _Scheme(
         GroupPublicKey, MemberCredential, None,
-        None, group_verify,
+        (GroupSigningKey,
+         lambda key, msg, rng: group_sign(key.credential, key.group_key, msg, rng)),
+        (GroupPublicKey, group_verify),
         _group_public_ok, _dl_secret_ok,
     ),
     SCHEME_RING: _Scheme(
         RingPublicKey, RingPrivateKey, ring.keygen,
-        None, None,
+        (RingSigningKey,
+         lambda key, msg, rng: ring_sign(key.ring.members, key.index, key.key, msg, rng)),
+        (RingKeys, lambda key, msg, sig: ring_verify(key.members, msg, sig)),
         lambda key: element_valid(key.y), _dl_secret_ok,
     ),
 }
 
 
-def _record(sid: int, op: str, error: type = SchemeMismatch) -> _Scheme:
+def _record(sid: int | None, op: str, error: type) -> _Scheme:
     """Scheme sid's table record, which must fill the field op."""
     rec = _SCHEMES.get(sid)
     if getattr(rec, op, None) is None:
@@ -230,9 +239,18 @@ def keygen(
     return rec.keygen(rng)
 
 
+def dispatch(key, op: str) -> Callable:
+    """The table's sign or verify (op) for key.  A key of any class but the
+    one the table's entry takes raises SchemeMismatch: sign takes a scheme's
+    signer, and verify the class of the signer's public()."""
+    takes, fn = getattr(_SCHEMES.get(getattr(key, "scheme_id", None)), op, ((), None))
+    if not isinstance(key, takes):  # () when key names no scheme
+        raise SchemeMismatch(f"{op} takes no {type(key).__name__}")
+    return fn
+
+
 def sign(key, msg: bytes, rng: random.Random | None = None) -> Signature:
-    sid = key.scheme_id
-    return Signature(scheme_id=sid, data=_record(sid, "sign").sign(key, msg, rng))
+    return Signature(scheme_id=key.scheme_id, data=dispatch(key, "sign")(key, msg, rng))
 
 
 def signature_data(sig: Signature | bytes, expect: int, error: type = SchemeMismatch) -> bytes:
@@ -248,16 +266,7 @@ def signature_data(sig: Signature | bytes, expect: int, error: type = SchemeMism
 
 
 def verify(key, msg: bytes, sig: Signature | bytes) -> bool:
-    sid = key.scheme_id
-    return _record(sid, "verify").verify(key, msg, signature_data(sig, sid))
-
-
-def verifier_for(context) -> Callable[[bytes, bytes], bool]:
-    """Close over a public key (or ring key list) as a (msg, sig) predicate."""
-    if isinstance(context, (list, tuple)):
-        ring_keys = tuple(context)
-        return lambda msg, sig: ring_verify(ring_keys, msg, sig)
-    return lambda msg, sig: verify(context, msg, sig)
+    return dispatch(key, "verify")(key, msg, signature_data(sig, key.scheme_id))
 
 
 # --- key records -------------------------------------------------------------
@@ -319,16 +328,16 @@ _FIELD_CODECS = {
 }
 
 
-def _key_class(sid: int, public: bool) -> tuple[type, Callable]:
-    """Scheme sid's public or private key class and its validator."""
-    rec = _record(sid, "public")
+def _key_class(sid: int | None, public: bool, error: type) -> tuple[type, Callable]:
+    """Scheme sid's public or private key record class and its validator."""
+    rec = _record(sid, "public", error)
     return (rec.public, rec.public_ok) if public else (rec.private, rec.private_ok)
 
 
 def _write(key, public: bool) -> bytes:
-    cls, ok = _key_class(key.scheme_id, public)
-    if not ok(key):  # write no record that load_* would refuse
-        raise ParameterError(f"{cls.__name__} holds out-of-range or inconsistent values")
+    cls, ok = _key_class(getattr(key, "scheme_id", None), public, ParameterError)
+    if not (isinstance(key, cls) and ok(key)):  # write no record that load_* would refuse
+        raise ParameterError(f"{type(key).__name__} is no valid {cls.__name__} record")
     return bytes([key.scheme_id]) + b"".join(
         _FIELD_CODECS[f.type][0](getattr(key, f.name)) for f in fields(cls)
     )
@@ -336,7 +345,7 @@ def _write(key, public: bool) -> bytes:
 
 def _read(blob: bytes, public: bool):
     rd = _RecordReader(blob)
-    cls, ok = _key_class(rd.scheme_id, public)
+    cls, ok = _key_class(rd.scheme_id, public, SchemeMismatch)
     key = cls(**{f.name: _FIELD_CODECS[f.type][1](rd) for f in fields(cls)})
     rd.done()
     if not ok(key):

@@ -72,6 +72,19 @@ class GroupPublicKey:
     scheme_id = SCHEME_GROUP
 
 
+@dataclass(frozen=True)
+class GroupSigningKey:
+    """What a member signs with: its credential and the group key it signs under."""
+
+    credential: MemberCredential
+    group_key: GroupPublicKey
+
+    scheme_id = SCHEME_GROUP
+
+    def public(self) -> GroupPublicKey:
+        return self.group_key
+
+
 class GroupSetup:
     """Manager-side state: issued credentials and the identity registry."""
 
@@ -164,7 +177,3 @@ def group_verify(group_key: GroupPublicKey, msg: bytes, sig: bytes) -> bool:
     ):
         return False
     return _schnorr_verify(y, _SIG_TAG, msg, c, s)
-
-
-def group_open(setup: GroupSetup, sig: bytes) -> int:
-    return setup.open(sig)

@@ -51,6 +51,29 @@ class RingPrivateKey:
         return RingPublicKey(self.y)
 
 
+@dataclass(frozen=True)
+class RingKeys:
+    """What a ring verifier holds: the members' public keys, in ring order."""
+
+    members: tuple[RingPublicKey, ...]
+
+    scheme_id = SCHEME_RING
+
+
+@dataclass(frozen=True)
+class RingSigningKey:
+    """What a member signs with: the ring, its own index in it, and its key."""
+
+    ring: RingKeys
+    index: int
+    key: RingPrivateKey
+
+    scheme_id = SCHEME_RING
+
+    def public(self) -> RingKeys:
+        return self.ring
+
+
 def keygen(rng: random.Random | None = None) -> RingPrivateKey:
     rng = rng or random.SystemRandom()
     x = rand_scalar(rng)

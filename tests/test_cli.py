@@ -200,8 +200,8 @@ def test_keygen_group_pair_signs_and_verifies(tmp_path):
     pub = sigs.load_public((tmp_path / "k.grp.pub").read_bytes())
     cred = sigs.load_private(out.read_bytes())
     assert pub.members == (cred.y,)
-    sig = sigs.group_sign(cred, pub, b"msg")
-    assert sigs.group_verify(pub, b"msg", sig)
+    sig = sigs.sign(sigs.GroupSigningKey(cred, pub), b"msg")
+    assert sigs.verify(pub, b"msg", sig)
 
 
 def test_keygen_seed_is_reproducible(tmp_path):

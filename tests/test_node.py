@@ -264,14 +264,23 @@ def test_trust_store_longest_prefix_selects_deeper_anchor(bls_key, rogue_key):
 def test_trust_store_accepts_ring_anchor():
     rng = random.Random(403)
     keys = [sigs.keygen(sigs.SCHEME_RING, rng=rng) for _ in range(3)]
-    pubs = [k.public() for k in keys]
+    ring = sigs.RingKeys(tuple(k.public() for k in keys))
     store = TrustStore()
-    store.add(parse_name("/snnu/keys"), sigs.SCHEME_RING, pubs)
+    store.add(parse_name("/snnu/keys"), sigs.SCHEME_RING, ring)
     blank = Data(name=NAME, content=b"payload", key_locator=KEY_NAME,
                  scheme_id=sigs.SCHEME_RING, signature=b"")
-    sig = sigs.ring_sign(pubs, 1, keys[1], signed_portion(blank), rng)
+    sig = sigs.sign(sigs.RingSigningKey(ring, 1, keys[1]), signed_portion(blank), rng).data
     assert store.verify_data(blank.with_signature(sig))
     assert not store.verify_data(blank.with_signature(sig[:-1] + bytes([sig[-1] ^ 1])))
+
+
+def test_trust_store_refuses_an_anchor_verify_cannot_take(bls_key):
+    rng = random.Random(404)
+    ring_pubs = [sigs.keygen(sigs.SCHEME_RING, rng=rng).public() for _ in range(3)]
+    store = TrustStore()
+    for anchor in (ring_pubs, tuple(ring_pubs), ring_pubs[0], bls_key, None):
+        with pytest.raises(sigs.SchemeMismatch):
+            store.add(parse_name("/snnu/keys"), sigs.SCHEME_RING, anchor)
 
 
 # --- Content Store policy ----------------------------------------------------

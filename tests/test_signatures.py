@@ -18,15 +18,17 @@ from ndnkit.signatures import (
     SCHEME_RING,
     SCHEME_RSA,
     GroupPublicKey,
+    GroupSigningKey,
     IndexOutOfRing,
     OpenFailure,
     ParameterError,
+    RingKeys,
+    RingSigningKey,
     SchemeMismatch,
     Signature,
     chameleon_collide,
     chameleon_hash,
     chameleon_keygen,
-    group_open,
     group_setup,
     group_sign,
     group_verify,
@@ -40,7 +42,6 @@ from ndnkit.signatures import (
     serialize_private,
     serialize_public,
     sign,
-    verifier_for,
     verify,
 )
 from ndnkit.signatures import bls, dlgroup, dsa, ecdsa, rsa
@@ -86,6 +87,20 @@ def ring_keys():
 @pytest.fixture(scope="module")
 def ring_pubs(ring_keys):
     return [k.public() for k in ring_keys]
+
+
+@pytest.fixture(scope="module")
+def signers(rsa_key, dsa_key, ecdsa_key, bls_key, group, ring_keys, ring_pubs):
+    """Per scheme name, the module's key that sign takes; its public() is
+    the key that verify takes."""
+    return {
+        "rsa": rsa_key,
+        "dsa": dsa_key,
+        "ecdsa": ecdsa_key,
+        "bls": bls_key,
+        "group": GroupSigningKey(group.credentials[0], group.group_key),
+        "ring": RingSigningKey(RingKeys(tuple(ring_pubs)), 0, ring_keys[0]),
+    }
 
 
 # --- shared discrete-log group ----------------------------------------------
@@ -532,7 +547,7 @@ def test_group_sign_verify_and_open(group):
     sig = group_sign(cred, gk, MSG, rng=random.Random(11))
     assert len(sig) == 208
     assert group_verify(gk, MSG, sig)
-    assert group_open(group, sig) == 2
+    assert group.open(sig) == 2
 
 
 def test_group_every_member_signs(group):
@@ -540,7 +555,7 @@ def test_group_every_member_signs(group):
     for idx, cred in enumerate(group.credentials):
         sig = group_sign(cred, gk, MSG)
         assert group_verify(gk, MSG, sig)
-        assert group_open(group, sig) == idx
+        assert group.open(sig) == idx
 
 
 def test_group_signature_layout_has_no_index(group):
@@ -556,7 +571,7 @@ def test_group_outsider_rejected(group):
     sig = group_sign(outsider.credentials[0], outsider.group_key, MSG)
     assert not group_verify(group.group_key, MSG, sig)
     with pytest.raises(OpenFailure):
-        group_open(group, sig)
+        group.open(sig)
 
 
 def test_group_revocation():
@@ -567,7 +582,7 @@ def test_group_revocation():
     setup.revoke(1)
     assert len(setup.group_key.members) == 4
     assert not group_verify(setup.group_key, MSG, sig)
-    assert group_open(setup, sig) == 1  # the manager can still attribute it
+    assert setup.open(sig) == 1  # the manager can still attribute it
 
 
 def test_group_forged_certificate_rejected(group):
@@ -609,7 +624,7 @@ def test_group_single_member_degenerate():
     setup = group_setup(rng=random.Random(16), members=1)
     sig = group_sign(setup.credentials[0], setup.group_key, MSG)
     assert group_verify(setup.group_key, MSG, sig)
-    assert group_open(setup, sig) == 0
+    assert setup.open(sig) == 0
 
 
 # --- ring signatures ---------------------------------------------------------
@@ -733,18 +748,31 @@ def test_keygen_draws_are_distinct():
     assert len(ys) == 50
 
 
-def test_verifier_for_single_key(bls_key):
-    check = verifier_for(bls_key.public())
-    sig = sign(bls_key, MSG)
-    assert check(MSG, sig.data)
-    assert not check(MSG + b"?", sig.data)
+@pytest.mark.parametrize("name", ["group", "ring"])
+def test_table_signs_group_and_ring_as_the_direct_calls_do(name, signers, group, ring_keys,
+                                                          ring_pubs):
+    """sign's bytes equal group_sign's and ring_sign's from the same rng state,
+    so callers of either path get the same signatures."""
+    direct = {
+        "group": lambda rng: group_sign(group.credentials[0], group.group_key, MSG, rng),
+        "ring": lambda rng: ring_sign(ring_pubs, 0, ring_keys[0], MSG, rng),
+    }[name]
+    sig = sign(signers[name], MSG, random.Random(24))
+    assert sig.data == direct(random.Random(24))
+    assert verify(signers[name].public(), MSG, sig)
+    with pytest.raises(SchemeMismatch):
+        verify(signers[name].public(), MSG, Signature(SCHEME_DSA, sig.data))
 
 
-def test_verifier_for_ring(ring_keys, ring_pubs):
-    check = verifier_for(ring_pubs)
-    sig = ring_sign(ring_pubs, 0, ring_keys[0], MSG)
-    assert check(MSG, sig)
-    assert not check(MSG + b"?", sig)
+def test_sign_and_verify_refuse_keys_they_do_not_take(signers, group, ring_keys, ring_pubs):
+    # key records that are not what sign or verify takes, and a bare ring list
+    for key in (group.credentials[0], ring_keys[0], signers["rsa"].public()):
+        with pytest.raises(SchemeMismatch):
+            sign(key, MSG)
+    sig = sign(signers["ring"], MSG).data
+    for key in (ring_pubs[0], ring_pubs, tuple(ring_pubs), signers["ring"], signers["bls"]):
+        with pytest.raises(SchemeMismatch):
+            verify(key, MSG, sig)
 
 
 # --- key serialization -------------------------------------------------------
@@ -796,6 +824,25 @@ def test_private_key_round_trips(rsa_key, dsa_key, ecdsa_key, bls_key, group, ri
     for key in keys:
         assert serialize_private(key) == _unchecked_record(key)
         assert load_private(serialize_private(key)) == key
+
+
+@pytest.mark.parametrize("name", ["rsa", "dsa", "ecdsa", "bls", "group", "ring"])
+def test_serialize_writes_only_the_schemes_key_record_classes(name, signers, group, ring_keys):
+    """Each serialize_* writes its own record class and raises ParameterError
+    for every other key of the scheme: the other record, the signer, and what
+    verify takes."""
+    public, private = {
+        "group": (group.group_key, group.credentials[0]),
+        "ring": (ring_keys[0].public(), ring_keys[0]),
+    }.get(name, (signers[name].public(), signers[name]))
+    signer = signers[name]
+    for serialize, record in ((serialize_public, public), (serialize_private, private)):
+        for key in {public, private, signer, signer.public()}:
+            if type(key) is type(record):
+                assert serialize(key)
+            else:
+                with pytest.raises(ParameterError):
+                    serialize(key)
 
 
 def test_load_rejects_malformed_records(dsa_key, rsa_key):
@@ -993,32 +1040,41 @@ def test_key_draws_are_pinned(tmp_path):
     assert got == _KEY_DRAW_DIGESTS
 
 
+def _signer(private, public, ring_others=()):
+    """The key sign takes, built from a scheme's key records: the private key
+    itself, a group credential with its group key, or a ring key at index 0 of
+    a ring with ring_others."""
+    if private.scheme_id == SCHEME_GROUP:
+        return GroupSigningKey(private, public)
+    if private.scheme_id == SCHEME_RING:
+        return RingSigningKey(RingKeys((public, *ring_others)), 0, private)
+    return private
+
+
 @pytest.mark.parametrize("sid", sorted(set(SCHEME_NAMES) - {SCHEME_NC}))
 def test_every_scheme_runs_through_the_table(sid):
-    """keygen (or group_setup), sign, verify, serialize and load for each scheme."""
+    """keygen (or group_setup), serialize and load; then for the drawn and the
+    loaded records alike, sign and verify(key.public(), ...) alone, on the
+    envelope and on its bytes."""
     rng = random.Random(sid)
     params = reference_params(sid)
-    others = []
+    others = ()
     if sid == SCHEME_GROUP:
         setup = group_setup(params, rng)
         private, public = setup.credentials[0], setup.group_key
-        sign_with = lambda key: group_sign(key, public, MSG, rng)
-    elif sid == SCHEME_RING:
-        others = [keygen(sid, params, rng).public() for _ in range(params.ring_size - 1)]
-        private = keygen(sid, params, rng)
-        public = private.public()
-        sign_with = lambda key: ring_sign([key.public()] + others, 0, key, MSG, rng)
     else:
+        if sid == SCHEME_RING:
+            others = tuple(keygen(sid, params, rng).public() for _ in range(params.ring_size - 1))
         private = keygen(sid, params, rng)
         public = private.public()
-        sign_with = lambda key: sign(key, MSG, rng)
     loaded_public = load_public(serialize_public(public))
     loaded_private = load_private(serialize_private(private))
     assert (loaded_public, loaded_private) == (public, private)
-    check = verifier_for([loaded_public] + others if others else loaded_public)
-    for key in (private, loaded_private):
-        sig = sign_with(key)
-        assert check(MSG, sig) and not check(MSG + b"!", sig)
+    for key in (_signer(private, public, others), _signer(loaded_private, loaded_public, others)):
+        sig = sign(key, MSG, rng)
+        assert sig.scheme_id == sid
+        for blob in (sig, sig.data):
+            assert verify(key.public(), MSG, blob) and not verify(key.public(), MSG + b"!", blob)
 
 
 def test_load_private_checks_rsa_exponent(rsa_key):
@@ -1119,22 +1175,15 @@ def _mutants(sig: bytes, count: int, seed: int) -> list[bytes]:
     return out
 
 
-def test_near_valid_signature_mutants_are_refused(rsa_key, dsa_key, ecdsa_key, bls_key,
-                                                  group, ring_keys):
+def test_near_valid_signature_mutants_are_refused(signers):
     rng = random.Random(23)
-    pubs = [k.public() for k in ring_keys]
-    cases = [
-        (verifier_for(ecdsa_key.public()), sign(ecdsa_key, MSG, rng).data, 400),
-        (verifier_for(group.group_key),
-         group_sign(group.credentials[0], group.group_key, MSG, rng), 400),
-        (verifier_for(pubs), ring_sign(pubs, 0, ring_keys[0], MSG, rng), 80),
-        (verifier_for(rsa_key.public()), sign(rsa_key, MSG, rng).data, 300),
-        (verifier_for(dsa_key.public()), sign(dsa_key, MSG, rng).data, 300),
-        # a BLS mutant that still decompresses costs a pairing check
-        (verifier_for(bls_key.public()), sign(bls_key, MSG, rng).data, 100),
-    ]
+    # a BLS mutant that still decompresses costs a pairing check
+    counts = (("ecdsa", 400), ("group", 400), ("ring", 80), ("rsa", 300), ("dsa", 300),
+              ("bls", 100))
+    cases = [(signers[name].public(), sign(signers[name], MSG, rng).data, count)
+             for name, count in counts]
     assert len(cases[0][1]) == 40
-    for seed, (check, sig, count) in enumerate(cases):
-        assert check(MSG, sig) is True
+    for seed, (pub, sig, count) in enumerate(cases):
+        assert verify(pub, MSG, sig) is True
         for bad in _mutants(sig, count, seed):
-            assert check(MSG, bad) is False, bad.hex()
+            assert verify(pub, MSG, bad) is False, bad.hex()
