@@ -172,8 +172,9 @@ class _Scheme:
     public: type  # the public and private key record classes
     private: type
     keygen: Callable | None  # (rng) -> private key
-    sign: tuple[type, Callable]  # (the class sign takes, (signer, msg, rng) -> signature bytes)
-    verify: tuple[type, Callable]  # (signer.public()'s class, (that, msg, signature bytes) -> bool)
+    sign: tuple[type, Callable]  # (signer class, (signer, msg, rng) -> signature bytes)
+    # (verifier class, the class of signer.public(); (verifier, msg, sig bytes) -> bool)
+    verify: tuple[type, Callable]
     public_ok: Callable  # loaded public key -> passes validation
     private_ok: Callable  # loaded private key -> passes validation
 
