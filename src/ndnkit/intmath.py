@@ -144,6 +144,11 @@ class CurveOps(NamedTuple):
     affine points, P != +-Q, to their affine sums, also with a single
     inversion.  neg negates a y-coordinate, and identity is (one, one,
     zero) of the coordinate field.
+
+    sum_bits_each_jacobian is the one loop of mixed additions that sums
+    entries into multi-exps, and leaves its outputs Jacobian;
+    sum_bits_each, and through it sum_bits, sums, fold and add, normalizes
+    them to affine.
     """
 
     dbl: Callable
@@ -183,13 +188,27 @@ class CurveOps(NamedTuple):
 
     def sum_bits_each(self, adds, widths):
         """Per output, the sum over j of 2^j times the sum of its bit list
-        j, affine (None for the identity).  adds holds the bit lists of
-        every output in turn, widths[i] of them for output i, and each bit
-        list holds affine points, none the identity.  One pair_off sums the
-        entries of every output's bits pairwise; then each output runs its
-        own doublings, from its top bit down, adding what is left of each
-        bit with mixed additions, and one normalize takes every output back
-        to affine.  adds changes but the caller's lists do not."""
+        j, affine (None for the identity): sum_bits_each_jacobian's sums,
+        which one normalize takes back to affine.  adds changes but the
+        caller's lists do not."""
+        jac = self.sum_bits_each_jacobian(adds, widths)
+        zero = self.identity[2]
+        if zero not in map(_Z, jac):
+            return self.normalize(jac)
+        affine = iter(self.normalize([pt for pt in jac if pt[2] != zero]))
+        return [None if pt[2] == zero else next(affine) for pt in jac]
+
+    def sum_bits_each_jacobian(self, adds, widths):
+        """Per output, the sum over j of 2^j times the sum of its bit list
+        j, Jacobian (Z = 0 for the identity), with no inversion but
+        pair_off's.  adds holds the bit lists of every output in turn,
+        widths[i] of them for output i, and each bit list holds affine
+        points, none the identity.  One pair_off sums the entries of every
+        output's bits pairwise; then each output runs its own doublings,
+        from its top bit down, adding what is left of each bit with mixed
+        additions.  A caller that needs no affine point, as ECDSA verify
+        compares one x, skips sum_bits_each's normalize.  adds changes but
+        the caller's lists do not."""
         self.pair_off(adds)
         dbl, add, start = self.dbl, self.add_mixed, self.identity
         jac = []
@@ -203,11 +222,7 @@ class CurveOps(NamedTuple):
                 for x, y in entries:
                     X, Y, Z = add(X, Y, Z, x, y)
             jac.append((X, Y, Z))
-        zero = start[2]
-        if zero not in map(_Z, jac):
-            return self.normalize(jac)
-        affine = iter(self.normalize([pt for pt in jac if pt[2] != zero]))
-        return [None if pt[2] == zero else next(affine) for pt in jac]
+        return jac
 
     def pair_off(self, adds):
         """Sum the entries of each list in adds pairwise, in rounds of one

@@ -11,11 +11,12 @@ signatures on path against a prefix-keyed trust store, in which case failing
 Data is dropped while the PIT entry stays alive to admit the authentic copy.
 
 All state lives in plain dictionaries keyed by name: the FIB maps a prefix
-to its outgoing faces, the trust store a key-name prefix to its scheme id and
-the key that signatures.verify checks against. Once routes and anchors are
-installed, only process_interest and process_data change that state, and
-sweep drops what has expired, so a node is a deterministic single-threaded
-state machine; times are integer milliseconds supplied by the caller.
+to its outgoing faces, the trust store a key-name prefix to the key that
+signatures.verify checks against, whose scheme_id a Data's must match. Once
+routes and anchors are installed, only process_interest and process_data
+change that state, and sweep drops what has expired, so a node is a
+deterministic single-threaded state machine; times are integer milliseconds
+supplied by the caller.
 """
 
 from __future__ import annotations
@@ -121,22 +122,23 @@ class TrustStore:
     """Trust anchors keyed by the longest prefix of a Data's key locator."""
 
     def __init__(self):
-        # key-name prefix -> (scheme id, the key verify takes)
-        self._anchors: dict[Name, tuple[int, object]] = {}
+        # key-name prefix -> the key verify takes
+        self._anchors: dict[Name, object] = {}
 
-    def add(self, prefix: Name, scheme_id: int, key) -> None:
+    def add(self, prefix: Name, key) -> None:
         """Anchor a key that signatures.verify takes under a key-name prefix:
-        a public key, or a RingKeys for a ring.  Any other key raises
-        SchemeMismatch here rather than on the first Data it would check."""
+        a public key, or a RingKeys for a ring.  The key's scheme_id is the
+        anchor's scheme.  Any other key raises SchemeMismatch here rather
+        than on the first Data it would check."""
         dispatch(key, "verify")
-        self._anchors[prefix] = (scheme_id, key)
+        self._anchors[prefix] = key
 
     def verify_data(self, data: Data) -> bool:
         prefix = longest_prefix_match(self._anchors.keys(), data.key_locator)
         if prefix is None:
             return False
-        scheme_id, key = self._anchors[prefix]
-        return scheme_id == data.scheme_id and verify(key, signed_portion(data), data.signature)
+        key = self._anchors[prefix]
+        return key.scheme_id == data.scheme_id and verify(key, signed_portion(data), data.signature)
 
 
 class Node:

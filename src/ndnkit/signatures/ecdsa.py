@@ -5,15 +5,16 @@ CurveOps record) with additions only, on signed digits: a negative digit
 takes its entry with y negated, so a radix-2^w table holds 2^(w-1) entries
 per row.  The base point's table serves signing: radix 2^9, 18 rows of 256,
 built on first use (~25 ms), so k * G is at most 18 mixed additions.  Every
-other point gets a radix-2^6 table (27 rows of 32, ~140 KB) on first use,
-held in a bounded LRU keyed by point value, so a public key's table serves
-every verify under that key.  A verify folds the picks of both tables
-(Comb.picks) in one Jacobian sum: at most 18 + 27 mixed additions and one
-inversion.  The first verify under a new key also pays for its table
-(~4 ms).  Verify checks that the key lies on the curve before a table is
-built for it.  Signature integers are emitted at the curve's fixed width,
-with the nonce resampled in the (astronomically rare) case an integer does
-not fit.
+other point gets a radix-2^7 table (24 rows of 64, ~250 KB) on first use,
+held in a bounded LRU keyed by point value (128 tables, ~32 MB when full),
+so a public key's table serves every verify under that key.  A verify
+adds the picks of both tables (Comb.picks) in one Jacobian sum, at most
+18 + 24 mixed additions, and compares its x without leaving Jacobian
+coordinates: one s^-1 mod n and no field inversion.  The first verify
+under a new key also pays for its table (~6 ms).  Verify checks that the
+key lies on the curve before a table is built for it.  Signature integers
+are emitted at the curve's fixed width, with the nonce resampled in the
+(astronomically rare) case an integer does not fit.
 
 A nonce's pair (r, k^-1) does not depend on the message, so it can be made
 ahead (Naccache-M'Raihi-Vaudenay-Raphaeli, "Can D.S.A. be improved?",
@@ -76,9 +77,10 @@ def point_mul(pt, k: int):
 
 @lru_cache(maxsize=128)
 def _comb(x: int, y: int) -> Comb:
-    """The signed radix-2^6 table for one curve point (27 rows of 32), kept
-    per point value: a public key's serves every verify under it."""
-    return Comb(_OPS, (x, y), _N.bit_length(), 6, signed=True)
+    """The signed radix-2^7 table for one curve point (24 rows of 64, 1536
+    entries, ~250 KB, built in ~6 ms), kept per point value: a public key's
+    serves every verify under it."""
+    return Comb(_OPS, (x, y), _N.bit_length(), 7, signed=True)
 
 
 @lru_cache(maxsize=1)
@@ -152,16 +154,16 @@ def verify(key: EcdsaPublicKey, msg: bytes, sig: bytes) -> bool:
     if len(sig) != 2 * _WIDTH:
         return False
     r, s = os2ip(sig[:_WIDTH]), os2ip(sig[_WIDTH:])
-    if not (0 < r < _N and 0 < s < _N):
+    # r is an x mod n, and every x is below p < n, so x mod n = x: r < p
+    if not (0 < r < _P and 0 < s < _N):
         return False
     if not on_curve(key.qx, key.qy):
         return False
     z = _digest(msg)
     w = pow(s, -1, _N)
-    # u1 G + u2 Q as one fold of both tables' picks: one inversion, not three
+    # u1 G + u2 Q as one Jacobian sum of both tables' picks, whose affine x
+    # X / Z^2 must be r: no inversion, and the identity (Z = 0) refused
     picked = _gen_comb().picks(z * w % _N)
     picked += _comb(key.qx, key.qy).picks(r * w % _N)
-    pt = _OPS.fold(picked)
-    if pt is None:
-        return False
-    return pt[0] % _N == r
+    X, _, Z = _OPS.sum_bits_each_jacobian([picked], (1,))[0]
+    return Z != 0 and (X - r * Z * Z) % _P == 0

@@ -493,7 +493,7 @@ class _Runner:
             if b.scheme_id == sigs.SCHEME_ECDSA:
                 rng = NoncePool(rng, NONCE_BATCH)
             self.producers[b.prefix] = _Producer(b, key, rng)
-        anchors = [(b.key_name, b.scheme_id, key.public())
+        anchors = [(b.key_name, key.public())
                    for b, key, _ in self.producers.values()]
         for node in self.nodes.values():
             for anchor in anchors:

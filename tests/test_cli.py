@@ -175,7 +175,7 @@ def test_keygen_public_half_loads_into_trust_store(tmp_path):
     pub = sigs.load_public((tmp_path / "site.bls.pub").read_bytes())
     priv = sigs.load_private(out.read_bytes())
     store = TrustStore()
-    store.add(parse_name("/snnu/keys"), sigs.SCHEME_BLS, pub)
+    store.add(parse_name("/snnu/keys"), pub)
     blank = Data(
         name=parse_name("/snnu/x"),
         content=b"c",

@@ -150,12 +150,33 @@ def test_picks_of_two_tables_fold_to_the_sum(name):
 
 
 @pytest.mark.parametrize("name, w, shape", [("secp160r1", 9, (18, 256)),
-                                            ("secp160r1-key", 6, (27, 32))])
+                                            ("secp160r1-key", 7, (24, 64))])
 def test_ecdsa_table_widths_are_pinned(name, w, shape):
     # both ECDSA tables are signed: rows cover |n| + 1 bits, 2^(w-1) entries each
     comb = _generator_table(name)[0]
     assert (comb.w, comb.top, comb.neg) == (w, 1 << (w - 1), comb.group.neg)
     assert (len(comb.rows), {len(row) for row in comb.rows}) == (shape[0], {shape[1]})
+
+
+def test_ecdsa_key_table_carries_into_its_top_row():
+    # a key table's 24 rows of radix 2^7 cover 168 bits: a scalar below 2^161
+    # whose digit in row 22 (bits 154..160) exceeds 64 after the carry from
+    # below is signed as that digit - 128 and carries one into row 23.  A
+    # verify's scalars are below n, whose row-22 digit is 64 and carries no
+    # further; values near 2^161 take the top row
+    comb, order, reference = _generator_table("secp160r1-key")
+    top_row = {pt[0] for pt in comb.rows[-1]}
+    rng = random.Random(161)
+    carrying = [(1 << 161) - 1, (1 << 161) - (1 << 154), 65 << 154, (65 << 154) - 1 + (1 << 147),
+                (1 << 160) + (1 << 154), ((1 << 161) - 1) ^ (1 << 155)]
+    carrying += [(1 << 161) - rng.randrange(1, 1 << 154) for _ in range(5)]
+    for k in carrying:
+        assert k < 1 << 161 and k >> 154 >= 64
+        assert comb.picks(k)[-1][0] in top_row, k  # the carry lands in row 23
+        assert comb.mul(k) == reference(k), k
+    for k in (order - 1, order - 2, 1 << 160, (1 << 160) - 1):
+        assert comb.picks(k)[-1][0] not in top_row, k
+        assert comb.mul(k) == reference(k), k
 
 
 def test_dl_table_widths_are_pinned():

@@ -198,7 +198,7 @@ def test_second_request_hits_cache(bls_key):
 
 def verifying_node(bls_key) -> Node:
     node = routed_node(verify_on_path=True)
-    node.trust.add(parse_name("/snnu/keys"), sigs.SCHEME_BLS, bls_key.public())
+    node.trust.add(parse_name("/snnu/keys"), bls_key.public())
     return node
 
 
@@ -234,10 +234,14 @@ def test_unanchored_key_locator_is_bogus(bls_key):
 
 
 def test_scheme_mismatch_against_anchor_is_bogus(bls_key):
-    node = routed_node(verify_on_path=True)
-    node.trust.add(parse_name("/snnu/keys"), sigs.SCHEME_ECDSA, bls_key.public())
+    # the BLS key is anchored as itself; the Data's scheme field says ECDSA
+    # over a BLS signature that holds for its signed portion, so only the
+    # anchor's scheme refuses it
+    node = verifying_node(bls_key)
     node.process_interest(1, Interest(name=NAME, nonce=1), now=0)
-    assert node.process_data(7, make_data(bls_key), now=1) == []
+    mislabelled = make_data(bls_key, scheme_id=sigs.SCHEME_ECDSA)
+    assert sigs.verify(bls_key.public(), signed_portion(mislabelled), mislabelled.signature)
+    assert node.process_data(7, mislabelled, now=1) == []
     assert node.counters["dropped_bogus"] == 1
 
 
@@ -251,8 +255,8 @@ def test_verification_off_accepts_rogue_data(rogue_key):
 
 def test_trust_store_longest_prefix_selects_deeper_anchor(bls_key, rogue_key):
     store = TrustStore()
-    store.add(parse_name("/snnu/keys"), sigs.SCHEME_BLS, bls_key.public())
-    store.add(parse_name("/snnu/keys/site"), sigs.SCHEME_BLS, rogue_key.public())
+    store.add(parse_name("/snnu/keys"), bls_key.public())
+    store.add(parse_name("/snnu/keys/site"), rogue_key.public())
     deep = make_data(rogue_key, locator=parse_name("/snnu/keys/site/cert1"))
     shallow = make_data(bls_key, locator=parse_name("/snnu/keys/other"))
     assert store.verify_data(deep)
@@ -266,7 +270,7 @@ def test_trust_store_accepts_ring_anchor():
     keys = [sigs.keygen(sigs.SCHEME_RING, rng=rng) for _ in range(3)]
     ring = sigs.RingKeys(tuple(k.public() for k in keys))
     store = TrustStore()
-    store.add(parse_name("/snnu/keys"), sigs.SCHEME_RING, ring)
+    store.add(parse_name("/snnu/keys"), ring)
     blank = Data(name=NAME, content=b"payload", key_locator=KEY_NAME,
                  scheme_id=sigs.SCHEME_RING, signature=b"")
     sig = sigs.sign(sigs.RingSigningKey(ring, 1, keys[1]), signed_portion(blank), rng).data
@@ -280,7 +284,7 @@ def test_trust_store_refuses_an_anchor_verify_cannot_take(bls_key):
     store = TrustStore()
     for anchor in (ring_pubs, tuple(ring_pubs), ring_pubs[0], bls_key, None):
         with pytest.raises(sigs.SchemeMismatch):
-            store.add(parse_name("/snnu/keys"), sigs.SCHEME_RING, anchor)
+            store.add(parse_name("/snnu/keys"), anchor)
 
 
 # --- Content Store policy ----------------------------------------------------
@@ -509,7 +513,7 @@ def test_random_walk_deterministic(data_pool):
 def test_random_walk_verified_emissions(bls_key, data_pool):
     node = Node("r1", cs_capacity=8, verify_on_path=True)
     node.fib_add_route(parse_name("/snnu"), 7)
-    node.trust.add(parse_name("/snnu/keys"), sigs.SCHEME_BLS, bls_key.public())
+    node.trust.add(parse_name("/snnu/keys"), bls_key.public())
     for kind, face, packet, now in random_ops(4, 400, data_pool):
         if kind == "interest":
             node.process_interest(face, packet, now)

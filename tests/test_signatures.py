@@ -295,28 +295,63 @@ def test_dsa_wrong_key(dsa_key):
 # --- ECDSA -------------------------------------------------------------------
 
 
-def _naive_affine_mul(spec, pt, k):
-    def add(a, b):
-        if a is None:
-            return b
-        if b is None:
-            return a
-        (x1, y1), (x2, y2) = a, b
-        if x1 == x2 and (y1 + y2) % spec.p == 0:
-            return None
-        if a == b:
-            lam = (3 * x1 * x1 + spec.a) * pow(2 * y1, -1, spec.p) % spec.p
-        else:
-            lam = (y2 - y1) * pow(x2 - x1, -1, spec.p) % spec.p
-        x3 = (lam * lam - x1 - x2) % spec.p
-        return (x3, (lam * (x1 - x3) - y1) % spec.p)
+def _naive_affine_add(spec, a, b):
+    if a is None:
+        return b
+    if b is None:
+        return a
+    (x1, y1), (x2, y2) = a, b
+    if x1 == x2 and (y1 + y2) % spec.p == 0:
+        return None
+    if a == b:
+        lam = (3 * x1 * x1 + spec.a) * pow(2 * y1, -1, spec.p) % spec.p
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, spec.p) % spec.p
+    x3 = (lam * lam - x1 - x2) % spec.p
+    return (x3, (lam * (x1 - x3) - y1) % spec.p)
 
+
+def _naive_affine_mul(spec, pt, k):
     acc = None
     for bit in bin(k)[2:]:
-        acc = add(acc, acc)
+        acc = _naive_affine_add(spec, acc, acc)
         if bit == "1":
-            acc = add(acc, pt)
+            acc = _naive_affine_add(spec, acc, pt)
     return acc
+
+
+def _ecdsa_scalars(msg, sig):
+    """(r, s, z): the signature's integers and the message's digest scalar."""
+    width = SECP160R1.scalar_bytes
+    return os2ip(sig[:width]), os2ip(sig[width:]), _ecdsa_digest(msg)
+
+
+def _ecdsa_digest(msg):
+    """sha256(msg) truncated to the order's bits."""
+    return os2ip(hashlib.sha256(msg).digest()) >> 256 - SECP160R1.n.bit_length()
+
+
+def _affine_verify(key, msg, sig):
+    """ECDSA's verification equation in naive affine arithmetic, with no
+    table and no Jacobian coordinate: x(u1 G + u2 Q) mod n = r."""
+    spec = SECP160R1
+    r, s, z = _ecdsa_scalars(msg, sig)
+    if len(sig) != 2 * spec.scalar_bytes or not (0 < r < spec.n and 0 < s < spec.n):
+        return False
+    w = pow(s, -1, spec.n)
+    u1 = _naive_affine_mul(spec, (spec.gx, spec.gy), z * w % spec.n)
+    u2 = _naive_affine_mul(spec, (key.qx, key.qy), r * w % spec.n)
+    pt = _naive_affine_add(spec, u1, u2)
+    return pt is not None and pt[0] % spec.n == r
+
+
+def _jacobian_sum(key, msg, sig):
+    """u1 G + u2 Q as verify sums it, in Jacobian coordinates."""
+    r, s, z = _ecdsa_scalars(msg, sig)
+    w = pow(s, -1, SECP160R1.n)
+    picked = ecdsa._gen_comb().picks(z * w % SECP160R1.n)
+    picked += ecdsa._comb(key.qx, key.qy).picks(r * w % SECP160R1.n)
+    return ecdsa._OPS.sum_bits_each_jacobian([picked], (1,))[0]
 
 
 def test_ecdsa_scalar_mul_against_naive():
@@ -327,9 +362,10 @@ def test_ecdsa_scalar_mul_against_naive():
     point = (key.qx, key.qy)  # served by the key's own table, not the base point's
     rng = random.Random(6)
     nibbles15 = (1 << 4 * ((n.bit_length() - 1) // 4)) - 1  # every radix-16 digit 15
-    # digit edges of the key tables' radix 2^6 and the generator's 2^9 (the
-    # signed carry starts at 2^5 + 1 and 2^8 + 1); n - 1 picks from the top row
-    edges = [31, 32, 33, 2**9 - 1, 2**9, 2**9 + 1]
+    # digit edges of the key tables' radix 2^7 and the generator's 2^9 (the
+    # signed carry starts at 2^6 + 1 and 2^8 + 1); n - 1 picks from the
+    # generator table's top row
+    edges = [63, 64, 65, 2**7 - 1, 2**7, 2**9 - 1, 2**9, 2**9 + 1]
     for k in [0, 1, 2, 3, *edges, n - 1, n, n + 1, nibbles15] + [
         rng.randrange(2, n) for _ in range(4)
     ]:
@@ -366,27 +402,80 @@ def test_ecdsa_reference_preset_width():
 
 def test_ecdsa_verify_equation_oracle(ecdsa_key):
     """Re-derive the verification point with the naive affine arithmetic."""
+    assert _affine_verify(ecdsa_key.public(), MSG, ecdsa.sign(ecdsa_key, MSG))
+
+
+def test_ecdsa_verify_agrees_with_the_affine_oracle():
+    # 200 keys, so the LRU of 128 tables also evicts and rebuilds; each
+    # signature once as signed and with one bit flipped in r and one in s
+    rng = random.Random(33)
+    width = SECP160R1.scalar_bytes
+    verdicts = []
+    for i in range(200):
+        key = ecdsa.keygen(rng)
+        msg = b"oracle/%d" % i
+        sig = ecdsa.sign(key, msg, rng)
+        for flip in (None, rng.randrange(8 * width), rng.randrange(8 * width, 16 * width)):
+            blob = sig if flip is None else (os2ip(sig) ^ 1 << flip).to_bytes(2 * width, "big")
+            verdict = ecdsa.verify(key.public(), msg, blob)
+            assert verdict == _affine_verify(key.public(), msg, blob), (i, flip)
+            verdicts.append(verdict)
+    assert verdicts == [True, False, False] * 200
+
+
+def _key_for_sum(point, msg, r, s):
+    """The public key under which the signature (r, s) on msg sums u1 G +
+    u2 Q to point: Q = u2^-1 (point - u1 G)."""
     spec = SECP160R1
-    sig = ecdsa.sign(ecdsa_key, MSG)
-    width = spec.scalar_bytes
-    r, s = os2ip(sig[:width]), os2ip(sig[width:])
-    shift = max(0, 256 - spec.n.bit_length())
-    z = os2ip(hashlib.sha256(MSG).digest()) >> shift
+    z = _ecdsa_digest(msg)
     w = pow(s, -1, spec.n)
-    u1 = _naive_affine_mul(spec, (spec.gx, spec.gy), z * w % spec.n)
-    u2 = _naive_affine_mul(spec, (ecdsa_key.qx, ecdsa_key.qy), r * w % spec.n)
+    neg_u1g = _naive_affine_mul(spec, (spec.gx, spec.gy), -z * w % spec.n)
+    q = _naive_affine_mul(spec, _naive_affine_add(spec, point, neg_u1g),
+                          pow(r * w, -1, spec.n))
+    return ecdsa.EcdsaPublicKey(*q)
 
-    def add(a, b):
-        lam = (b[1] - a[1]) * pow(b[0] - a[0], -1, spec.p) % spec.p
-        x3 = (lam * lam - a[0] - b[0]) % spec.p
-        return (x3, (lam * (a[0] - x3) - a[1]) % spec.p)
 
-    assert add(u1, u2)[0] % spec.n == r
+def test_ecdsa_verify_refuses_r_equal_to_x_plus_p():
+    # x(R) = x is small, so r = x + p is below n and fits the signature's
+    # width, and X = r Z^2 (mod p) holds for R's Jacobian sum whatever its Z:
+    # only r < p refuses it, where the affine compare read x mod n = x != r
+    spec = SECP160R1
+    width = spec.scalar_bytes
+    rng = random.Random(34)
+    x = next(x for x in range(2, 1 << 31)
+             if pow(x**3 + spec.a * x + spec.b, (spec.p - 1) // 2, spec.p) == 1)
+    y = pow(x**3 + spec.a * x + spec.b, (spec.p + 1) // 4, spec.p)  # p = 3 (mod 4)
+    assert ecdsa.on_curve(x, y) and x + spec.p < min(spec.n, 1 << 8 * width)
+    for r in (x, x + spec.p):
+        s = rng.randrange(1, spec.n)
+        sig = i2osp(r, width) + i2osp(s, width)
+        key = _key_for_sum((x, y), MSG, r, s)
+        X, _, Z = _jacobian_sum(key, MSG, sig)
+        assert Z and (X - r * Z * Z) % spec.p == 0
+        assert ecdsa.verify(key, MSG, sig) == (r == x) == _affine_verify(key, MSG, sig)
+
+
+def test_ecdsa_verify_refuses_a_sum_at_the_identity():
+    # under Q = -z r^-1 G, u1 G + u2 Q = (z + r d) s^-1 G is the identity
+    # for every s
+    spec = SECP160R1
+    width = spec.scalar_bytes
+    rng = random.Random(35)
+    z = _ecdsa_digest(MSG)
+    r = rng.randrange(1, spec.p)
+    key = ecdsa.EcdsaPublicKey(*ecdsa.base_mul(-z * pow(r, -1, spec.n)))
+    for _ in range(3):
+        sig = i2osp(r, width) + i2osp(rng.randrange(1, spec.n), width)
+        assert _jacobian_sum(key, MSG, sig)[2] == 0
+        assert not ecdsa.verify(key, MSG, sig)
+        assert not _affine_verify(key, MSG, sig)
 
 
 def test_ecdsa_verify_inverts_once(monkeypatch):
-    # u1 G + u2 Q is one fold of both tables' picks: one inversion, where a
-    # sum of two separate products took three
+    # u1 G + u2 Q is one Jacobian sum of both tables' picks, and its x is
+    # compared as X = r Z^2: a warm verify inverts s mod n only, and makes no
+    # invert_all call mod p, where normalizing the sum took one and a sum
+    # of two separate products three
     key = keygen(SCHEME_ECDSA, rng=random.Random(11))
     sig = ecdsa.sign(key, MSG)
     assert ecdsa.verify(key.public(), MSG, sig)  # builds the key's table
@@ -400,7 +489,7 @@ def test_ecdsa_verify_inverts_once(monkeypatch):
     monkeypatch.setattr(intmath, "invert_all", counted)
     assert ecdsa.verify(key.public(), MSG, sig)
     assert not ecdsa.verify(key.public(), MSG + b".", sig)
-    assert calls == [SECP160R1.p] * 2
+    assert calls == []
 
 
 def test_ecdsa_fresh_nonces(ecdsa_key):
